@@ -23,8 +23,9 @@ from qsylv.sampling import SplitMix64, make_consistent_instance
 def sweep_kind(kind: EquationKind, per_kind: int, max_dim: int, seed: int):
     worst_gap = 0.0
     worst_res = 0.0
+    kind_index = list(EquationKind).index(kind)
     for case in range(per_kind):
-        rng = SplitMix64(seed + 1_000_003 * hash(kind.value) % 2**32 + case)
+        rng = SplitMix64(seed + 1_000_003 * kind_index + case)
         prob, _ = make_consistent_instance(rng, kind, max_dim=max_dim)
         sol_d, rep_d = solve_direct(prob)
         sol_c, rep_c = solve_cramer(prob)

@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Optional
 
 from . import jsonio
@@ -36,22 +34,12 @@ from .golden import selftest
 from .mpinv import mp_cramer, mp_oracle
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .rcdet import cdet, hdet, rdet
+from .rcdet import DEFAULT_MAX_DET_DIM, cdet, det_dim_cap, hdet, rdet
 from .sampling import SplitMix64, make_consistent_instance, perturb_inconsistent
-from .solvers import EquationKind, GenSylvesterProblem, check_consistency, solve
+from .solvers import DEFAULT_TOL, EquationKind, GenSylvesterProblem, check_consistency, solve
 
 _KIND_NAMES = tuple(kind.cli_name for kind in EquationKind)
 _SLOT_NAMES = ("a1", "b1", "a2", "b2")
-
-
-@dataclass(frozen=True)
-class Config:
-    """Runtime knobs shared by the subcommands."""
-
-    max_det_dim: int = 7
-    tol: float = 1e-8
-    seed: int = 0
-    force: bool = False
 
 
 class _Exit(Exception):
@@ -68,22 +56,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
-
-
-@contextmanager
-def _det_dim_env(value: Optional[int]):
-    if value is None:
-        yield
-        return
-    old = os.environ.get("QSYLV_MAX_DET_DIM")
-    os.environ["QSYLV_MAX_DET_DIM"] = str(value)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("QSYLV_MAX_DET_DIM", None)
-        else:
-            os.environ["QSYLV_MAX_DET_DIM"] = old
 
 
 def _load_matrix(path: str) -> QMatrix:
@@ -128,9 +100,13 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
                             help=f"matrix file for coefficient {name}")
     parser.add_argument("--c", metavar="FILE", required=True,
                         help="matrix file for the right-hand side")
-    parser.add_argument("--tol", type=float, default=Config.tol,
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="consistency tolerance (scaled by 1 + |c|)")
-    parser.add_argument("--max-det-dim", type=int, default=None,
+    _add_det_dim_arg(parser)
+
+
+def _add_det_dim_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-det-dim", type=int, default=DEFAULT_MAX_DET_DIM,
                         help="largest determinant expansion dimension")
 
 
@@ -143,7 +119,7 @@ def _solution_doc(sol, report) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    with _det_dim_env(args.max_det_dim):
+    with det_dim_cap(args.max_det_dim):
         problem = _build_problem(args)
         try:
             sol, report = solve(
@@ -161,7 +137,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    with _det_dim_env(args.max_det_dim):
+    with det_dim_cap(args.max_det_dim):
         problem = _build_problem(args)
         report = check_consistency(problem, tol=args.tol)
     _emit({"report": report.to_json_dict()}, args.out)
@@ -169,7 +145,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_mpinv(args) -> int:
-    with _det_dim_env(args.max_det_dim):
+    with det_dim_cap(args.max_det_dim):
         mat = _load_matrix(getattr(args, "in"))
         if args.method == "oracle":
             result = mp_oracle(mat)
@@ -190,7 +166,7 @@ def _cmd_mpinv(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    with _det_dim_env(args.max_det_dim):
+    with det_dim_cap(args.max_det_dim):
         mat = _load_matrix(getattr(args, "in"))
         if args.kind == "hdet":
             value = Quaternion(hdet(mat, verify=args.verify))
@@ -280,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="both")
     p_mpinv.add_argument("--side", choices=("left", "right"), default=None,
                          help="which Gram matrix the determinantal route uses")
-    p_mpinv.add_argument("--max-det-dim", type=int, default=None)
+    _add_det_dim_arg(p_mpinv)
     p_mpinv.add_argument("--out", metavar="FILE")
     p_mpinv.set_defaults(func=_cmd_mpinv)
 
@@ -291,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--verify", action="store_true",
                        help="for hdet: expand all anchors and cross-check")
     p_det.add_argument("--in", metavar="FILE", required=True)
-    p_det.add_argument("--max-det-dim", type=int, default=None)
+    _add_det_dim_arg(p_det)
     p_det.add_argument("--out", metavar="FILE")
     p_det.set_defaults(func=_cmd_det)
 
@@ -300,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a deterministic random instance")
     p_gen.add_argument("--kind", choices=_KIND_NAMES, required=True)
-    p_gen.add_argument("--seed", type=int, default=Config.seed)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--max-dim", type=int, default=3,
                        help="largest matrix dimension to draw")
     p_gen.add_argument("--inconsistent", action="store_true",

@@ -19,10 +19,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidSize
-from .qmatrix import QMatrix, complex_embed, complex_unembed, ctranspose, mmul, rank
+from .qmatrix import (
+    QMatrix,
+    complex_embed,
+    complex_unembed,
+    ctranspose,
+    embedded_rank,
+    mmul,
+    rank,
+)
 from .quaternion import Quaternion
 from .rcdet import bordered_cdet_sum, bordered_rdet_sum, principal_minor_sum
-from .svd import complex_pinv
+from .svd import pinv_from_svd, rank_cutoff, svd
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,21 +99,15 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -
 
 
 def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
-    """Moore-Penrose inverse through the complex embedding and an SVD."""
-    r = rank(a, floor=rank_floor)
+    """Moore-Penrose inverse through the complex embedding and one SVD.
+
+    The rank and the pseudoinverse are read off the same decomposition.
+    """
     embedded = complex_embed(a)
-    pinv_embedded = complex_pinv(embedded, floor=rank_floor)
-    pinv = complex_unembed(pinv_embedded, a.cols, a.rows)
-    return MpResult(pinv, "oracle", r)
-
-
-def mp(a: QMatrix, method: str = "oracle", side: Optional[str] = None) -> MpResult:
-    """Dispatch helper: ``method`` is ``"oracle"`` or ``"cramer"``."""
-    if method == "oracle":
-        return mp_oracle(a)
-    if method == "cramer":
-        return mp_cramer(a, side=side)
-    raise InvalidSize(f"method must be 'oracle' or 'cramer', got {method!r}")
+    u, s, vh = svd(embedded)
+    cut = rank_cutoff(embedded.shape, s, rank_floor)
+    pinv = complex_unembed(pinv_from_svd(u, s, vh, cut), a.cols, a.rows)
+    return MpResult(pinv, "oracle", embedded_rank(s, cut))
 
 
 # -- orthogonal projectors -----------------------------------------------------

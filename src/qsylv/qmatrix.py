@@ -330,19 +330,21 @@ def complex_unembed(e: ComplexMatrix, rows: int, cols: int) -> QMatrix:
     )
 
 
-def rank(a: QMatrix, floor: float = 0.0) -> int:
-    """Numerical rank via paired singular values of the complex embedding.
+def embedded_rank(s: np.ndarray, cut: float) -> int:
+    """Quaternion rank from the descending singular values ``s`` of an embedding.
 
     The embedding duplicates each singular value, so the rank is counted over
     every second value of the sorted spectrum; this keeps the embedded rank
     even by construction even when a duplicated pair straddles the cutoff.
     """
-    s = _svd.singular_values(complex_embed(a))
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cut = max(_svd.default_threshold((2 * a.rows, 2 * a.cols), float(s[0])), floor)
-    paired = s[::2]
-    return int(np.count_nonzero(paired > cut))
+    return int(np.count_nonzero(s[::2] > cut))
+
+
+def rank(a: QMatrix, floor: float = 0.0) -> int:
+    """Numerical rank via paired singular values of the complex embedding."""
+    e = complex_embed(a)
+    s = _svd.singular_values(e)
+    return embedded_rank(s, _svd.rank_cutoff(e.shape, s, floor))
 
 
 def hstack(blocks: Iterable[QMatrix]) -> QMatrix:

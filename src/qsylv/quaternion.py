@@ -159,21 +159,6 @@ J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product ``a * b`` (order matters)."""
-    return a * b
-
-
-def qconj(a: Quaternion) -> Quaternion:
-    """Quaternion conjugate ``w - x*i - y*j - z*k``."""
-    return a.conjugate()
-
-
-def qinv(a: Quaternion) -> Quaternion:
-    """Multiplicative inverse; raises :class:`ZeroDivisor` near zero."""
-    return a.inverse()
-
-
 def qsum(values: Iterable[Quaternion]) -> Quaternion:
     """Sum of quaternions (componentwise, associative)."""
     w = x = y = z = 0.0

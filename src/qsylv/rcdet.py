@@ -24,17 +24,19 @@ package: sums over anchored index subsets of anchored determinants of a
 principal submatrix with one column (or row) replaced by a derived vector.
 
 Dimension cap: expansions have ``n!`` terms, so determinants refuse to expand
-beyond ``max_det_dim()`` (default 7, overridable via the environment variable
-``QSYLV_MAX_DET_DIM``).
+beyond ``max_det_dim()`` with :class:`~qsylv.errors.DimensionTooLarge`.  The
+cap is 7 unless a :func:`det_dim_cap` block sets another one; it is held in a
+context variable, so a block affects only the thread or task that opened it.
 """
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -53,18 +55,27 @@ DEFAULT_MAX_DET_DIM = 7
 HDET_TOL = 1e-10
 
 
+_MAX_DET_DIM: ContextVar[int] = ContextVar("max_det_dim", default=DEFAULT_MAX_DET_DIM)
+
+
 def max_det_dim() -> int:
-    """The current determinant dimension cap (env ``QSYLV_MAX_DET_DIM``)."""
-    raw = os.environ.get("QSYLV_MAX_DET_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DET_DIM
+    """The determinant dimension cap in force (see :func:`det_dim_cap`)."""
+    return _MAX_DET_DIM.get()
+
+
+@contextmanager
+def det_dim_cap(n: int) -> Iterator[None]:
+    """Cap determinant expansions at dimension ``n`` inside the ``with`` block.
+
+    The previous cap is restored on exit; ``n < 1`` raises :class:`InvalidSize`.
+    """
+    if n < 1:
+        raise InvalidSize(f"determinant dimension cap must be >= 1, got {n}")
+    token = _MAX_DET_DIM.set(n)
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InvalidSize(f"QSYLV_MAX_DET_DIM must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InvalidSize(f"QSYLV_MAX_DET_DIM must be >= 1, got {value}")
-    return value
+        yield
+    finally:
+        _MAX_DET_DIM.reset(token)
 
 
 # -- index subsets -------------------------------------------------------------
@@ -191,7 +202,7 @@ def _expand(a: QMatrix, anchor: int, flavor: str) -> Quaternion:
     n = a.rows
     if a.rows != a.cols:
         raise NotSquare(f"determinant requires a square matrix, got {a.shape}")
-    cap = max_det_dim()
+    cap = _MAX_DET_DIM.get()
     if n > cap:
         raise DimensionTooLarge(f"determinant dimension {n} exceeds cap {cap}")
     if not 1 <= anchor <= n:

@@ -185,19 +185,10 @@ def make_consistent_instance(
     kind: EquationKind,
     max_dim: int = 3,
 ) -> tuple[GenSylvesterProblem, PairSolution]:
-    """A consistent random instance with its planted solution.
-
-    The plain-Stein kind plants ``x1 = t @ b2`` so that the rows of the
-    right-hand side stay inside the row space of ``b2``, which is what its
-    consistency criterion requires of the canonical form.
-    """
+    """A consistent random instance with its planted solution."""
     slots, c_rows, c_cols = _make_slots(rng, kind, max_dim)
     template = GenSylvesterProblem.build(kind, c=QMatrix.zeros(c_rows, c_cols), **slots)
-    if kind is EquationKind.STEIN:
-        b2 = template.b2
-        x1 = random_matrix(rng, c_rows, b2.rows) @ b2
-    else:
-        x1 = random_matrix(rng, *template.x1_shape)
+    x1 = random_matrix(rng, *template.x1_shape)
     x2 = None
     if template.x2_shape is not None:
         x2 = random_matrix(rng, *template.x2_shape)

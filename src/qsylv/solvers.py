@@ -34,7 +34,7 @@ from .errors import (
     Inconsistent,
     InvalidSize,
 )
-from .mpinv import gram_left, gram_right, hermitize, mp_oracle, proj_p_cramer, proj_q_cramer
+from .mpinv import gram_left, gram_right, mp_oracle, proj_p_cramer, proj_q_cramer
 from .qmatrix import (
     QMatrix,
     block2x2,
@@ -251,13 +251,14 @@ class SolveReport:
 
 @dataclass(frozen=True, slots=True)
 class AuxData:
-    """Derived data shared by both solver routes (two-term kinds only).
+    """Pseudoinverse-route data of the two-term kinds, and the shared ranks.
 
     ``m = (i - a1 pinv(a1)) a2``, ``n = b2 (i - pinv(b1) b1)`` and
-    ``s = a2 (i - pinv(m) m)``.  Ranks are computed once, on the
-    pseudoinverse-route matrices, and shared with the determinantal route so
-    both routes agree on every rank decision.  ``*_det`` are the same derived
-    matrices rebuilt from determinantal projectors for the Cramer route.
+    ``s = a2 (i - pinv(m) m)``.  Each rank is read off the same SVD as the
+    matching pseudoinverse and is the only thing the determinantal route
+    takes from here, so both routes agree on every rank decision.  That
+    route rebuilds ``m``, ``n`` and ``s`` from determinantal projectors
+    itself, so building this data evaluates no determinant.
     """
 
     r_a1: int
@@ -277,9 +278,6 @@ class AuxData:
     m_pinv: QMatrix
     n_pinv: QMatrix
     s_pinv: QMatrix
-    m_det: QMatrix
-    n_det: QMatrix
-    s_det: QMatrix
 
     @property
     def ranks(self) -> tuple[int, int, int, int, int, int, int]:
@@ -292,42 +290,21 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     if not problem.kind.is_two_term:
         raise InvalidSize("derive_aux applies to the two-term equation kinds")
     a1, b1, a2, b2 = problem.a1, problem.b1, problem.a2, problem.b2
-    m_rows = a1.rows
-    s_cols = b1.cols
-    a1_pinv = mp_oracle(a1).pinv
-    b1_pinv = mp_oracle(b1).pinv
-    a2_pinv = mp_oracle(a2).pinv
-    b2_pinv = mp_oracle(b2).pinv
+    a1_mp, b1_mp, a2_mp, b2_mp = mp_oracle(a1), mp_oracle(b1), mp_oracle(a2), mp_oracle(b2)
     floor_a = DERIVED_RANK_FLOOR * (1.0 + a2.fro_norm())
     floor_b = DERIVED_RANK_FLOOR * (1.0 + b2.fro_norm())
-    r_a1_proj = QMatrix.identity(m_rows) - a1 @ a1_pinv
-    l_b1_proj = QMatrix.identity(s_cols) - b1_pinv @ b1
-    m_mat = r_a1_proj @ a2
-    n_mat = b2 @ l_b1_proj
-    m_pinv = mp_oracle(m_mat, rank_floor=floor_a).pinv
-    n_pinv = mp_oracle(n_mat, rank_floor=floor_b).pinv
-    s_mat = a2 @ (QMatrix.identity(a2.cols) - m_pinv @ m_mat)
-    s_pinv = mp_oracle(s_mat, rank_floor=floor_a).pinv
-
-    r_a1 = rank(a1)
-    r_b1 = rank(b1)
-    r_a2 = rank(a2)
-    r_b2 = rank(b2)
-    r_m = rank(m_mat, floor=floor_a)
-    r_n = rank(n_mat, floor=floor_b)
-    r_s = rank(s_mat, floor=floor_a)
-
-    m_det = (QMatrix.identity(m_rows) - proj_q_cramer(a1, r_a1)) @ a2
-    n_det = b2 @ (QMatrix.identity(s_cols) - proj_p_cramer(b1, r_b1))
-    p_m_det = proj_p_cramer(m_det, r_m)
-    s_det = a2 @ (QMatrix.identity(a2.cols) - p_m_det)
-
+    m_mat = (QMatrix.identity(a1.rows) - a1 @ a1_mp.pinv) @ a2
+    n_mat = b2 @ (QMatrix.identity(b1.cols) - b1_mp.pinv @ b1)
+    m_mp = mp_oracle(m_mat, rank_floor=floor_a)
+    n_mp = mp_oracle(n_mat, rank_floor=floor_b)
+    s_mat = a2 @ (QMatrix.identity(a2.cols) - m_mp.pinv @ m_mat)
+    s_mp = mp_oracle(s_mat, rank_floor=floor_a)
     return AuxData(
-        r_a1=r_a1, r_b1=r_b1, r_a2=r_a2, r_b2=r_b2, r_m=r_m, r_n=r_n, r_s=r_s,
-        a1_pinv=a1_pinv, b1_pinv=b1_pinv, a2_pinv=a2_pinv, b2_pinv=b2_pinv,
+        r_a1=a1_mp.rank_used, r_b1=b1_mp.rank_used, r_a2=a2_mp.rank_used,
+        r_b2=b2_mp.rank_used, r_m=m_mp.rank_used, r_n=n_mp.rank_used, r_s=s_mp.rank_used,
+        a1_pinv=a1_mp.pinv, b1_pinv=b1_mp.pinv, a2_pinv=a2_mp.pinv, b2_pinv=b2_mp.pinv,
         m_mat=m_mat, n_mat=n_mat, s_mat=s_mat,
-        m_pinv=m_pinv, n_pinv=n_pinv, s_pinv=s_pinv,
-        m_det=m_det, n_det=n_det, s_det=s_det,
+        m_pinv=m_mp.pinv, n_pinv=n_mp.pinv, s_pinv=s_mp.pinv,
     )
 
 
@@ -356,28 +333,16 @@ def residual(problem: GenSylvesterProblem, sol: PairSolution) -> float:
 def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) -> SolveReport:
     """Evaluate solvability criteria.
 
-    Two-term kinds get four projector criteria and four independent rank
-    criteria; the verdict is driven by the projector family, and a
-    ``criteria_agree`` entry records whether the two families concur.  The
-    plain-Stein kind instead checks that the rows of ``c`` lie in the row
-    space of ``b2``.  The conjugate-transpose kinds check their own
-    compatibility conditions.
+    Every two-term kind, the identity-filled ones included, gets four
+    projector criteria and four independent rank criteria; the verdict is
+    driven by the projector family, and a ``criteria_agree`` entry records
+    whether the two families concur.  The conjugate-transpose kinds check
+    their own compatibility conditions.  Only pseudoinverse-route data is
+    used, so no determinant is evaluated and the determinant cap never
+    applies here.
     """
     tol_c = tol * (1.0 + problem.c.fro_norm())
     checks: list[CheckResult] = []
-
-    if problem.kind is EquationKind.STEIN:
-        aux = derive_aux(problem)
-        l_b2 = QMatrix.identity(problem.c.cols) - aux.b2_pinv @ problem.b2
-        res = (problem.c @ l_b2).fro_norm()
-        checks.append(CheckResult("c_l_b2", res <= tol_c, res))
-        rank_lhs = rank(vstack([problem.b2, problem.c]))
-        rank_ok = rank_lhs == aux.r_b2
-        checks.append(CheckResult("rank_rows_c_in_b2", rank_ok, float(abs(rank_lhs - aux.r_b2))))
-        consistent = res <= tol_c
-        checks.append(CheckResult("criteria_agree", consistent == rank_ok,
-                                  0.0 if consistent == rank_ok else 1.0))
-        return SolveReport(consistent, tuple(checks), res, "check")
 
     if problem.kind.is_two_term:
         aux = derive_aux(problem)
@@ -579,30 +544,13 @@ def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
     )
 
 
-def cramer_xb(c: QMatrix, b: QMatrix, rb: Optional[int] = None) -> QMatrix:
-    """Determinantal evaluation of ``c @ pinv(b)``."""
-    if b.cols != c.cols:
-        raise DimensionMismatch(f"b has {b.cols} columns but c has {c.cols}")
-    rb = rank(b) if rb is None else rb
-    if rb == 0:
-        return QMatrix.zeros(c.rows, b.rows)
-    gb = gram_right(b)
-    db = principal_minor_sum(gb, rb)
-    cb = c @ ctranspose(b)
-    return QMatrix.build(
-        c.rows, b.rows,
-        lambda i, j: bordered_rdet_sum(gb, j + 1, cb.row(i), rb) / db,
-    )
-
-
-def _proj_p_det(a: QMatrix, r: int) -> QMatrix:
-    return proj_p_cramer(a, r)
-
-
 def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData, form: str) -> tuple[QMatrix, QMatrix]:
     a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
-    m_det, n_det, s_det = aux.m_det, aux.n_det, aux.s_det
     r1, rb1, r3, r4, r5, r6, r7 = aux.ranks
+
+    m_det = (QMatrix.identity(a1.rows) - proj_q_cramer(a1, r1)) @ a2
+    n_det = b2 @ (QMatrix.identity(b1.cols) - proj_p_cramer(b1, rb1))
+    s_det = a2 @ (QMatrix.identity(a2.cols) - proj_p_cramer(m_det, r5))
 
     x11 = cramer_axb(a1, c, b1, form, ra=r1, rb=rb1)
 
@@ -615,87 +563,9 @@ def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData, form: str) -> t
     x1 = x11 - x12 - x13
 
     x21 = cramer_axb(m_det, c, b2, form, ra=r5, rb=r4)
-    x22 = _proj_p_det(s_det, r7) @ eta
+    x22 = proj_p_cramer(s_det, r7) @ eta
     x2 = x21 + x22
     return x1, x2
-
-
-def _cramer_lyap_like(problem: GenSylvesterProblem, form: str) -> QMatrix:
-    a, b, c = problem.a1, problem.b2, problem.c
-    r1, r2 = rank(a), rank(b)
-    n_out, m_out = a.cols, a.rows
-    if r1 == 0:
-        return QMatrix.zeros(n_out, m_out)
-    ga = gram_left(a)
-    da = principal_minor_sum(ga, r1)
-    ac = ctranspose(a) @ c
-    term1 = QMatrix.build(
-        n_out, m_out,
-        lambda i, j: bordered_cdet_sum(ga, i + 1, ac.col(j), r1) / da,
-    )
-    if r2 == 0:
-        return term1
-    gb = hermitize(ctranspose(b) @ b)
-    db = principal_minor_sum(gb, r2)
-    c2 = ac @ gb
-    denom = 2.0 * da * db
-    if form == "column":
-        inner_cols = [
-            [bordered_rdet_sum(gb, j + 1, c2.row(k), r2) for k in range(n_out)]
-            for j in range(m_out)
-        ]
-        term2 = QMatrix.build(
-            n_out, m_out,
-            lambda i, j: bordered_cdet_sum(ga, i + 1, inner_cols[j], r1) / denom,
-        )
-    else:
-        inner_rows = [
-            [bordered_cdet_sum(ga, i + 1, c2.col(t), r1) for t in range(m_out)]
-            for i in range(n_out)
-        ]
-        term2 = QMatrix.build(
-            n_out, m_out,
-            lambda i, j: bordered_rdet_sum(gb, j + 1, inner_rows[i], r2) / denom,
-        )
-    return term1 - term2
-
-
-def _cramer_lyap_star(problem: GenSylvesterProblem, form: str) -> QMatrix:
-    a, rhs = problem.a1, problem.c
-    r1 = rank(a)
-    n_out, m_out = a.cols, a.rows
-    if r1 == 0:
-        return QMatrix.zeros(n_out, m_out)
-    ga = gram_left(a)
-    gaq = gram_right(a)
-    da = principal_minor_sum(ga, r1)
-    daq = principal_minor_sum(gaq, r1)
-    b1 = ctranspose(a) @ rhs
-    b2 = b1 @ gaq
-    term1 = QMatrix.build(
-        n_out, m_out,
-        lambda i, j: bordered_cdet_sum(ga, i + 1, b1.col(j), r1) / da,
-    )
-    denom = 2.0 * da * daq
-    if form == "column":
-        inner_cols = [
-            [bordered_rdet_sum(gaq, j + 1, b2.row(l), r1) for l in range(n_out)]
-            for j in range(m_out)
-        ]
-        term2 = QMatrix.build(
-            n_out, m_out,
-            lambda i, j: bordered_cdet_sum(ga, i + 1, inner_cols[j], r1) / denom,
-        )
-    else:
-        inner_rows = [
-            [bordered_cdet_sum(ga, i + 1, b2.col(t), r1) for t in range(m_out)]
-            for i in range(n_out)
-        ]
-        term2 = QMatrix.build(
-            n_out, m_out,
-            lambda i, j: bordered_rdet_sum(gaq, j + 1, inner_rows[i], r1) / denom,
-        )
-    return term1 - term2
 
 
 _CRAMER_PROVENANCE_TWO_TERM = (
@@ -714,17 +584,18 @@ def _partial_cramer(problem: GenSylvesterProblem, form: str) -> tuple[PairSoluti
         aux = derive_aux(problem)
         x1, x2 = _cramer_two_term(problem, aux, form)
         return PairSolution(x1, x2), _CRAMER_PROVENANCE_TWO_TERM
+    # The direct route's c proj_p(b) is c ctranspose(b) pinv(ctranspose(b)),
+    # and rhs proj_q(a) is rhs a pinv(a): both halved terms are axb calls.
+    a, c = problem.a1, problem.c
+    ra = rank(a)
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        x = _cramer_lyap_like(problem, form)
-        return PairSolution(x), (
-            ("x1", "ax(a, c) - nested bordered sums over grams of a and b, halved"),
-            ("route", "bordered minor sums"),
-        )
-    x = _cramer_lyap_star(problem, form)
-    return PairSolution(x), (
-        ("x1", "ax(a, rhs) - nested bordered sums over both grams of a, halved"),
-        ("route", "bordered minor sums"),
-    )
+        right, rb = problem.b2.H, rank(problem.b2)
+        formula = "ax(a, c) - axb(a, c ctranspose(b), ctranspose(b)) / 2"
+    else:
+        right, rb = a, ra
+        formula = "ax(a, rhs) - axb(a, rhs a, a) / 2"
+    x = cramer_ax(a, c, ra) - cramer_axb(a, c @ right, right, form, ra, rb) / 2.0
+    return PairSolution(x), (("x1", formula), ("route", "bordered minor sums"))
 
 
 # -- public solver entry points ---------------------------------------------------

@@ -97,20 +97,24 @@ def default_threshold(a_shape: tuple[int, int], sigma_max: float) -> float:
     return max(m, n) * np.finfo(np.float64).eps * sigma_max
 
 
-def complex_rank(a: np.ndarray, floor: float = 0.0) -> int:
-    """Numerical rank using the default threshold plus an absolute ``floor``."""
-    s = singular_values(a)
+def rank_cutoff(a_shape: tuple[int, int], s: np.ndarray, floor: float = 0.0) -> float:
+    """The cutoff above which singular values count toward the rank.
+
+    ``s`` holds the singular values of a matrix of shape ``a_shape`` in
+    descending order; the cutoff is the default threshold raised to an
+    absolute ``floor``.  An all-zero spectrum gets an infinite cutoff.
+    """
     if s.size == 0 or s[0] == 0.0:
-        return 0
-    cut = max(default_threshold(a.shape, float(s[0])), floor)
-    return int(np.count_nonzero(s > cut))
+        return math.inf
+    return max(default_threshold(a_shape, float(s[0])), floor)
 
 
-def complex_pinv(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Moore-Penrose inverse of a complex matrix via the Jacobi SVD."""
-    u, s, vh = svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    cut = max(default_threshold(a.shape, float(s[0])), floor)
+def pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, cut: float) -> np.ndarray:
+    """Moore-Penrose inverse from a thin SVD, inverting the singular values above ``cut``.
+
+    An infinite cutoff (see :func:`rank_cutoff`) gives an exact zero matrix.
+    """
+    if cut == math.inf:
+        return np.zeros((vh.shape[1], u.shape[0]), dtype=np.complex128)
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return (vh.conj().T * inv) @ u.conj().T

@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from qsylv import QMatrix
+from qsylv import EquationKind, GenSylvesterProblem, PairSolution, QMatrix, apply_lhs
 from qsylv.cli import main
 from qsylv.golden import example_pair, example_star
 from qsylv.jsonio import dumps, loads, write_json
+from qsylv.sampling import SplitMix64, planted_rank_matrix, random_matrix
 
 from conftest import q, qm
 
@@ -303,6 +304,35 @@ def test_gen_inconsistent_instances_fail_check(capsys, tmp_path):
         argv += [f"--{slot}", str(out_dir / f"{slot}.json")]
     code, out, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+def test_determinant_cap_binds_only_the_cramer_route(capsys, tmp_path):
+    rng = SplitMix64(77)
+    slots = {
+        "a1": planted_rank_matrix(rng, 6, 5, 5),
+        "b1": planted_rank_matrix(rng, 5, 6, 5),
+        "a2": planted_rank_matrix(rng, 6, 4, 4),
+        "b2": planted_rank_matrix(rng, 4, 6, 4),
+    }
+    template = GenSylvesterProblem.build(
+        EquationKind.GEN_SYLVESTER, c=QMatrix.zeros(6, 6), **slots
+    )
+    planted = PairSolution(random_matrix(rng, 5, 5), random_matrix(rng, 4, 4))
+    slots["c"] = apply_lhs(template, planted)
+    files = ["--kind", "gen-sylvester"]
+    for name, mat in slots.items():
+        path = str(tmp_path / f"{name}.json")
+        write_json(path, mat.to_json())
+        files += [f"--{name}", path]
+    capped = [*files, "--max-det-dim", "3"]
+    code, out, _ = run_cli(["check", *capped], capsys)
+    assert code == 0 and loads(out)["report"]["consistent"] is True
+    code, out, _ = run_cli(["solve", "--method", "direct", *capped], capsys)
+    assert code == 0 and loads(out)["report"]["consistent"] is True
+    code, _, err = run_cli(["solve", "--method", "cramer", *capped], capsys)
+    assert code == 1 and "exceeds cap 3" in err
+    code, _, _ = run_cli(["check", *files, "--max-det-dim", "0"], capsys)
+    assert code == 64
 
 
 # -- output contracts -------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
-from qsylv import QMatrix, mp, mp_cramer, mp_oracle, proj_l, proj_p, proj_q, proj_r
+import qsylv.mpinv as mpinv
+from qsylv import QMatrix, mp_cramer, mp_oracle, proj_l, proj_p, proj_q, proj_r, rank
 from qsylv.mpinv import (
     gram_left,
     gram_right,
@@ -67,13 +66,32 @@ def test_default_side_prefers_smaller_gram():
     assert mp_cramer(wide).method.endswith("right")
 
 
-def test_mp_dispatch():
-    a = planted_rank_matrix(SplitMix64(45), 3, 2, 1)
-    assert_matrix_close(mp(a, method="cramer").pinv, mp(a, method="oracle").pinv, 1e-8)
-    from qsylv import InvalidSize
+def test_oracle_takes_one_svd(monkeypatch):
+    calls = []
+    real_svd = mpinv.svd
 
-    with pytest.raises(InvalidSize):
-        mp(a, method="nonsense")
+    def counting_svd(a):
+        calls.append(a.shape)
+        return real_svd(a)
+
+    monkeypatch.setattr(mpinv, "svd", counting_svd)
+    a = planted_rank_matrix(SplitMix64(45), 4, 2, 1)
+    result = mp_oracle(a)
+    assert calls == [(8, 4)]
+    assert result.rank_used == 1
+
+
+def test_oracle_rank_is_the_rank_decision():
+    rng = SplitMix64(47)
+    for case in range(20):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = planted_rank_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        for floor in (0.0, 1e-10):
+            assert mp_oracle(a, rank_floor=floor).rank_used == rank(a, floor), case
+    # a floor above the smaller singular value drops it from both decisions
+    diag = qm([[q(2.0), q(0)], [q(0), q(1e-3)]])
+    assert mp_oracle(diag, rank_floor=1e-2).rank_used == rank(diag, 1e-2) == 1
+    assert mp_oracle(diag).rank_used == rank(diag) == 2
 
 
 def test_projectors_are_hermitian_idempotent():

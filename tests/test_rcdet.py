@@ -12,6 +12,7 @@ from qsylv import (
     NotSquare,
     QMatrix,
     cdet,
+    det_dim_cap,
     enumerate_subsets,
     hdet,
     max_det_dim,
@@ -112,18 +113,20 @@ def test_anchor_out_of_range():
         cdet(a, 3)
 
 
-def test_dimension_cap_default_and_env(monkeypatch):
+def test_dimension_cap_default_and_context():
     assert max_det_dim() == 7
     with pytest.raises(DimensionTooLarge):
         rdet(QMatrix.identity(8), 1)
-    monkeypatch.setenv("QSYLV_MAX_DET_DIM", "3")
-    assert max_det_dim() == 3
-    with pytest.raises(DimensionTooLarge):
-        rdet(QMatrix.identity(4), 1)
-    assert rdet(QMatrix.identity(3), 1) == q(1)
-    monkeypatch.setenv("QSYLV_MAX_DET_DIM", "banana")
+    with det_dim_cap(3):
+        assert max_det_dim() == 3
+        with pytest.raises(DimensionTooLarge):
+            rdet(QMatrix.identity(4), 1)
+        assert rdet(QMatrix.identity(3), 1) == q(1)
+    assert max_det_dim() == 7
     with pytest.raises(InvalidSize):
-        max_det_dim()
+        with det_dim_cap(0):
+            pass
+    assert max_det_dim() == 7
 
 
 def test_identity_and_diagonal():

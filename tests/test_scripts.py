@@ -1,0 +1,28 @@
+"""The bundled scripts, run as a user runs them."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from qsylv import EquationKind
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_sweep_lines_do_not_depend_on_the_hash_seed():
+    env_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    per_kind_lines = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "method_agreement_sweep.py"), "--per-kind", "1"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=env_path, PYTHONHASHSEED=hash_seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        per_kind_lines.append([line for line in proc.stdout.splitlines() if "(n=1)" in line])
+    assert len(per_kind_lines[0]) == len(EquationKind)
+    assert per_kind_lines[0] == per_kind_lines[1]

@@ -11,6 +11,7 @@ from qsylv import (
     FreeParams,
     GenSylvesterProblem,
     Inconsistent,
+    InvalidSize,
     PairSolution,
     QMatrix,
     apply_lhs,
@@ -30,6 +31,8 @@ from qsylv.sampling import (
     SplitMix64,
     make_consistent_instance,
     make_inconsistent_instance,
+    perturb_inconsistent,
+    planted_rank_matrix,
     random_free_params,
     random_matrix,
 )
@@ -139,6 +142,34 @@ def test_perturbed_instances_fail_gates():
     bad = make_inconsistent_instance(rng, EquationKind.GEN_SYLVESTER, max_dim=3)
     report = check_consistency(bad)
     assert not report.consistent
+
+
+def test_verdict_holds_iff_the_forced_representative_solves():
+    rng = SplitMix64(68)
+    cases = []
+    for kind in ALL_KINDS:
+        for _ in range(5):
+            prob, _ = make_consistent_instance(rng, kind, max_dim=3)
+            cases.append(prob)
+            if kind.is_two_term:
+                try:
+                    cases.append(perturb_inconsistent(rng, prob))
+                except InvalidSize:  # the coefficients span the whole space
+                    pass
+    # Stein with b2 short of full rank: x1 = c, x2 = 0 solves every instance
+    for _ in range(5):
+        slots = {"a2": random_matrix(rng, 3, 2), "b2": planted_rank_matrix(rng, 2, 3, 1)}
+        template = GenSylvesterProblem.build(EquationKind.STEIN, c=QMatrix.zeros(3, 3), **slots)
+        planted = PairSolution(random_matrix(rng, 3, 3), random_matrix(rng, 2, 2))
+        cases.append(GenSylvesterProblem.build(
+            EquationKind.STEIN, c=apply_lhs(template, planted), **slots))
+    verdicts = []
+    for prob in cases:
+        _, report = solve_direct(prob, force=True)
+        solves = report.residual_norm <= 1e-8 * (1.0 + prob.c.fro_norm())
+        assert check_consistency(prob).consistent == solves, (prob.kind, report.residual_norm)
+        verdicts.append(solves)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_projector_and_rank_criteria_are_both_reported():
