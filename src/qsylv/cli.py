@@ -35,7 +35,7 @@ from .mpinv import mp_cramer, mp_oracle
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .rcdet import DEFAULT_MAX_DET_DIM, cdet, det_dim_cap, hdet, rdet
-from .sampling import SplitMix64, make_consistent_instance, perturb_inconsistent
+from .sampling import SplitMix64, make_consistent_instance, make_inconsistent_instance
 from .solvers import DEFAULT_TOL, EquationKind, GenSylvesterProblem, check_consistency, solve
 
 _KIND_NAMES = tuple(kind.cli_name for kind in EquationKind)
@@ -194,10 +194,10 @@ def _cmd_gen(args) -> int:
     kind = EquationKind.from_cli_name(args.kind)
     rng = SplitMix64(args.seed)
     try:
-        problem, planted = make_consistent_instance(rng, kind, max_dim=args.max_dim)
         if args.inconsistent:
-            problem = perturb_inconsistent(rng, problem)
-            planted = None
+            problem, planted = make_inconsistent_instance(rng, kind, args.max_dim), None
+        else:
+            problem, planted = make_consistent_instance(rng, kind, max_dim=args.max_dim)
     except InvalidSize as exc:
         raise _Exit(1, str(exc))
     matrices = {}

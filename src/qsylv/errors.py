@@ -39,6 +39,14 @@ class DimensionTooLarge(QsylvError):
     """A determinant expansion beyond the configured dimension cap was requested."""
 
 
+class NotConverged(QsylvError):
+    """An iterative decomposition stopped at its sweep limit before converging."""
+
+
+class OutOfRange(QsylvError):
+    """A result lies outside the range of finite floating-point numbers."""
+
+
 class Inconsistent(QsylvError):
     """The equation failed its consistency criteria and ``force`` was not set.
 

@@ -1,20 +1,26 @@
 """Moore-Penrose inverses of quaternion matrices, by two independent routes.
 
-- :func:`mp_cramer` evaluates the determinantal (Cramer-style) entrywise
-  formulas: each entry of the inverse is a bordered minor sum of a Gram matrix
-  divided by the sum of its rank-sized principal minors.
+- :func:`mp_cramer` evaluates the determinantal (Cramer-style) formulas: each
+  entry of the inverse is a bordered minor sum of a Gram matrix divided by the
+  sum of its rank-sized principal minors.  The bordered sums of all entries
+  come from one coefficient matrix of the Gram matrix (see :mod:`qsylv.rcdet`),
+  so the inverse is ``cdet_coeffs(A*A) @ A* / denom`` or
+  ``A* @ rdet_coeffs(AA*) / denom``.
 - :func:`mp_oracle` works through the complex embedding and an SVD-based
   complex pseudoinverse.
 
+Both prescale their input by an exact power of two (``pinv(2**k A) =
+2**-k pinv(A)``), so tiny and huge inputs neither underflow nor overflow.
 Both satisfy the four Penrose identities; tests cross-verify them against
 each other.  The determinantal orthogonal projectors ``P = pinv(A) A`` and
-``Q = A pinv(A)`` are also available entrywise (:func:`proj_p_cramer`,
+``Q = A pinv(A)`` are also available in the same form (:func:`proj_p_cramer`,
 :func:`proj_q_cramer`) so that Cramer-route solvers never have to multiply a
 pseudoinverse into their main path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,10 +32,11 @@ from .qmatrix import (
     ctranspose,
     embedded_rank,
     mmul,
+    pow2_exponent,
     rank,
+    scale_pow2,
 )
-from .quaternion import Quaternion
-from .rcdet import bordered_cdet_sum, bordered_rdet_sum, principal_minor_sum
+from .rcdet import cdet_coeffs, principal_minor_sum, rdet_coeffs
 from .svd import pinv_from_svd, rank_cutoff, svd
 
 
@@ -68,7 +75,9 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -
     ``side`` picks which Gram matrix the bordered sums run over: ``"left"``
     uses ``ctranspose(a) @ a`` and column-determinant sums, ``"right"`` uses
     ``a @ ctranspose(a)`` and row-determinant sums.  Both give the same
-    inverse; by default the smaller Gram matrix is chosen.
+    inverse; by default the smaller Gram matrix is chosen.  The Gram matrix
+    is formed from ``2**k * a`` (:func:`~qsylv.qmatrix.pow2_exponent`) and
+    the result scaled back by ``2**k``.
     """
     if side is None:
         side = "left" if a.cols <= a.rows else "right"
@@ -77,37 +86,30 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -
     r = rank(a, floor=rank_floor)
     if r == 0:
         return MpResult(QMatrix.zeros(a.cols, a.rows), f"cramer_{side}", 0)
-    astar = ctranspose(a)
+    k = pow2_exponent(a)
+    scaled = scale_pow2(a, k)
+    astar = ctranspose(scaled)
     if side == "left":
-        g = gram_left(a)
-        denom = principal_minor_sum(g, r)
-
-        def entry(i: int, j: int) -> Quaternion:
-            d = astar.col(j)
-            return bordered_cdet_sum(g, i + 1, d, r) / denom
-
+        g = gram_left(scaled)
+        pinv = cdet_coeffs(g, r) @ astar / principal_minor_sum(g, r)
     else:
-        g = gram_right(a)
-        denom = principal_minor_sum(g, r)
-
-        def entry(i: int, j: int) -> Quaternion:
-            d = astar.row(i)
-            return bordered_rdet_sum(g, j + 1, d, r) / denom
-
-    pinv = QMatrix.build(a.cols, a.rows, entry)
-    return MpResult(pinv, f"cramer_{side}", r)
+        g = gram_right(scaled)
+        pinv = astar @ rdet_coeffs(g, r) / principal_minor_sum(g, r)
+    return MpResult(scale_pow2(pinv, k), f"cramer_{side}", r)
 
 
 def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
     """Moore-Penrose inverse through the complex embedding and one SVD.
 
-    The rank and the pseudoinverse are read off the same decomposition.
+    The rank and the pseudoinverse are read off the same decomposition of
+    the prescaled matrix; the absolute ``rank_floor`` is scaled with it.
     """
-    embedded = complex_embed(a)
+    k = pow2_exponent(a)
+    embedded = complex_embed(scale_pow2(a, k))
     u, s, vh = svd(embedded)
-    cut = rank_cutoff(embedded.shape, s, rank_floor)
+    cut = rank_cutoff(embedded.shape, s, math.ldexp(rank_floor, k))
     pinv = complex_unembed(pinv_from_svd(u, s, vh, cut), a.cols, a.rows)
-    return MpResult(pinv, "oracle", embedded_rank(s, cut))
+    return MpResult(scale_pow2(pinv, k), "oracle", embedded_rank(s, cut))
 
 
 # -- orthogonal projectors -----------------------------------------------------
@@ -138,7 +140,8 @@ def proj_r(a: QMatrix, method: str = "oracle") -> QMatrix:
 
 
 def proj_p_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
-    """Entrywise determinantal form of ``pinv(a) @ a``.
+    """Determinantal form of ``pinv(a) @ a``: ``cdet_coeffs(g, r) @ g / denom``
+    with ``g = a* a``.
 
     ``r`` overrides the rank decision (callers that share one rank across
     several routes pass it explicitly).
@@ -147,26 +150,17 @@ def proj_p_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
     if r == 0:
         return QMatrix.zeros(a.cols, a.cols)
     g = gram_left(a)
-    denom = principal_minor_sum(g, r)
-
-    def entry(i: int, j: int) -> Quaternion:
-        return bordered_cdet_sum(g, i + 1, g.col(j), r) / denom
-
-    return QMatrix.build(a.cols, a.cols, entry)
+    return cdet_coeffs(g, r) @ g / principal_minor_sum(g, r)
 
 
 def proj_q_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
-    """Entrywise determinantal form of ``a @ pinv(a)``."""
+    """Determinantal form of ``a @ pinv(a)``: ``g @ rdet_coeffs(g, r) / denom``
+    with ``g = a a*``."""
     r = rank(a) if r is None else r
     if r == 0:
         return QMatrix.zeros(a.rows, a.rows)
     g = gram_right(a)
-    denom = principal_minor_sum(g, r)
-
-    def entry(i: int, j: int) -> Quaternion:
-        return bordered_rdet_sum(g, j + 1, g.row(i), r) / denom
-
-    return QMatrix.build(a.rows, a.rows, entry)
+    return g @ rdet_coeffs(g, r) / principal_minor_sum(g, r)
 
 
 def penrose_residuals(a: QMatrix, x: QMatrix) -> tuple[float, float, float, float]:

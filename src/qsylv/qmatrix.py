@@ -25,12 +25,13 @@ row-major data; parsing rejects ragged rows and non-finite numbers.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import svd as _svd
-from .errors import DimensionMismatch, NotSquare, ParseError
+from .errors import DimensionMismatch, NotSquare, OutOfRange, ParseError
 from .quaternion import Quaternion, qsum
 
 #: Type alias for the complex numeric carrier used by embeddings.
@@ -123,6 +124,11 @@ class QMatrix:
     @staticmethod
     def build(rows: int, cols: int, fn: Callable[[int, int], Quaternion]) -> "QMatrix":
         return QMatrix([[fn(r, c) for c in range(cols)] for r in range(rows)])
+
+    @staticmethod
+    def from_array(values: np.ndarray) -> "QMatrix":
+        """Inverse of :func:`quat_array`: entries from a ``rows x cols x 4`` array."""
+        return QMatrix([[Quaternion(*q) for q in row] for row in values.tolist()])
 
     def replace_col(self, c: int, column: Sequence[Quaternion]) -> "QMatrix":
         if len(column) != self._rows:
@@ -300,6 +306,40 @@ def fro_norm(a: QMatrix) -> float:
     return float(np.sqrt(total))
 
 
+def quat_array(a: QMatrix) -> np.ndarray:
+    """The ``rows x cols x 4`` float array of the components ``(w, x, y, z)``."""
+    return np.array([[(q.w, q.x, q.y, q.z) for q in row] for row in a.entries])
+
+
+def pow2_exponent(a: QMatrix) -> int:
+    """The ``k`` that puts the largest component of ``2**k * a`` in ``[0.5, 1)``.
+
+    A zero matrix gives 0.  Scaling by ``2**k`` is exact, so rank decisions
+    and pseudoinverses taken on the scaled matrix carry over to ``a`` exactly
+    while neither squared norms nor Gram entries overflow or underflow.
+    """
+    peak = max(max(abs(q.w), abs(q.x), abs(q.y), abs(q.z)) for row in a.entries for q in row)
+    return -math.frexp(peak)[1]
+
+
+def scale_pow2(a: QMatrix, k: int) -> QMatrix:
+    """``2**k * a``, exact unless an entry leaves the normal float range.
+
+    Raises :class:`OutOfRange` where an entry would overflow.
+    """
+    if k == 0:
+        return a
+    try:
+        return QMatrix(
+            [
+                [Quaternion(*(math.ldexp(v, k) for v in (q.w, q.x, q.y, q.z))) for q in row]
+                for row in a.entries
+            ]
+        )
+    except OverflowError:
+        raise OutOfRange(f"scaling by 2**{k} overflows the float range") from None
+
+
 def complex_embed(a: QMatrix) -> ComplexMatrix:
     """The ``2m x 2n`` complex embedding described in the module docstring."""
     m, n = a.shape
@@ -341,10 +381,15 @@ def embedded_rank(s: np.ndarray, cut: float) -> int:
 
 
 def rank(a: QMatrix, floor: float = 0.0) -> int:
-    """Numerical rank via paired singular values of the complex embedding."""
-    e = complex_embed(a)
+    """Numerical rank via paired singular values of the complex embedding.
+
+    ``a`` is prescaled by :func:`pow2_exponent` and the absolute ``floor``
+    with it, so the decision does not change under power-of-two rescaling.
+    """
+    k = pow2_exponent(a)
+    e = complex_embed(scale_pow2(a, k))
     s = _svd.singular_values(e)
-    return embedded_rank(s, _svd.rank_cutoff(e.shape, s, floor))
+    return embedded_rank(s, _svd.rank_cutoff(e.shape, s, math.ldexp(floor, k)))
 
 
 def hstack(blocks: Iterable[QMatrix]) -> QMatrix:

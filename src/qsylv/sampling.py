@@ -254,13 +254,14 @@ def make_inconsistent_instance(
     perturbation (a draw whose coefficients span the full space admits none),
     so the result is deterministic in ``rng`` but may consume several draws.
     """
+    reason = None
     for _ in range(max_tries):
         problem, _ = make_consistent_instance(rng, kind, max_dim)
         try:
             return perturb_inconsistent(rng, problem)
-        except InvalidSize:
-            continue
-    raise InvalidSize(f"no perturbable instance found in {max_tries} draws")
+        except InvalidSize as exc:
+            reason = exc
+    raise InvalidSize(f"no perturbable instance found in {max_tries} draws: {reason}")
 
 
 def random_free_params(

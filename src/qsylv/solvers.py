@@ -10,8 +10,9 @@ Every kind is solved by two independent routes:
 
 - :func:`solve_direct` multiplies Moore-Penrose pseudoinverses (computed via
   the complex embedding) into closed-form expressions;
-- :func:`solve_cramer` evaluates the same expressions entrywise through
-  noncommutative bordered minor sums, never forming a pseudoinverse on its
+- :func:`solve_cramer` evaluates the same expressions through noncommutative
+  bordered minor sums, all entries of one factor at once as a product with a
+  coefficient matrix of a Gram matrix; it never forms a pseudoinverse on its
   main path (orthogonal projector factors are evaluated determinantally too).
 
 Both return the same canonical particular solution, so agreement between them
@@ -43,8 +44,7 @@ from .qmatrix import (
     rank,
     vstack,
 )
-from .quaternion import Quaternion
-from .rcdet import bordered_cdet_sum, bordered_rdet_sum, principal_minor_sum
+from .rcdet import cdet_coeffs, principal_minor_sum, rdet_coeffs
 
 DEFAULT_TOL = 1e-8
 
@@ -284,9 +284,14 @@ class AuxData:
         return (self.r_a1, self.r_b1, self.r_a2, self.r_b2, self.r_m, self.r_n, self.r_s)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=16)
 def derive_aux(problem: GenSylvesterProblem) -> AuxData:
-    """Derived matrices, pseudoinverses and shared ranks for two-term kinds."""
+    """Derived matrices, pseudoinverses and shared ranks for two-term kinds.
+
+    Cached so that the gate, both routes and the general solution of one
+    problem share one derivation.  An entry holds a few dozen kilobytes of
+    matrices for a 6x6 problem, so the cache keeps only the last 16 problems.
+    """
     if not problem.kind.is_two_term:
         raise InvalidSize("derive_aux applies to the two-term equation kinds")
     a1, b1, a2, b2 = problem.a1, problem.b1, problem.a2, problem.b2
@@ -485,10 +490,12 @@ def cramer_axb(
 ) -> QMatrix:
     """Determinantal evaluation of ``pinv(a) @ c @ pinv(b)``.
 
-    ``form="column"`` resolves the right factor first inside each entry
-    (bordered row sums over the Gram matrix of ``b``), then the left factor
-    (bordered column sums over the Gram matrix of ``a``); ``form="row"``
-    nests in the opposite order.  Both produce the same value.
+    With ``C = cdet_coeffs(a* a, ra)``, ``R = rdet_coeffs(b b*, rb)`` and
+    ``t = a* c b*``, ``form="column"`` resolves the right factor first
+    (``C @ (t @ R)``: bordered row sums over the Gram matrix of ``b``, then
+    bordered column sums over that of ``a``) and ``form="row"`` the left one
+    (``(C @ t) @ R``).  Both are divided by the two principal-minor sums and
+    produce the same value.
     """
     if a.rows != c.rows:
         raise DimensionMismatch(f"a has {a.rows} rows but c has {c.rows}")
@@ -498,50 +505,30 @@ def cramer_axb(
         raise InvalidSize(f"form must be 'column' or 'row', got {form!r}")
     ra = rank(a) if ra is None else ra
     rb = rank(b) if rb is None else rb
-    n_out, r_out = a.cols, b.rows
     if ra == 0 or rb == 0:
-        return QMatrix.zeros(n_out, r_out)
+        return QMatrix.zeros(a.cols, b.rows)
     ga = gram_left(a)
     gb = gram_right(b)
-    da = principal_minor_sum(ga, ra)
-    db = principal_minor_sum(gb, rb)
+    coeff_a = cdet_coeffs(ga, ra)
+    coeff_b = rdet_coeffs(gb, rb)
     ct = ctranspose(a) @ c @ ctranspose(b)
-    denom = da * db
-    rows: list[list[Quaternion]] = []
     if form == "column":
-        inner_cols = [
-            [bordered_rdet_sum(gb, j + 1, ct.row(k), rb) for k in range(n_out)]
-            for j in range(r_out)
-        ]
-        for i in range(n_out):
-            rows.append([
-                bordered_cdet_sum(ga, i + 1, inner_cols[j], ra) / denom
-                for j in range(r_out)
-            ])
+        x = coeff_a @ (ct @ coeff_b)
     else:
-        for i in range(n_out):
-            inner_row = [bordered_cdet_sum(ga, i + 1, ct.col(l), ra) for l in range(r_out)]
-            rows.append([
-                bordered_rdet_sum(gb, j + 1, inner_row, rb) / denom
-                for j in range(r_out)
-            ])
-    return QMatrix.from_rows(rows)
+        x = (coeff_a @ ct) @ coeff_b
+    return x / (principal_minor_sum(ga, ra) * principal_minor_sum(gb, rb))
 
 
 def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
-    """Determinantal evaluation of ``pinv(a) @ c``."""
+    """Determinantal evaluation of ``pinv(a) @ c``: ``C @ (a* c) / denom``
+    with ``C = cdet_coeffs(a* a, ra)``."""
     if a.rows != c.rows:
         raise DimensionMismatch(f"a has {a.rows} rows but c has {c.rows}")
     ra = rank(a) if ra is None else ra
     if ra == 0:
         return QMatrix.zeros(a.cols, c.cols)
     ga = gram_left(a)
-    da = principal_minor_sum(ga, ra)
-    ac = ctranspose(a) @ c
-    return QMatrix.build(
-        a.cols, c.cols,
-        lambda i, j: bordered_cdet_sum(ga, i + 1, ac.col(j), ra) / da,
-    )
+    return cdet_coeffs(ga, ra) @ (ctranspose(a) @ c) / principal_minor_sum(ga, ra)
 
 
 def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData, form: str) -> tuple[QMatrix, QMatrix]:

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .errors import NotConverged
+
 #: Relative threshold at which a column pair counts as orthogonal.
 _PAIR_TOL = 1e-14
 _MAX_SWEEPS = 128
@@ -31,6 +33,8 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(U, s, Vh)`` with ``U`` of shape ``(m, k)``, ``s`` the
     ``k = min(m, n)`` singular values in descending order, and ``Vh`` of shape
     ``(k, n)``.  ``U`` columns for zero singular values are zero vectors.
+    A sweep limit of ``_MAX_SWEEPS`` reached with pairs still rotating raises
+    :class:`~qsylv.errors.NotConverged`.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     if a.ndim != 2:
@@ -42,6 +46,11 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     work = a.copy()
     v = np.eye(n, dtype=np.complex128)
+    # A column whose squared norm falls to this level is rounding noise left
+    # by a rank deficiency.  Rotating it further only shrinks it toward
+    # underflow (where phases lose precision and rotations go wrong) without
+    # moving any singular value above the rank cutoff, so it is left alone.
+    negligible = (np.finfo(np.float64).eps ** 2) * float(np.real(np.vdot(a, a)))
 
     for _ in range(_MAX_SWEEPS):
         rotated = False
@@ -53,6 +62,8 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 aqq = float(np.real(np.vdot(col_q, col_q)))
                 apq = complex(np.vdot(col_p, col_q))
                 mag = abs(apq)
+                if app <= negligible or aqq <= negligible:
+                    continue
                 if mag <= _PAIR_TOL * math.sqrt(app * aqq) or mag == 0.0:
                     continue
                 rotated = True
@@ -72,6 +83,10 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 v[:, q] = vp * s_rot + vq * (np.conj(phase) * c)
         if not rotated:
             break
+    else:
+        raise NotConverged(
+            f"Jacobi SVD of a {m}x{n} matrix did not converge in {_MAX_SWEEPS} sweeps"
+        )
 
     norms = np.sqrt(np.real(np.sum(work.conj() * work, axis=0)))
     order = np.argsort(-norms, kind="stable")

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import qsylv.svd as svd_module
 from qsylv import EquationKind, GenSylvesterProblem, PairSolution, QMatrix, apply_lhs
 from qsylv.cli import main
 from qsylv.golden import example_pair, example_star
@@ -304,6 +305,57 @@ def test_gen_inconsistent_instances_fail_check(capsys, tmp_path):
         argv += [f"--{slot}", str(out_dir / f"{slot}.json")]
     code, out, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [k for k in EquationKind if k.is_two_term and k is not EquationKind.STEIN],
+    ids=lambda k: k.cli_name,
+)
+def test_gen_inconsistent_retries_until_the_instance_is_perturbable(capsys, tmp_path, kind):
+    for seed in range(10):
+        out_dir = tmp_path / f"{kind.cli_name}-{seed}"
+        code, _, err = run_cli(
+            ["gen", "--kind", kind.cli_name, "--seed", str(seed), "--inconsistent",
+             "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 0, (seed, err)
+        argv = ["check", "--kind", kind.cli_name]
+        for slot in kind.required_slots:
+            argv += [f"--{slot}", str(out_dir / f"{slot}.json")]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 2, seed
+        assert loads(out)["report"]["consistent"] is False
+
+
+def test_gen_inconsistent_stein_has_no_instance(capsys):
+    code, out, err = run_cli(["gen", "--kind", "stein", "--seed", "0", "--inconsistent"], capsys)
+    assert code == 1 and out == ""
+    assert "no inconsistent right-hand side exists" in err
+
+
+def test_svd_non_convergence_exits_1(capsys, tmp_path, monkeypatch):
+    path = str(tmp_path / "a.json")
+    write_json(path, random_matrix(SplitMix64(79), 3, 3).to_json())
+    monkeypatch.setattr(svd_module, "_MAX_SWEEPS", 1)
+    code, out, err = run_cli(["mpinv", "--in", path, "--method", "oracle"], capsys)
+    assert code == 1 and out == ""
+    assert "did not converge" in err
+
+
+def test_mpinv_of_tiny_and_huge_scalars(capsys, tmp_path):
+    path = str(tmp_path / "a.json")
+    for value in (1e-200, 1e200):
+        write_json(path, qm([[q(value)]]).to_json())
+        code, out, _ = run_cli(["mpinv", "--in", path], capsys)
+        doc = loads(out)
+        assert code == 0 and doc["rank"] == 1 and doc["agreement"] == 0.0
+        assert abs(doc["pinv"]["data"][0][0][0] * value - 1.0) <= 1e-15
+    # a pseudoinverse beyond the float range is a numeric failure, not a zero
+    write_json(path, qm([[q(1e-310)]]).to_json())
+    code, out, err = run_cli(["mpinv", "--in", path], capsys)
+    assert code == 1 and out == "" and "overflows" in err
 
 
 def test_determinant_cap_binds_only_the_cramer_route(capsys, tmp_path):

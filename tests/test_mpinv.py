@@ -12,6 +12,7 @@ from qsylv.mpinv import (
     proj_p_cramer,
     proj_q_cramer,
 )
+from qsylv.qmatrix import scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_matrix
 
 from conftest import assert_matrix_close, max_entry_diff, q, qm
@@ -92,6 +93,35 @@ def test_oracle_rank_is_the_rank_decision():
     diag = qm([[q(2.0), q(0)], [q(0), q(1e-3)]])
     assert mp_oracle(diag, rank_floor=1e-2).rank_used == rank(diag, 1e-2) == 1
     assert mp_oracle(diag).rank_used == rank(diag) == 2
+
+
+def test_pinv_scales_exactly_under_power_of_two_scaling():
+    # pinv(2**k a) = 2**-k pinv(a): both routes prescale, so tiny and huge
+    # inputs keep their rank and scale back bit for bit
+    rng = SplitMix64(48)
+    routes = {
+        "cramer-left": lambda m, floor: mp_cramer(m, side="left", rank_floor=floor),
+        "cramer-right": lambda m, floor: mp_cramer(m, side="right", rank_floor=floor),
+        "oracle": lambda m, floor: mp_oracle(m, rank_floor=floor),
+    }
+    for case in range(6):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = planted_rank_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))
+        floor = 1e-10 * case
+        for label, route in routes.items():
+            base = route(a, floor)
+            for k in (-600, -300, 300, 600):
+                scaled = route(scale_pow2(a, k), 2.0 ** k * floor)
+                assert scaled.rank_used == base.rank_used, (case, label, k)
+                assert scale_pow2(scaled.pinv, k) == base.pinv, (case, label, k)
+
+
+def test_tiny_and_huge_scalars_invert():
+    for value in (1e-200, 1e200):
+        a = qm([[q(value)]])
+        for result in (mp_cramer(a), mp_oracle(a)):
+            assert result.rank_used == 1
+            assert abs(result.pinv[0, 0].w * value - 1.0) <= 1e-15
 
 
 def test_projectors_are_hermitian_idempotent():

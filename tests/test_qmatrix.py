@@ -9,8 +9,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qsylv.svd as svd_module
 from qsylv import (
     DimensionMismatch,
+    NotConverged,
     ParseError,
     QMatrix,
     Quaternion,
@@ -23,6 +25,7 @@ from qsylv import (
     rank,
     vstack,
 )
+from qsylv.qmatrix import pow2_exponent, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_hermitian, random_matrix
 from qsylv.svd import default_threshold, pinv_from_svd, rank_cutoff, singular_values, svd
 
@@ -177,6 +180,49 @@ def test_complex_pinv_matches_numpy_oracle():
         ours = pinv_from_svd(u, s, vh, rank_cutoff(a.shape, s))
         oracle = np.linalg.pinv(a)
         assert np.max(np.abs(ours - oracle)) <= 1e-10 * (1 + np.abs(oracle).max())
+
+
+def test_svd_reports_a_sweep_limit_reached(monkeypatch):
+    a = np.asarray(complex_embed(random_matrix(SplitMix64(18), 3, 3)))
+    svd(a)  # converges within the default limit
+    monkeypatch.setattr(svd_module, "_MAX_SWEEPS", 1)
+    with pytest.raises(NotConverged):
+        svd(a)
+
+
+def test_svd_converges_on_rank_deficient_input():
+    # zero rows and a rank deficiency leave rounding-noise columns; rotating
+    # them on toward underflow once inflated the other singular values
+    rng = SplitMix64(73)
+    a = random_matrix(rng, 2, 2)
+    c = a @ random_matrix(rng, 2, 2)
+    cases = [block2x2(a, c, QMatrix.zeros(2, 2), QMatrix.zeros(2, 2))]
+    cases += [planted_rank_matrix(rng, 4, 4, r) for r in (1, 2, 3)]
+    for m in cases:
+        ours = singular_values(np.asarray(complex_embed(m)))
+        oracle = np.linalg.svd(_np_embed(m), compute_uv=False)
+        assert np.max(np.abs(ours - oracle)) <= 1e-12 * oracle[0]
+
+
+def test_rank_is_invariant_under_power_of_two_scaling():
+    rng = SplitMix64(19)
+    for r in (0, 1, 2, 3):
+        a = planted_rank_matrix(rng, 3, 4, r)
+        for k in (-600, -300, 300, 600):
+            assert rank(scale_pow2(a, k)) == r
+    diag = qm([[q(2.0), q(0)], [q(0), q(1e-3)]])
+    for k in (-600, -300, 300, 600):
+        assert rank(scale_pow2(diag, k), floor=2.0 ** k * 1e-2) == 1
+    assert rank(qm([[q(1e-200)]])) == rank(qm([[q(1e200)]])) == 1
+
+
+def test_pow2_exponent_normalizes_the_largest_component():
+    assert pow2_exponent(QMatrix.zeros(2, 2)) == 0
+    assert pow2_exponent(qm([[q(0.5)]])) == 0
+    assert pow2_exponent(qm([[q(1.0)]])) == -1
+    a = qm([[q(0.1, -3.0), q(z=1e-9)]])
+    assert pow2_exponent(a) == -2
+    assert scale_pow2(a, -2) == qm([[q(0.025, -0.75), q(z=2.5e-10)]])
 
 
 def test_default_threshold_scales_with_dimensions():

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qsylv.rcdet as rcdet_module
+import rcdet_reference as ref
 from qsylv import (
     DimensionTooLarge,
     InvalidSize,
@@ -20,7 +27,8 @@ from qsylv import (
     rdet,
 )
 from qsylv.mpinv import gram_left
-from qsylv.rcdet import bordered_cdet_sum, bordered_rdet_sum
+from qsylv.qmatrix import complex_embed
+from qsylv.rcdet import bordered_cdet_sum, bordered_rdet_sum, cdet_coeffs, rdet_coeffs
 from qsylv.sampling import SplitMix64, random_hermitian, random_matrix, random_quaternion
 
 from conftest import q, qm
@@ -28,6 +36,10 @@ from conftest import q, qm
 
 def _rand_square(rng: SplitMix64, n: int) -> QMatrix:
     return random_matrix(rng, n, n)
+
+
+def _close(got, expected) -> bool:
+    return abs(got - expected) <= 1e-12 * (1 + abs(expected))
 
 
 def test_one_by_one_determinants_are_the_entry():
@@ -46,6 +58,12 @@ def test_two_by_two_anchored_formulas():
         assert rdet(m, 2) == d * a - c * b
         assert cdet(m, 1) == d * a - b * c
         assert cdet(m, 2) == a * d - c * b
+        # bordered at full size: the same formulas with the border replaced
+        u, v = random_quaternion(rng), random_quaternion(rng)
+        assert _close(bordered_cdet_sum(m, 1, [u, v], 2), d * u - b * v)
+        assert _close(bordered_cdet_sum(m, 2, [u, v], 2), a * v - c * u)
+        assert _close(bordered_rdet_sum(m, 1, [u, v], 2), u * d - v * c)
+        assert _close(bordered_rdet_sum(m, 2, [u, v], 2), v * a - u * b)
 
 
 def test_real_matrices_reduce_to_classical_determinant():
@@ -211,3 +229,103 @@ def test_bordered_sum_validates_inputs():
         bordered_cdet_sum(h, 4, [q(1)] * 3, 1)  # bad index
     with pytest.raises(InvalidSize):
         bordered_cdet_sum(h, 1, [q(1)] * 3, 4)  # r > n
+
+
+# -- the coefficient engine against the brute-force reference ----------------------
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["random", "hermitian"])
+def test_engine_matches_the_brute_force_reference(hermitian):
+    rng = SplitMix64(30 + hermitian)
+    for n in range(1, 6):
+        h = random_hermitian(rng, n) if hermitian else _rand_square(rng, n)
+        for anchor in range(1, n + 1):
+            assert _close(rdet(h, anchor), ref.rdet(h, anchor))
+            assert _close(cdet(h, anchor), ref.cdet(h, anchor))
+        for r in range(0, n + 1):
+            if hermitian:
+                assert _close(principal_minor_sum(h, r), ref.principal_minor_sum(h, r))
+            d = [random_quaternion(rng) for _ in range(n)]
+            for anchor in range(1, n + 1):
+                expected_c = ref.bordered_cdet_sum(h, anchor, d, r)
+                expected_r = ref.bordered_rdet_sum(h, anchor, d, r)
+                assert _close(bordered_cdet_sum(h, anchor, d, r), expected_c)
+                assert _close(bordered_rdet_sum(h, anchor, d, r), expected_r)
+
+
+def test_coefficient_products_give_every_bordered_sum():
+    rng = SplitMix64(32)
+    h = random_hermitian(rng, 4)
+    cols = random_matrix(rng, 4, 3)
+    rows = random_matrix(rng, 3, 4)
+    for r in range(0, 5):
+        by_cols = cdet_coeffs(h, r) @ cols
+        by_rows = rows @ rdet_coeffs(h, r)
+        for i in range(4):
+            for j in range(3):
+                assert _close(by_cols[i, j], ref.bordered_cdet_sum(h, i + 1, cols.col(j), r))
+                assert _close(by_rows[j, i], ref.bordered_rdet_sum(h, i + 1, rows.row(j), r))
+
+
+def test_principal_minor_sums_are_elementary_symmetric_eigenvalue_sums():
+    # numpy.linalg as an oracle: each eigenvalue of a Hermitian H appears twice
+    # in the spectrum of its complex embedding, and the r x r principal minors
+    # sum to the r-th elementary symmetric polynomial of the eigenvalues
+    rng = SplitMix64(33)
+    for n in range(1, 7):
+        h = random_hermitian(rng, n)
+        eig = np.linalg.eigvalsh(np.asarray(complex_embed(h)))[::2]
+        signed = np.poly(eig)
+        bound = np.poly(-np.abs(eig))
+        for r in range(0, n + 1):
+            expected = (-1) ** r * signed[r]
+            assert abs(principal_minor_sum(h, r) - expected) <= 1e-12 * (1 + bound[r])
+
+
+def test_cap_bounds_the_expansion_size_not_the_matrix():
+    rng = SplitMix64(34)
+    h = random_hermitian(rng, 8)
+    d = [random_quaternion(rng) for _ in range(8)]
+    assert _close(bordered_cdet_sum(h, 3, d, 2), ref.bordered_cdet_sum(h, 3, d, 2))
+    eig = np.linalg.eigvalsh(np.asarray(complex_embed(h)))[::2]
+    e7 = -np.poly(eig)[7]
+    assert abs(principal_minor_sum(h, 7) - e7) <= 1e-12 * (1 + np.poly(-np.abs(eig))[7])
+    for fn in (cdet_coeffs, rdet_coeffs, principal_minor_sum):
+        with pytest.raises(DimensionTooLarge):
+            fn(h, 8)
+    with det_dim_cap(3):
+        with pytest.raises(DimensionTooLarge):
+            cdet_coeffs(h, 4)
+        with pytest.raises(DimensionTooLarge):
+            bordered_rdet_sum(h, 1, d, 4)
+    with pytest.raises(NotHermitian):
+        principal_minor_sum(_rand_square(rng, 3), 2)
+    with pytest.raises(NotSquare):
+        cdet_coeffs(QMatrix.zeros(2, 3), 1)
+    with pytest.raises(InvalidSize):
+        rdet_coeffs(h, 9)
+
+
+def test_split_passes_give_the_same_coefficients(monkeypatch):
+    rng = SplitMix64(35)
+    h = _rand_square(rng, 5)
+    whole = [cdet_coeffs(h, 3), rdet_coeffs(h, 4), rdet(h, 2)]
+    monkeypatch.setattr(rcdet_module, "_PASS_FACTORS", 7)
+    assert [cdet_coeffs(h, 3), rdet_coeffs(h, 4), rdet(h, 2)] == whole
+
+
+def test_term_tables_are_built_on_first_use_only():
+    code = (
+        "import qsylv, qsylv.cli, qsylv.rcdet as r; "
+        "print(r._term_table.cache_info().currsize, r._det_terms.cache_info().currsize)"
+    )
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env_path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=env_path),
+        check=True,
+    )
+    assert proc.stdout.split() == ["0", "0"]

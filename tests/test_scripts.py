@@ -12,15 +12,30 @@ from qsylv import EquationKind
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_sweep_lines_do_not_depend_on_the_hash_seed():
+def _env(**extra) -> dict:
     env_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=env_path, **extra)
+
+
+def test_worked_examples_pass_by_both_routes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_worked_examples.py")],
+        capture_output=True,
+        text=True,
+        env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "26/26 golden checks passed"
+
+
+def test_sweep_lines_do_not_depend_on_the_hash_seed():
     per_kind_lines = []
     for hash_seed in ("1", "2"):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "method_agreement_sweep.py"), "--per-kind", "1"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=env_path, PYTHONHASHSEED=hash_seed),
+            env=_env(PYTHONHASHSEED=hash_seed),
         )
         assert proc.returncode == 0, proc.stderr
         per_kind_lines.append([line for line in proc.stdout.splitlines() if "(n=1)" in line])
