@@ -12,10 +12,12 @@
 Both prescale their input by an exact power of two (``pinv(2**k A) =
 2**-k pinv(A)``), so tiny and huge inputs neither underflow nor overflow.
 Both satisfy the four Penrose identities; tests cross-verify them against
-each other.  The determinantal orthogonal projectors ``P = pinv(A) A`` and
-``Q = A pinv(A)`` are also available in the same form (:func:`proj_p_cramer`,
-:func:`proj_q_cramer`) so that Cramer-route solvers never have to multiply a
-pseudoinverse into their main path.
+each other.  :class:`DetPinv` keeps the determinantal inverse factored
+(prescaled matrix, Gram matrix, coefficient matrix, minor sum), so a caller
+can form ``pinv(A) @ X``, ``X @ pinv(A)`` and the orthogonal projectors
+``P = pinv(A) A`` and ``Q = A pinv(A)`` (:func:`proj_p_cramer`,
+:func:`proj_q_cramer`) from one coefficient pass, and Cramer-route solvers
+never have to multiply a pseudoinverse into their main path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidSize
+from .errors import InvalidSize, ZeroDivisor
 from .qmatrix import (
     QMatrix,
     complex_embed,
@@ -69,6 +71,68 @@ def gram_right(a: QMatrix) -> QMatrix:
     return hermitize(mmul(a, ctranspose(a)))
 
 
+@dataclass(frozen=True, slots=True)
+class DetPinv:
+    """The determinantal pseudoinverse of one matrix ``a`` in factored form.
+
+    ``a`` is prescaled to ``a_s = 2**k a`` (:func:`~qsylv.qmatrix.pow2_exponent`)
+    so that its Gram matrix neither overflows nor underflows.  On the
+    ``"left"`` side ``gram = a_s* a_s`` and ``coeffs = cdet_coeffs(gram, r)``,
+    so ``pinv(a) = 2**k coeffs @ a_s* / denom``; on the ``"right"`` side
+    ``gram = a_s a_s*`` and ``coeffs = rdet_coeffs(gram, r)``, so
+    ``pinv(a) = 2**k a_s* @ coeffs / denom``.  ``denom`` is the sum of the
+    ``r x r`` principal minors of ``gram``.  Building one costs one
+    coefficient pass; every product with it afterwards is a matrix product.
+    """
+
+    side: str
+    k: int
+    scaled_h: QMatrix
+    gram: QMatrix
+    coeffs: QMatrix
+    denom: float
+
+    @staticmethod
+    def of(a: QMatrix, side: str, r: Optional[int] = None) -> "DetPinv":
+        """Factor ``pinv(a)`` for products on ``side``; ``r`` overrides the rank decision.
+
+        Raises :class:`ZeroDivisor` when the principal-minor sum is zero.
+        """
+        if side not in ("left", "right"):
+            raise InvalidSize(f"side must be 'left' or 'right', got {side!r}")
+        r = rank(a) if r is None else r
+        k = pow2_exponent(a)
+        scaled = scale_pow2(a, k)
+        if side == "left":
+            gram = gram_left(scaled)
+            coeffs = cdet_coeffs(gram, r)
+        else:
+            gram = gram_right(scaled)
+            coeffs = rdet_coeffs(gram, r)
+        denom = principal_minor_sum(gram, r)
+        if denom == 0.0:
+            raise ZeroDivisor(f"the rank-{r} principal-minor sum of a Gram matrix is zero")
+        return DetPinv(side, k, ctranspose(scaled), gram, coeffs, denom)
+
+    def pinv(self) -> QMatrix:
+        """The pseudoinverse itself."""
+        if self.side == "left":
+            return scale_pow2(self.coeffs @ self.scaled_h / self.denom, self.k)
+        return scale_pow2(self.scaled_h @ self.coeffs / self.denom, self.k)
+
+    def apply(self, x: QMatrix) -> QMatrix:
+        """``pinv(a) @ x`` on the left side, ``x @ pinv(a)`` on the right side."""
+        if self.side == "left":
+            return scale_pow2(self.coeffs @ (self.scaled_h @ x) / self.denom, self.k)
+        return scale_pow2((x @ self.scaled_h) @ self.coeffs / self.denom, self.k)
+
+    def projector(self) -> QMatrix:
+        """``pinv(a) @ a`` on the left side, ``a @ pinv(a)`` on the right side."""
+        if self.side == "left":
+            return self.coeffs @ self.gram / self.denom
+        return self.gram @ self.coeffs / self.denom
+
+
 def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -> MpResult:
     """Determinantal Moore-Penrose inverse.
 
@@ -76,26 +140,15 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -
     uses ``ctranspose(a) @ a`` and column-determinant sums, ``"right"`` uses
     ``a @ ctranspose(a)`` and row-determinant sums.  Both give the same
     inverse; by default the smaller Gram matrix is chosen.  The Gram matrix
-    is formed from ``2**k * a`` (:func:`~qsylv.qmatrix.pow2_exponent`) and
-    the result scaled back by ``2**k``.
+    is formed from ``2**k * a`` (see :class:`DetPinv`) and the result scaled
+    back by ``2**k``.
     """
     if side is None:
         side = "left" if a.cols <= a.rows else "right"
     if side not in ("left", "right"):
         raise InvalidSize(f"side must be 'left' or 'right', got {side!r}")
     r = rank(a, floor=rank_floor)
-    if r == 0:
-        return MpResult(QMatrix.zeros(a.cols, a.rows), f"cramer_{side}", 0)
-    k = pow2_exponent(a)
-    scaled = scale_pow2(a, k)
-    astar = ctranspose(scaled)
-    if side == "left":
-        g = gram_left(scaled)
-        pinv = cdet_coeffs(g, r) @ astar / principal_minor_sum(g, r)
-    else:
-        g = gram_right(scaled)
-        pinv = astar @ rdet_coeffs(g, r) / principal_minor_sum(g, r)
-    return MpResult(scale_pow2(pinv, k), f"cramer_{side}", r)
+    return MpResult(DetPinv.of(a, side, r).pinv(), f"cramer_{side}", r)
 
 
 def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
@@ -141,26 +194,18 @@ def proj_r(a: QMatrix, method: str = "oracle") -> QMatrix:
 
 def proj_p_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
     """Determinantal form of ``pinv(a) @ a``: ``cdet_coeffs(g, r) @ g / denom``
-    with ``g = a* a``.
+    with ``g = a* a`` (see :class:`DetPinv`).
 
     ``r`` overrides the rank decision (callers that share one rank across
     several routes pass it explicitly).
     """
-    r = rank(a) if r is None else r
-    if r == 0:
-        return QMatrix.zeros(a.cols, a.cols)
-    g = gram_left(a)
-    return cdet_coeffs(g, r) @ g / principal_minor_sum(g, r)
+    return DetPinv.of(a, "left", r).projector()
 
 
 def proj_q_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
     """Determinantal form of ``a @ pinv(a)``: ``g @ rdet_coeffs(g, r) / denom``
     with ``g = a a*``."""
-    r = rank(a) if r is None else r
-    if r == 0:
-        return QMatrix.zeros(a.rows, a.rows)
-    g = gram_right(a)
-    return g @ rdet_coeffs(g, r) / principal_minor_sum(g, r)
+    return DetPinv.of(a, "right", r).projector()
 
 
 def penrose_residuals(a: QMatrix, x: QMatrix) -> tuple[float, float, float, float]:

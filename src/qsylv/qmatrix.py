@@ -1,14 +1,24 @@
 """Dense quaternion matrices.
 
-:class:`QMatrix` is immutable: entries are stored as a tuple of row tuples of
-:class:`~qsylv.quaternion.Quaternion`.  Arithmetic respects factor order
-everywhere (left and right scalar multiplication are distinct operations).
+:class:`QMatrix` is immutable.  A quaternion matrix ``A = A1 + A2*j``
+(``A1``, ``A2`` complex) is stored as one read-only ``(2, rows, cols)``
+complex128 array holding ``(A1, A2)``; a quaternion ``w + x*i + y*j + z*k``
+is the pair ``(w + x*i, y + z*i)``.  Indexing, :meth:`QMatrix.row`,
+:meth:`QMatrix.col` and :attr:`QMatrix.entries` hand out
+:class:`~qsylv.quaternion.Quaternion` scalars; arithmetic runs on the pair.
+Since ``j*z = conj(z)*j`` for complex ``z``::
+
+    A @ B = (A1 B1 - A2 conj(B2)) + (A1 B2 + A2 conj(B1)) j
+    A*    = A1^H - A2^T j
+
+Left and right scalar multiplication are distinct operations.  Every matrix
+is checked on construction: a non-finite entry raises
+:class:`~qsylv.errors.OutOfRange`.
 
 The complex carrier
 -------------------
 
-A quaternion matrix ``A = A1 + A2*j`` (``A1``, ``A2`` complex) embeds into the
-complex matrix::
+A quaternion matrix embeds into the complex matrix::
 
     embed(A) = [[ A1,        A2       ],
                 [-conj(A2),  conj(A1) ]]
@@ -31,8 +41,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import svd as _svd
-from .errors import DimensionMismatch, NotSquare, OutOfRange, ParseError
-from .quaternion import Quaternion, qsum
+from .errors import DimensionMismatch, NotSquare, OutOfRange, ParseError, ZeroDivisor
+from .quaternion import Quaternion
 
 #: Type alias for the complex numeric carrier used by embeddings.
 ComplexMatrix = np.ndarray
@@ -42,25 +52,46 @@ def _as_quaternion(value: object) -> Quaternion:
     if isinstance(value, Quaternion):
         return value
     if isinstance(value, (int, float)):
-        return Quaternion.real(value)
+        return Quaternion(float(value))
     raise TypeError(f"matrix entries must be quaternions or reals, got {value!r}")
+
+
+def _pair_of(components: np.ndarray) -> np.ndarray:
+    """The ``(2, m, n)`` complex pair of an ``m x n x 4`` component array."""
+    m, n = components.shape[:2]
+    split = components.reshape(m, n, 2, 2).transpose(2, 0, 1, 3)
+    return np.ascontiguousarray(split, dtype=np.float64).view(np.complex128).reshape(2, m, n)
+
+
+def _set_pair(target: "QMatrix", pair: np.ndarray) -> None:
+    if pair.shape[1] == 0 or pair.shape[2] == 0:
+        raise DimensionMismatch("matrices must have at least one row and one column")
+    if not np.isfinite(pair).all():
+        raise OutOfRange("matrix entries must be finite")
+    pair = np.ascontiguousarray(pair, dtype=np.complex128)
+    pair.setflags(write=False)
+    object.__setattr__(target, "_pair", pair)
 
 
 class QMatrix:
     """An immutable dense quaternion matrix (``rows x cols``, row-major)."""
 
-    __slots__ = ("_entries", "_rows", "_cols")
+    __slots__ = ("_pair",)
 
     def __init__(self, entries: Sequence[Sequence[Quaternion]]):
-        rows = tuple(tuple(_as_quaternion(v) for v in row) for row in entries)
+        rows = [[_as_quaternion(v) for v in row] for row in entries]
         if not rows or not rows[0]:
             raise DimensionMismatch("matrices must have at least one row and one column")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise DimensionMismatch("all rows must have the same length")
-        object.__setattr__(self, "_entries", rows)
-        object.__setattr__(self, "_rows", len(rows))
-        object.__setattr__(self, "_cols", width)
+        _set_pair(self, _pair_of(np.array([[(q.w, q.x, q.y, q.z) for q in row] for row in rows])))
+
+    @classmethod
+    def _of(cls, pair: np.ndarray) -> "QMatrix":
+        """Wrap a ``(2, rows, cols)`` complex pair ``(A1, A2)``."""
+        out = object.__new__(cls)
+        _set_pair(out, pair)
+        return out
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("QMatrix is immutable")
@@ -69,57 +100,57 @@ class QMatrix:
 
     @property
     def rows(self) -> int:
-        return self._rows
+        return self._pair.shape[1]
 
     @property
     def cols(self) -> int:
-        return self._cols
+        return self._pair.shape[2]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self._rows, self._cols)
+        return self._pair.shape[1:]
 
     @property
     def entries(self) -> tuple[tuple[Quaternion, ...], ...]:
-        return self._entries
+        return tuple(tuple(Quaternion(*q) for q in row) for row in quat_array(self).tolist())
 
     def __getitem__(self, key: tuple[int, int]) -> Quaternion:
-        r, c = key
-        return self._entries[r][c]
+        a1, a2 = self._pair[(slice(None), *key)].tolist()
+        return Quaternion(a1.real, a1.imag, a2.real, a2.imag)
 
     def row(self, r: int) -> tuple[Quaternion, ...]:
-        return self._entries[r]
+        return self.entries[r]
 
     def col(self, c: int) -> tuple[Quaternion, ...]:
-        return tuple(row[c] for row in self._entries)
+        return tuple(row[c] for row in self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self._entries == other._entries
+        return self.shape == other.shape and bool(np.array_equal(self._pair, other._pair))
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        # adding 0.0 turns -0.0 into 0.0, so equal matrices hash alike
+        return hash((self.shape, (self._pair + 0.0).tobytes()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"QMatrix({self._rows}x{self._cols})"
+        return f"QMatrix({self.rows}x{self.cols})"
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMatrix":
-        zero = Quaternion()
-        return QMatrix([[zero] * cols for _ in range(rows)])
+        return QMatrix._of(np.zeros((2, rows, cols), dtype=np.complex128))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        one = Quaternion.real(1)
-        zero = Quaternion()
-        return QMatrix([[one if r == c else zero for c in range(n)] for r in range(n)])
+        pair = np.zeros((2, n, n), dtype=np.complex128)
+        pair[0] = np.eye(n)
+        return QMatrix._of(pair)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]]) -> "QMatrix":
-        return QMatrix([[_as_quaternion(v) for v in row] for row in rows])
+        return QMatrix(rows)
 
     @staticmethod
     def build(rows: int, cols: int, fn: Callable[[int, int], Quaternion]) -> "QMatrix":
@@ -128,44 +159,28 @@ class QMatrix:
     @staticmethod
     def from_array(values: np.ndarray) -> "QMatrix":
         """Inverse of :func:`quat_array`: entries from a ``rows x cols x 4`` array."""
-        return QMatrix([[Quaternion(*q) for q in row] for row in values.tolist()])
+        return QMatrix._of(_pair_of(values))
 
     def replace_col(self, c: int, column: Sequence[Quaternion]) -> "QMatrix":
-        if len(column) != self._rows:
-            raise DimensionMismatch(
-                f"replacement column has length {len(column)}, expected {self._rows}"
-            )
-        return QMatrix(
-            [
-                [column[r] if j == c else self._entries[r][j] for j in range(self._cols)]
-                for r in range(self._rows)
-            ]
-        )
+        return self.H.replace_row(c, [q.conjugate() for q in column]).H
 
     def replace_row(self, r: int, row_vals: Sequence[Quaternion]) -> "QMatrix":
-        if len(row_vals) != self._cols:
+        if len(row_vals) != self.cols:
             raise DimensionMismatch(
-                f"replacement row has length {len(row_vals)}, expected {self._cols}"
+                f"replacement has length {len(row_vals)}, expected {self.cols}"
             )
-        return QMatrix(
-            [
-                tuple(row_vals) if i == r else self._entries[i]
-                for i in range(self._rows)
-            ]
-        )
+        pair = self._pair.copy()
+        pair[:, r] = QMatrix([row_vals])._pair[:, 0]
+        return QMatrix._of(pair)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
         """Select rows/columns by 0-based index sequences."""
-        return QMatrix([[self._entries[r][c] for c in col_idx] for r in row_idx])
+        return QMatrix._of(self._pair[:, list(row_idx)][:, :, list(col_idx)])
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "rows": self._rows,
-            "cols": self._cols,
-            "data": [[q.to_json() for q in row] for row in self._entries],
-        }
+        return {"rows": self.rows, "cols": self.cols, "data": quat_array(self).tolist()}
 
     @staticmethod
     def from_json(data: object) -> "QMatrix":
@@ -195,7 +210,7 @@ class QMatrix:
         return msub(self, other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-q for q in row] for row in self._entries])
+        return QMatrix._of(-self._pair)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         return mmul(self, other)
@@ -213,9 +228,12 @@ class QMatrix:
         return NotImplemented
 
     def __truediv__(self, scalar: object) -> "QMatrix":
+        """``M / d`` for a real ``d``; ``d == 0`` raises :class:`ZeroDivisor`."""
         if isinstance(scalar, (int, float)):
-            d = float(scalar)
-            return QMatrix([[q / d for q in row] for row in self._entries])
+            if scalar == 0:
+                raise ZeroDivisor("division of a matrix by zero")
+            # divide the real components: complex division would not round correctly
+            return QMatrix._of((self._pair.view(np.float64) / float(scalar)).view(np.complex128))
         return NotImplemented
 
     @property
@@ -240,75 +258,65 @@ class QMatrix:
 def madd(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot add {a.shape} and {b.shape}")
-    return QMatrix(
-        [[a[r, c] + b[r, c] for c in range(a.cols)] for r in range(a.rows)]
-    )
+    return QMatrix._of(a._pair + b._pair)
 
 
 def msub(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot subtract {b.shape} from {a.shape}")
-    return QMatrix(
-        [[a[r, c] - b[r, c] for c in range(a.cols)] for r in range(a.rows)]
+    return QMatrix._of(a._pair - b._pair)
+
+
+def _pair_product(a1, a2, b1, b2, product: Callable) -> np.ndarray:
+    """``(A1 + A2 j)(B1 + B2 j)`` as a pair, with ``product`` the complex product."""
+    return np.stack(
+        (product(a1, b1) - product(a2, np.conj(b2)), product(a1, b2) + product(a2, np.conj(b1)))
     )
 
 
 def mmul(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    b_cols = [b.col(c) for c in range(b.cols)]
-    return QMatrix(
-        [
-            [
-                qsum(a[r, t] * b_col[t] for t in range(a.cols))
-                for b_col in b_cols
-            ]
-            for r in range(a.rows)
-        ]
-    )
+    return QMatrix._of(_pair_product(*a._pair, *b._pair, np.matmul))
 
 
 def scalar_lmul(s: Quaternion, a: QMatrix) -> QMatrix:
     """``s * A`` with the scalar multiplied on the left of every entry."""
-    return QMatrix([[s * q for q in row] for row in a.entries])
+    return QMatrix._of(_pair_product(complex(s.w, s.x), complex(s.y, s.z), *a._pair, np.multiply))
 
 
 def scalar_rmul(a: QMatrix, s: Quaternion) -> QMatrix:
     """``A * s`` with the scalar multiplied on the right of every entry."""
-    return QMatrix([[q * s for q in row] for row in a.entries])
+    return QMatrix._of(_pair_product(*a._pair, complex(s.w, s.x), complex(s.y, s.z), np.multiply))
 
 
 def ctranspose(a: QMatrix) -> QMatrix:
-    """Conjugate transpose ``A*``."""
-    return QMatrix(
-        [[a[r, c].conjugate() for r in range(a.rows)] for c in range(a.cols)]
-    )
+    """Conjugate transpose ``A* = A1^H - A2^T j``."""
+    a1, a2 = a._pair
+    return QMatrix._of(np.stack((a1.conj().T, -a2.T)))
 
 
 def is_hermitian(a: QMatrix, tol: float = 0.0) -> bool:
     """Whether ``A* == A`` entrywise within ``tol`` (requires a square matrix)."""
     if a.rows != a.cols:
         raise NotSquare(f"hermitian test requires a square matrix, got {a.shape}")
-    for r in range(a.rows):
-        for c in range(r, a.cols):
-            diff = a[r, c] - a[c, r].conjugate()
-            if abs(diff) > tol:
-                return False
-    return True
+    return bool((entry_abs(a - ctranspose(a)) <= tol).all())
+
+
+def entry_abs(a: QMatrix) -> np.ndarray:
+    """The ``rows x cols`` array of entry magnitudes ``|a_ij|``."""
+    return np.hypot(*np.abs(a._pair))
 
 
 def fro_norm(a: QMatrix) -> float:
-    """Frobenius norm ``sqrt(sum |a_ij|^2)``."""
-    total = 0.0
-    for row in a.entries:
-        for q in row:
-            total += q.norm_sq()
-    return float(np.sqrt(total))
+    """Frobenius norm ``sqrt(sum |a_ij|^2)``, free of intermediate overflow and underflow."""
+    return math.hypot(*a._pair.view(np.float64).ravel().tolist())
 
 
 def quat_array(a: QMatrix) -> np.ndarray:
     """The ``rows x cols x 4`` float array of the components ``(w, x, y, z)``."""
-    return np.array([[(q.w, q.x, q.y, q.z) for q in row] for row in a.entries])
+    m, n = a.shape
+    return a._pair.view(np.float64).reshape(2, m, n, 2).transpose(1, 2, 0, 3).reshape(m, n, 4)
 
 
 def pow2_exponent(a: QMatrix) -> int:
@@ -318,8 +326,7 @@ def pow2_exponent(a: QMatrix) -> int:
     and pseudoinverses taken on the scaled matrix carry over to ``a`` exactly
     while neither squared norms nor Gram entries overflow or underflow.
     """
-    peak = max(max(abs(q.w), abs(q.x), abs(q.y), abs(q.z)) for row in a.entries for q in row)
-    return -math.frexp(peak)[1]
+    return _svd.pow2_exponent(a._pair)
 
 
 def scale_pow2(a: QMatrix, k: int) -> QMatrix:
@@ -329,30 +336,17 @@ def scale_pow2(a: QMatrix, k: int) -> QMatrix:
     """
     if k == 0:
         return a
-    try:
-        return QMatrix(
-            [
-                [Quaternion(*(math.ldexp(v, k) for v in (q.w, q.x, q.y, q.z))) for q in row]
-                for row in a.entries
-            ]
-        )
-    except OverflowError:
-        raise OutOfRange(f"scaling by 2**{k} overflows the float range") from None
+    with np.errstate(over="ignore"):
+        pair = _svd.scale_pow2(a._pair, k)
+    if not np.isfinite(pair).all():
+        raise OutOfRange(f"scaling by 2**{k} overflows the float range")
+    return QMatrix._of(pair)
 
 
 def complex_embed(a: QMatrix) -> ComplexMatrix:
     """The ``2m x 2n`` complex embedding described in the module docstring."""
-    m, n = a.shape
-    a1 = np.empty((m, n), dtype=np.complex128)
-    a2 = np.empty((m, n), dtype=np.complex128)
-    for r in range(m):
-        for c in range(n):
-            p, q = a[r, c].complex_parts()
-            a1[r, c] = p
-            a2[r, c] = q
-    top = np.hstack([a1, a2])
-    bottom = np.hstack([-np.conj(a2), np.conj(a1)])
-    return np.vstack([top, bottom])
+    a1, a2 = a._pair
+    return np.block([[a1, a2], [-a2.conj(), a1.conj()]])
 
 
 def complex_unembed(e: ComplexMatrix, rows: int, cols: int) -> QMatrix:
@@ -363,11 +357,7 @@ def complex_unembed(e: ComplexMatrix, rows: int, cols: int) -> QMatrix:
         )
     a1 = 0.5 * (e[:rows, :cols] + np.conj(e[rows:, cols:]))
     a2 = 0.5 * (e[:rows, cols:] - np.conj(e[rows:, :cols]))
-    return QMatrix.build(
-        rows,
-        cols,
-        lambda r, c: Quaternion.from_complex_parts(complex(a1[r, c]), complex(a2[r, c])),
-    )
+    return QMatrix._of(np.stack((a1, a2)))
 
 
 def embedded_rank(s: np.ndarray, cut: float) -> int:
@@ -383,40 +373,31 @@ def embedded_rank(s: np.ndarray, cut: float) -> int:
 def rank(a: QMatrix, floor: float = 0.0) -> int:
     """Numerical rank via paired singular values of the complex embedding.
 
-    ``a`` is prescaled by :func:`pow2_exponent` and the absolute ``floor``
-    with it, so the decision does not change under power-of-two rescaling.
+    The SVD prescales its input by a power of two, so the decision does not
+    change under power-of-two rescaling of ``a`` and ``floor`` together.
     """
-    k = pow2_exponent(a)
-    e = complex_embed(scale_pow2(a, k))
+    e = complex_embed(a)
     s = _svd.singular_values(e)
-    return embedded_rank(s, _svd.rank_cutoff(e.shape, s, math.ldexp(floor, k)))
+    return embedded_rank(s, _svd.rank_cutoff(e.shape, s, floor))
+
+
+def _concat(blocks: Iterable[QMatrix], axis: int) -> QMatrix:
+    pairs = [b._pair for b in blocks]
+    if not pairs:
+        raise DimensionMismatch("stacking needs at least one block")
+    if len({p.shape[3 - axis] for p in pairs}) != 1:
+        raise DimensionMismatch("stacked blocks must agree in their other dimension")
+    return QMatrix._of(np.concatenate(pairs, axis=axis))
 
 
 def hstack(blocks: Iterable[QMatrix]) -> QMatrix:
     """Concatenate matrices left-to-right."""
-    blocks = list(blocks)
-    if not blocks:
-        raise DimensionMismatch("hstack needs at least one block")
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise DimensionMismatch("hstack blocks must share their row count")
-    return QMatrix(
-        [
-            [q for b in blocks for q in b.row(r)]
-            for r in range(rows)
-        ]
-    )
+    return _concat(blocks, 2)
 
 
 def vstack(blocks: Iterable[QMatrix]) -> QMatrix:
     """Concatenate matrices top-to-bottom."""
-    blocks = list(blocks)
-    if not blocks:
-        raise DimensionMismatch("vstack needs at least one block")
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise DimensionMismatch("vstack blocks must share their column count")
-    return QMatrix([row for b in blocks for row in b.entries])
+    return _concat(blocks, 1)
 
 
 def block2x2(a: QMatrix, b: QMatrix, c: QMatrix, d: QMatrix) -> QMatrix:

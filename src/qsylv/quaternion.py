@@ -43,10 +43,6 @@ class Quaternion:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def real(value: Real) -> "Quaternion":
-        return Quaternion(float(value), 0.0, 0.0, 0.0)
-
-    @staticmethod
     def from_json(data: object) -> "Quaternion":
         """Parse the JSON 4-list ``[w, x, y, z]``."""
         if not isinstance(data, (list, tuple)) or len(data) != 4:
@@ -85,14 +81,6 @@ class Quaternion:
 
     def is_real(self, tol: float = 0.0) -> bool:
         return abs(self.x) <= tol and abs(self.y) <= tol and abs(self.z) <= tol
-
-    def complex_parts(self) -> tuple[complex, complex]:
-        """Split ``q = a + b*j`` with ``a = w + x*i`` and ``b = y + z*i`` complex."""
-        return complex(self.w, self.x), complex(self.y, self.z)
-
-    @staticmethod
-    def from_complex_parts(a: complex, b: complex) -> "Quaternion":
-        return Quaternion(a.real, a.imag, b.real, b.imag)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -149,14 +137,6 @@ class Quaternion:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
-
-
-#: Convenience basis elements.
-ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
-I = Quaternion(0.0, 1.0, 0.0, 0.0)
-J = Quaternion(0.0, 0.0, 1.0, 0.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def qsum(values: Iterable[Quaternion]) -> Quaternion:

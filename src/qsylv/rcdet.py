@@ -81,7 +81,7 @@ from .errors import (
     NotHermitian,
     NotSquare,
 )
-from .qmatrix import QMatrix, is_hermitian, quat_array
+from .qmatrix import QMatrix, entry_abs, is_hermitian, quat_array
 from .quaternion import Quaternion, qsum
 
 DEFAULT_MAX_DET_DIM = 7
@@ -426,7 +426,7 @@ def hdet(a: QMatrix, tol: float = HDET_TOL, verify: bool = False) -> float:
 
 def fro_scale(a: QMatrix) -> float:
     """Max entry magnitude, used to scale Hermitian tolerance checks."""
-    return max(abs(q) for row in a.entries for q in row)
+    return float(entry_abs(a).max())
 
 
 def principal_minor_sum(h: QMatrix, r: int, tol: float = HDET_TOL) -> float:

@@ -35,7 +35,7 @@ from .errors import (
     Inconsistent,
     InvalidSize,
 )
-from .mpinv import gram_left, gram_right, mp_oracle, proj_p_cramer, proj_q_cramer
+from .mpinv import DetPinv, mp_oracle, proj_p_cramer, proj_q_cramer
 from .qmatrix import (
     QMatrix,
     block2x2,
@@ -44,7 +44,6 @@ from .qmatrix import (
     rank,
     vstack,
 )
-from .rcdet import cdet_coeffs, principal_minor_sum, rdet_coeffs
 
 DEFAULT_TOL = 1e-8
 
@@ -480,6 +479,13 @@ def _partial_direct(problem: GenSylvesterProblem) -> tuple[PairSolution, tuple[t
 # -- Cramer (determinantal) route ------------------------------------------------
 
 
+def _axb(left: DetPinv, c: QMatrix, right: DetPinv, form: str) -> QMatrix:
+    """``pinv(a) @ c @ pinv(b)`` from the factored inverses of ``a`` and ``b``."""
+    if form == "column":
+        return left.apply(right.apply(c))
+    return right.apply(left.apply(c))
+
+
 def cramer_axb(
     a: QMatrix,
     c: QMatrix,
@@ -490,12 +496,12 @@ def cramer_axb(
 ) -> QMatrix:
     """Determinantal evaluation of ``pinv(a) @ c @ pinv(b)``.
 
-    With ``C = cdet_coeffs(a* a, ra)``, ``R = rdet_coeffs(b b*, rb)`` and
-    ``t = a* c b*``, ``form="column"`` resolves the right factor first
-    (``C @ (t @ R)``: bordered row sums over the Gram matrix of ``b``, then
+    With ``C = cdet_coeffs(a* a, ra)`` and ``R = rdet_coeffs(b b*, rb)``,
+    ``form="column"`` resolves the right factor first (``C @ (a* @ ((c @
+    b*) @ R))``: bordered row sums over the Gram matrix of ``b``, then
     bordered column sums over that of ``a``) and ``form="row"`` the left one
-    (``(C @ t) @ R``).  Both are divided by the two principal-minor sums and
-    produce the same value.
+    (``((C @ (a* @ c)) @ b*) @ R``).  Each factor is divided by its
+    principal-minor sum; both forms produce the same value.
     """
     if a.rows != c.rows:
         raise DimensionMismatch(f"a has {a.rows} rows but c has {c.rows}")
@@ -503,20 +509,7 @@ def cramer_axb(
         raise DimensionMismatch(f"b has {b.cols} columns but c has {c.cols}")
     if form not in ("column", "row"):
         raise InvalidSize(f"form must be 'column' or 'row', got {form!r}")
-    ra = rank(a) if ra is None else ra
-    rb = rank(b) if rb is None else rb
-    if ra == 0 or rb == 0:
-        return QMatrix.zeros(a.cols, b.rows)
-    ga = gram_left(a)
-    gb = gram_right(b)
-    coeff_a = cdet_coeffs(ga, ra)
-    coeff_b = rdet_coeffs(gb, rb)
-    ct = ctranspose(a) @ c @ ctranspose(b)
-    if form == "column":
-        x = coeff_a @ (ct @ coeff_b)
-    else:
-        x = (coeff_a @ ct) @ coeff_b
-    return x / (principal_minor_sum(ga, ra) * principal_minor_sum(gb, rb))
+    return _axb(DetPinv.of(a, "left", ra), c, DetPinv.of(b, "right", rb), form)
 
 
 def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
@@ -524,33 +517,33 @@ def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
     with ``C = cdet_coeffs(a* a, ra)``."""
     if a.rows != c.rows:
         raise DimensionMismatch(f"a has {a.rows} rows but c has {c.rows}")
-    ra = rank(a) if ra is None else ra
-    if ra == 0:
-        return QMatrix.zeros(a.cols, c.cols)
-    ga = gram_left(a)
-    return cdet_coeffs(ga, ra) @ (ctranspose(a) @ c) / principal_minor_sum(ga, ra)
+    return DetPinv.of(a, "left", ra).apply(c)
 
 
 def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData, form: str) -> tuple[QMatrix, QMatrix]:
     a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
     r1, rb1, r3, r4, r5, r6, r7 = aux.ranks
+    # each (matrix, side, rank) factor is built once and shared by its products
+    a1_left, a1_right = DetPinv.of(a1, "left", r1), DetPinv.of(a1, "right", r1)
+    b1_left, b1_right = DetPinv.of(b1, "left", rb1), DetPinv.of(b1, "right", rb1)
 
-    m_det = (QMatrix.identity(a1.rows) - proj_q_cramer(a1, r1)) @ a2
-    n_det = b2 @ (QMatrix.identity(b1.cols) - proj_p_cramer(b1, rb1))
-    s_det = a2 @ (QMatrix.identity(a2.cols) - proj_p_cramer(m_det, r5))
+    m_det = (QMatrix.identity(a1.rows) - a1_right.projector()) @ a2
+    n_det = b2 @ (QMatrix.identity(b1.cols) - b1_left.projector())
+    m_left = DetPinv.of(m_det, "left", r5)
+    s_det = a2 @ (QMatrix.identity(a2.cols) - m_left.projector())
 
-    x11 = cramer_axb(a1, c, b1, form, ra=r1, rb=rb1)
+    x11 = _axb(a1_left, c, b1_right, form)
 
-    inner12 = cramer_axb(m_det, c, b1, form, ra=r5, rb=rb1)
-    x12 = cramer_ax(a1, a2 @ inner12, ra=r1)
+    inner12 = _axb(m_left, c, b1_right, form)
+    x12 = a1_left.apply(a2 @ inner12)
 
-    eta = cramer_axb(a2, c, n_det, form, ra=r3, rb=r6)
-    x13 = cramer_axb(a1, s_det @ eta @ b2, b1, form, ra=r1, rb=rb1)
+    eta = _axb(DetPinv.of(a2, "left", r3), c, DetPinv.of(n_det, "right", r6), form)
+    x13 = _axb(a1_left, s_det @ eta @ b2, b1_right, form)
 
     x1 = x11 - x12 - x13
 
-    x21 = cramer_axb(m_det, c, b2, form, ra=r5, rb=r4)
-    x22 = proj_p_cramer(s_det, r7) @ eta
+    x21 = _axb(m_left, c, DetPinv.of(b2, "right", r4), form)
+    x22 = DetPinv.of(s_det, "left", r7).projector() @ eta
     x2 = x21 + x22
     return x1, x2
 
@@ -571,17 +564,15 @@ def _partial_cramer(problem: GenSylvesterProblem, form: str) -> tuple[PairSoluti
         aux = derive_aux(problem)
         x1, x2 = _cramer_two_term(problem, aux, form)
         return PairSolution(x1, x2), _CRAMER_PROVENANCE_TWO_TERM
-    # The direct route's c proj_p(b) is c ctranspose(b) pinv(ctranspose(b)),
-    # and rhs proj_q(a) is rhs a pinv(a): both halved terms are axb calls.
+    # The direct route's halved terms c proj_p(b) and rhs proj_q(a), with the
+    # projectors evaluated determinantally: they are scale-free, so no
+    # intermediate product grows with the square of the coefficients.
     a, c = problem.a1, problem.c
-    ra = rank(a)
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        right, rb = problem.b2.H, rank(problem.b2)
-        formula = "ax(a, c) - axb(a, c ctranspose(b), ctranspose(b)) / 2"
+        proj, formula = proj_p_cramer(problem.b2), "ax(a, c (i - proj_p(b)/2))"
     else:
-        right, rb = a, ra
-        formula = "ax(a, rhs) - axb(a, rhs a, a) / 2"
-    x = cramer_ax(a, c, ra) - cramer_axb(a, c @ right, right, form, ra, rb) / 2.0
+        proj, formula = proj_q_cramer(a), "ax(a, rhs (i - proj_q(a)/2))"
+    x = cramer_ax(a, c @ (QMatrix.identity(c.cols) - proj * 0.5))
     return PairSolution(x), (("x1", formula), ("route", "bordered minor sums"))
 
 

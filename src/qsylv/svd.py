@@ -1,13 +1,20 @@
 """Small dense complex SVD via one-sided Jacobi rotations.
 
-Written for the tiny matrices this package works with (a few dozen rows at
-most).  The one-sided scheme repeatedly orthogonalizes column pairs of a
+Written for the small matrices this package works with (a few dozen rows
+at most).  The one-sided scheme repeatedly orthogonalizes column pairs of a
 working copy ``W`` (initially ``A``) with unitary 2x2 rotations accumulated
 into ``V``; at convergence the columns of ``W`` are ``sigma_k * u_k`` so the
 singular values are the column norms.  For a pair ``(p, q)`` with
 ``a = ||w_p||^2``, ``b = ||w_q||^2``, ``c = w_p^H w_q``, the complex phase of
 ``c`` is absorbed into column ``q`` first, which reduces the 2x2 problem to a
 classical real Jacobi rotation.
+
+Pairs are visited in round-robin (Brent-Luk) order: each sweep visits every
+pair once, in rounds of disjoint pairs.  A round reads all its ``a``, ``b``,
+``c`` from one ``W^H W`` product, computes the rotations as vectors and
+applies them to ``W`` and ``V`` as one unitary ``J``.  The input is scaled by
+an exact power of two first (:func:`pow2_exponent`) and the singular values
+scaled back, so squared column norms neither overflow nor underflow.
 
 Only :func:`numpy` array plumbing is borrowed; the decomposition itself is
 implemented here.  Columns belonging to zero singular values are returned as
@@ -17,6 +24,7 @@ zero columns of ``U`` (callers here only consume ``U`` where ``sigma > 0``).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +33,37 @@ from .errors import NotConverged
 #: Relative threshold at which a column pair counts as orthogonal.
 _PAIR_TOL = 1e-14
 _MAX_SWEEPS = 128
+
+
+def pow2_exponent(x: np.ndarray) -> int:
+    """The ``k`` that puts the largest real or imaginary part of ``2**k * x`` in
+    ``[0.5, 1)``; 0 for a zero array."""
+    return -math.frexp(float(np.abs(x.view(np.float64)).max()))[1]
+
+
+def scale_pow2(x: np.ndarray, k: int) -> np.ndarray:
+    """``2**k * x`` for a contiguous complex array, exact within the normal range."""
+    return np.ldexp(x.view(np.float64), k).view(np.complex128)
+
+
+@lru_cache(maxsize=None)
+def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The round-robin schedule of ``n`` columns: per round, the index arrays
+    ``(p, q)``, ``p < q``, of its disjoint pairs.
+
+    Column 0 stays put while the others rotate one place per round; an odd
+    ``n`` gets a phantom column whose partner sits the round out.
+    """
+    players, rounds = list(range(n + n % 2)), []
+    for _ in range(len(players) - 1):
+        half = len(players) // 2
+        pairs = [sorted(p) for p in zip(players[:half], reversed(players[half:])) if max(p) < n]
+        if pairs:
+            rounds.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
+            for side in rounds[-1]:
+                side.setflags(write=False)
+        players = [players[0], players[-1], *players[1:-1]]
+    return tuple(rounds)
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -44,43 +83,42 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u_t, s, vh_t = svd(a.conj().T)
         return vh_t.conj().T, s, u_t.conj().T
 
-    work = a.copy()
-    v = np.eye(n, dtype=np.complex128)
+    k = pow2_exponent(a)
+    # rows [:m] hold W, rows [m:] hold V, so one update rotates both
+    stacked = np.vstack((scale_pow2(a, k), np.eye(n, dtype=np.complex128)))
+    work = stacked[:m]
     # A column whose squared norm falls to this level is rounding noise left
     # by a rank deficiency.  Rotating it further only shrinks it toward
     # underflow (where phases lose precision and rotations go wrong) without
     # moving any singular value above the rank cutoff, so it is left alone.
-    negligible = (np.finfo(np.float64).eps ** 2) * float(np.real(np.vdot(a, a)))
+    negligible = (np.finfo(np.float64).eps ** 2) * float(np.real(np.vdot(work, work)))
 
     for _ in range(_MAX_SWEEPS):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                col_p = work[:, p]
-                col_q = work[:, q]
-                app = float(np.real(np.vdot(col_p, col_p)))
-                aqq = float(np.real(np.vdot(col_q, col_q)))
-                apq = complex(np.vdot(col_p, col_q))
-                mag = abs(apq)
-                if app <= negligible or aqq <= negligible:
-                    continue
-                if mag <= _PAIR_TOL * math.sqrt(app * aqq) or mag == 0.0:
-                    continue
-                rotated = True
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s_rot = t * c
-                # columns transform by diag(1, conj(phase)) then the real rotation
-                new_p = col_p * c - col_q * (np.conj(phase) * s_rot)
-                new_q = col_p * s_rot + col_q * (np.conj(phase) * c)
-                work[:, p] = new_p
-                work[:, q] = new_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp * c - vq * (np.conj(phase) * s_rot)
-                v[:, q] = vp * s_rot + vq * (np.conj(phase) * c)
+        for p, q in _rounds(n):
+            gram = work.conj().T @ work
+            norms = gram.diagonal().real
+            app, aqq, apq = norms[p], norms[q], gram[p, q]
+            mag = np.abs(apq)
+            active = (app > negligible) & (aqq > negligible) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
+            if not active.any():
+                continue
+            rotated = True
+            if not active.all():
+                p, q, app, aqq, apq, mag = (x[active] for x in (p, q, app, aqq, apq, mag))
+            phase = np.conj(apq / mag)
+            tau = (aqq - app) / (2.0 * mag)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            s_rot = t * c
+            # columns transform by diag(1, conj(phase)) then the real rotation
+            rot = np.eye(n, dtype=np.complex128)
+            rot[p, p] = c
+            rot[q, p] = -phase * s_rot
+            rot[p, q] = s_rot
+            rot[q, q] = phase * c
+            stacked = stacked @ rot
+            work = stacked[:m]
         if not rotated:
             break
     else:
@@ -91,14 +129,9 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     norms = np.sqrt(np.real(np.sum(work.conj() * work, axis=0)))
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
-    work = work[:, order]
-    v = v[:, order]
-
-    u = np.zeros_like(work)
-    for k in range(n):
-        if norms[k] > 0.0:
-            u[:, k] = work[:, k] / norms[k]
-    return u, norms, v.conj().T
+    stacked = stacked[:, order]
+    u = stacked[:m] / np.where(norms > 0.0, norms, np.inf)
+    return u, np.ldexp(norms, -k), stacked[m:].conj().T
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

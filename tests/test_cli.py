@@ -9,7 +9,14 @@ import sys
 import pytest
 
 import qsylv.svd as svd_module
-from qsylv import EquationKind, GenSylvesterProblem, PairSolution, QMatrix, apply_lhs
+from qsylv import (
+    EquationKind,
+    GenSylvesterProblem,
+    OutOfRange,
+    PairSolution,
+    QMatrix,
+    apply_lhs,
+)
 from qsylv.cli import main
 from qsylv.golden import example_pair, example_star
 from qsylv.jsonio import dumps, loads, write_json
@@ -98,6 +105,20 @@ def test_numeric_error_exits_1(capsys, tmp_path):
     write_json(str(rect), QMatrix.zeros(3, 2).to_json())
     code, _, _ = run_cli(["det", "--in", str(rect), "--kind", "rdet"], capsys)
     assert code == 1
+
+
+def test_non_finite_input_is_refused_by_the_api_and_the_cli(capsys, tmp_path):
+    for bad in (float("nan"), float("inf"), q(1.0, 0.0, -float("inf"))):
+        with pytest.raises(OutOfRange):
+            QMatrix.from_rows([[bad, 1.0], [2.0, 3.0]])
+    path = tmp_path / "nan.json"
+    for token in ("NaN", "Infinity", "1e400"):
+        path.write_text(
+            '{"rows": 2, "cols": 2, "data": [[[%s, 0, 0, 0], [1, 0, 0, 0]],'
+            ' [[2, 0, 0, 0], [3, 0, 0, 0]]]}' % token
+        )
+        code, out, err = run_cli(["mpinv", "--in", str(path)], capsys)
+        assert code == 66 and out == "" and "finite" in err
 
 
 # -- solve / check ----------------------------------------------------------------

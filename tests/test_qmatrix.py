@@ -27,7 +27,14 @@ from qsylv import (
 )
 from qsylv.qmatrix import pow2_exponent, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_hermitian, random_matrix
-from qsylv.svd import default_threshold, pinv_from_svd, rank_cutoff, singular_values, svd
+from qsylv.svd import (
+    _rounds,
+    default_threshold,
+    pinv_from_svd,
+    rank_cutoff,
+    singular_values,
+    svd,
+)
 
 from conftest import assert_matrix_close, q, qm
 
@@ -202,6 +209,43 @@ def test_svd_converges_on_rank_deficient_input():
         ours = singular_values(np.asarray(complex_embed(m)))
         oracle = np.linalg.svd(_np_embed(m), compute_uv=False)
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * oracle[0]
+
+
+def test_round_robin_schedule_visits_every_pair_once_per_sweep():
+    for n in range(1, 10):
+        seen = []
+        for p, q in _rounds(n):
+            assert (p < q).all()
+            assert len(set(p) | set(q)) == 2 * len(p)  # disjoint pairs in a round
+            seen += zip(p.tolist(), q.tolist())
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_svd_matches_numpy_on_odd_wide_deficient_and_scaled_input():
+    rng = np.random.default_rng(20)
+
+    def draw(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    base = draw(6, 5)
+    cases = [draw(7, 5), draw(9, 9), draw(4, 1), draw(1, 1), draw(3, 7), draw(6, 3) @ draw(3, 5)]
+    cases += [np.ldexp(base.real, k) + 1j * np.ldexp(base.imag, k) for k in (-600, 600)]
+    for a in cases:
+        u, s, vh = svd(a)
+        oracle = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(s - oracle)) <= 1e-13 * oracle[0]
+        assert np.max(np.abs((u * s) @ vh - a)) <= 1e-13 * oracle[0]
+        assert np.max(np.abs(vh @ vh.conj().T - np.eye(vh.shape[0]))) <= 1e-13
+
+
+def test_equal_matrices_hash_alike():
+    a = qm([[q(0.0, -0.0), q(1.5)], [q(z=-0.0), q(-2.0, 0.0, 0.25)]])
+    b = qm([[q(-0.0, 0.0), q(1.5)], [q(), q(-2.0, 0.0, 0.25)]])
+    assert a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    c = random_matrix(SplitMix64(21), 3, 2)
+    assert ctranspose(ctranspose(c)) == c and hash(ctranspose(ctranspose(c))) == hash(c)
+    assert a != ctranspose(a) and qm([[q(1), q(2)]]) != qm([[q(1)], [q(2)]])
 
 
 def test_rank_is_invariant_under_power_of_two_scaling():

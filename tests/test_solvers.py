@@ -14,6 +14,7 @@ from qsylv import (
     InvalidSize,
     PairSolution,
     QMatrix,
+    QsylvError,
     apply_lhs,
     check_consistency,
     cramer_axb,
@@ -27,6 +28,7 @@ from qsylv import (
     solve_direct,
     solve_general,
 )
+from qsylv.qmatrix import scale_pow2
 from qsylv.sampling import (
     SplitMix64,
     make_consistent_instance,
@@ -295,6 +297,23 @@ def test_planted_solution_is_recovered_at_full_rank():
     assert sol.x2.fro_norm() <= 1e-10
     sol_c, _ = solve_cramer(prob)
     assert max_entry_diff(sol_c.x1, x_plant) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.cli_name)
+def test_solving_at_extreme_power_of_two_scales(kind):
+    # every coefficient and the right-hand side scaled by 2**k: Gram matrices
+    # of the unscaled coefficients would overflow (k = 700) or underflow (-700)
+    for seed in (3, 4):
+        problem, _ = make_consistent_instance(SplitMix64(seed), kind)
+        for k in (700, -700):
+            slots = {name: scale_pow2(getattr(problem, name), k)
+                     for name in kind.required_slots if name != "c"}
+            scaled = GenSylvesterProblem.build(kind, c=scale_pow2(problem.c, k), **slots)
+            try:
+                _, report = solve(scaled, method="both")
+            except QsylvError:
+                continue
+            assert report.residual_norm <= 1e-8 * (1.0 + scaled.c.fro_norm())
 
 
 def test_derive_aux_is_cached_per_problem():
