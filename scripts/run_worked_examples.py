@@ -2,7 +2,7 @@
 """Run the bundled worked examples and print every check as PASS/FAIL.
 
 Shows the solved matrices entrywise so the values can be inspected by hand,
-then runs the full golden battery (both solver routes, both entrywise forms,
+then runs the full golden battery (both solver routes and the
 pseudoinverse/projector/determinant intermediates) and exits nonzero if any
 row fails.
 """

@@ -122,13 +122,7 @@ def _cmd_solve(args) -> int:
     with det_dim_cap(args.max_det_dim):
         problem = _build_problem(args)
         try:
-            sol, report = solve(
-                problem,
-                method=args.method,
-                tol=args.tol,
-                force=args.force,
-                form=args.form,
-            )
+            sol, report = solve(problem, method=args.method, tol=args.tol, force=args.force)
         except Inconsistent as exc:
             _emit(_solution_doc(None, exc.report), args.out)
             return 2
@@ -238,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p_solve)
     p_solve.add_argument("--method", choices=("direct", "cramer", "both"),
                          default="both", help="solution route")
-    p_solve.add_argument("--form", choices=("column", "row"), default="column",
-                         help="nesting order of the determinantal route")
     p_solve.add_argument("--force", action="store_true",
                          help="compute a candidate even if inconsistent")
     p_solve.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")

@@ -183,9 +183,8 @@ def selftest(tol: float = GOLDEN_TOL) -> list[tuple[str, bool, str]]:
         ))
         sol_d, _ = solve_direct(example.problem, force=force)
         _check_solution(rows, f"{name}/direct", example, sol_d, tol)
-        for form in ("column", "row"):
-            sol_c, _ = solve_cramer(example.problem, form=form, force=force)
-            _check_solution(rows, f"{name}/cramer-{form}", example, sol_c, tol)
+        sol_c, _ = solve_cramer(example.problem, force=force)
+        _check_solution(rows, f"{name}/cramer", example, sol_c, tol)
         rows.extend(_intermediate_rows(example, tol))
     return rows
 

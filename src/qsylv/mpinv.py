@@ -168,28 +168,24 @@ def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
 # -- orthogonal projectors -----------------------------------------------------
 
 
-def proj_p(a: QMatrix, method: str = "oracle") -> QMatrix:
+def proj_p(a: QMatrix) -> QMatrix:
     """``pinv(a) @ a``: orthogonal projector onto the row space (cols x cols)."""
-    if method == "cramer":
-        return proj_p_cramer(a)
     return mmul(mp_oracle(a).pinv, a)
 
 
-def proj_q(a: QMatrix, method: str = "oracle") -> QMatrix:
+def proj_q(a: QMatrix) -> QMatrix:
     """``a @ pinv(a)``: orthogonal projector onto the column space (rows x rows)."""
-    if method == "cramer":
-        return proj_q_cramer(a)
     return mmul(a, mp_oracle(a).pinv)
 
 
-def proj_l(a: QMatrix, method: str = "oracle") -> QMatrix:
+def proj_l(a: QMatrix) -> QMatrix:
     """``I - pinv(a) @ a``: projector onto the null space of ``a``."""
-    return QMatrix.identity(a.cols) - proj_p(a, method)
+    return QMatrix.identity(a.cols) - proj_p(a)
 
 
-def proj_r(a: QMatrix, method: str = "oracle") -> QMatrix:
+def proj_r(a: QMatrix) -> QMatrix:
     """``I - a @ pinv(a)``: projector onto the left null space of ``a``."""
-    return QMatrix.identity(a.rows) - proj_q(a, method)
+    return QMatrix.identity(a.rows) - proj_q(a)
 
 
 def proj_p_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:

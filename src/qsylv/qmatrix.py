@@ -44,9 +44,6 @@ from . import svd as _svd
 from .errors import DimensionMismatch, NotSquare, OutOfRange, ParseError, ZeroDivisor
 from .quaternion import Quaternion
 
-#: Type alias for the complex numeric carrier used by embeddings.
-ComplexMatrix = np.ndarray
-
 
 def _as_quaternion(value: object) -> Quaternion:
     if isinstance(value, Quaternion):
@@ -151,10 +148,6 @@ class QMatrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]]) -> "QMatrix":
         return QMatrix(rows)
-
-    @staticmethod
-    def build(rows: int, cols: int, fn: Callable[[int, int], Quaternion]) -> "QMatrix":
-        return QMatrix([[fn(r, c) for c in range(cols)] for r in range(rows)])
 
     @staticmethod
     def from_array(values: np.ndarray) -> "QMatrix":
@@ -343,13 +336,13 @@ def scale_pow2(a: QMatrix, k: int) -> QMatrix:
     return QMatrix._of(pair)
 
 
-def complex_embed(a: QMatrix) -> ComplexMatrix:
+def complex_embed(a: QMatrix) -> np.ndarray:
     """The ``2m x 2n`` complex embedding described in the module docstring."""
     a1, a2 = a._pair
     return np.block([[a1, a2], [-a2.conj(), a1.conj()]])
 
 
-def complex_unembed(e: ComplexMatrix, rows: int, cols: int) -> QMatrix:
+def complex_unembed(e: np.ndarray, rows: int, cols: int) -> QMatrix:
     """Inverse of :func:`complex_embed`, averaging the two redundant blocks."""
     if e.shape != (2 * rows, 2 * cols):
         raise DimensionMismatch(

@@ -79,9 +79,6 @@ class Quaternion:
             raise ZeroDivisor(f"cannot invert quaternion with squared norm {n2!r}")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return abs(self.x) <= tol and abs(self.y) <= tol and abs(self.z) <= tol
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "Quaternion | Real") -> "Quaternion":

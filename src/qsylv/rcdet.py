@@ -50,7 +50,9 @@ cycle form on first use, cached per ``(r, flavour)``, and evaluated with
 NumPy on an ``n x n x 4`` array of components, with the same component
 formula and factor order as :class:`~qsylv.quaternion.Quaternion`
 multiplication.  :func:`rdet`, :func:`cdet` and :func:`principal_minor_sum`
-use the same pass, closing each term with its border factor.
+use the same pass, closing each term with its border factor.  A value or
+coefficient that overflows the float range raises
+:class:`~qsylv.errors.OutOfRange`.
 
 Dimension cap: an expansion of size ``r`` has ``r!`` terms, so expansions
 refuse to run beyond ``max_det_dim()`` with
@@ -66,10 +68,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +81,7 @@ from .errors import (
     InvalidSize,
     NotHermitian,
     NotSquare,
+    OutOfRange,
 )
 from .qmatrix import QMatrix, entry_abs, is_hermitian, quat_array
 from .quaternion import Quaternion, qsum
@@ -117,126 +119,6 @@ def det_dim_cap(n: int) -> Iterator[None]:
         _MAX_DET_DIM.reset(token)
 
 
-# -- index subsets -------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class IndexSubset:
-    """A strictly increasing tuple of 1-based indices inside ``{1..ambient}``."""
-
-    ambient: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.ambient < 1:
-            raise InvalidSize(f"ambient size must be >= 1, got {self.ambient}")
-        idx = self.indices
-        if any(not 1 <= v <= self.ambient for v in idx):
-            raise InvalidSize(f"indices {idx} out of range 1..{self.ambient}")
-        if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-            raise InvalidSize(f"indices {idx} must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, value: int) -> bool:
-        return value in self.indices
-
-    def position_of(self, value: int) -> int:
-        """1-based position of ``value`` inside the subset."""
-        return self.indices.index(value) + 1
-
-
-def enumerate_subsets(n: int, r: int, anchor: Optional[int] = None) -> tuple[IndexSubset, ...]:
-    """All size-``r`` subsets of ``{1..n}`` in lexicographic order.
-
-    With ``anchor`` given, only subsets containing it are returned.
-    """
-    if n < 1:
-        raise InvalidSize(f"ambient size must be >= 1, got {n}")
-    if not 0 <= r <= n:
-        raise InvalidSize(f"subset size {r} out of range 0..{n}")
-    if anchor is not None and not 1 <= anchor <= n:
-        raise InvalidSize(f"anchor {anchor} out of range 1..{n}")
-    subsets = (
-        IndexSubset(n, combo)
-        for combo in combinations(range(1, n + 1), r)
-    )
-    if anchor is None:
-        return tuple(subsets)
-    return tuple(s for s in subsets if anchor in s)
-
-
-# -- canonical cycle form ------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CyclePermutation:
-    """A permutation of ``{1..n}`` in the anchored canonical cycle order.
-
-    ``cycles`` holds 1-based cycles already arranged in multiplication order
-    for the requested determinant flavour; ``sign`` is ``(-1)**(n - r)``.
-    """
-
-    n: int
-    cycles: tuple[tuple[int, ...], ...]
-    sign: int
-
-    @staticmethod
-    def from_one_line(images: Sequence[int], anchor: int, flavor: str) -> "CyclePermutation":
-        """Build from the one-line form ``images[t] = sigma(t+1)`` (1-based values)."""
-        n = len(images)
-        if not 1 <= anchor <= n:
-            raise InvalidSize(f"anchor {anchor} out of range 1..{n}")
-        if flavor not in ("row", "col"):
-            raise InvalidSize(f"flavor must be 'row' or 'col', got {flavor!r}")
-        seen = [False] * (n + 1)
-        anchor_cycle: tuple[int, ...] = ()
-        others: list[tuple[int, ...]] = []
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            nxt = images[start - 1]
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt] = True
-                nxt = images[nxt - 1]
-            if anchor in cycle:
-                pos = cycle.index(anchor)
-                anchor_cycle = tuple(cycle[pos:] + cycle[:pos])
-            else:
-                others.append(tuple(cycle))  # already starts at its minimum
-        others.sort(key=lambda cyc: cyc[0])
-        if flavor == "row":
-            ordered = (anchor_cycle, *others)
-        else:
-            ordered = (*reversed(others), anchor_cycle)
-        r = 1 + len(others)
-        sign = 1 if (n - r) % 2 == 0 else -1
-        return CyclePermutation(n=n, cycles=ordered, sign=sign)
-
-    def factor_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The 0-based ``(row, col)`` entry positions in multiplication order."""
-        pairs: list[tuple[int, int]] = []
-        for cycle in self.cycles:
-            k = len(cycle)
-            for t in range(k):
-                pairs.append((cycle[t] - 1, cycle[(t + 1) % k] - 1))
-        return tuple(pairs)
-
-
-@lru_cache(maxsize=None)
-def _det_terms(n: int, anchor: int, flavor: str) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Cached signed factor lists for all ``n!`` permutation terms."""
-    terms = []
-    for images in permutations(range(1, n + 1)):
-        perm = CyclePermutation.from_one_line(images, anchor, flavor)
-        terms.append((perm.sign, perm.factor_pairs()))
-    return tuple(terms)
-
-
 # -- vectorized expansion --------------------------------------------------------
 
 
@@ -251,21 +133,39 @@ def _term_table(r: int, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
     terms of every anchor ``p``.  ``rows[p, v, t]`` and ``cols[p, v, t]``
     hold the 0-based positions of the other ``r - 1`` factors of the
     ``t``-th such term, in multiplication order; ``signs[p, v, t]`` is its
-    sign.
+    sign.  Terms are numbered in the lexicographic order of their
+    permutations.
     """
     per_group = math.factorial(r - 1)
     rows = np.empty((r, r, per_group, r - 1), dtype=np.intp)
     cols = np.empty((r, r, per_group, r - 1), dtype=np.intp)
     signs = np.empty((r, r, per_group))
-    for p in range(r):
-        filled = [0] * r
-        for sign, pairs in _det_terms(r, p + 1, flavor):
+    filled = [[0] * r for _ in range(r)]
+    for images in permutations(range(r)):
+        cycles = []  # each starts at its smallest element
+        for start in range(r):
+            if not any(start in cycle for cycle in cycles):
+                cycle = [start]
+                while images[cycle[-1]] != start:
+                    cycle.append(images[cycle[-1]])
+                cycles.append(cycle)
+        sign = 1 if (r - len(cycles)) % 2 == 0 else -1
+        for p in range(r):
+            held = next(cycle for cycle in cycles if p in cycle)
+            at = held.index(p)
+            anchor_cycle = held[at:] + held[:at]
+            others = [cycle for cycle in cycles if cycle is not held]
+            if flavor == "row":
+                ordered = [anchor_cycle, *others]
+            else:
+                ordered = [*reversed(others), anchor_cycle]
+            pairs = [(cyc[t], cyc[(t + 1) % len(cyc)]) for cyc in ordered for t in range(len(cyc))]
             if flavor == "col":
                 v, rest = pairs[-1][0], pairs[:-1]
             else:
                 v, rest = pairs[0][1], pairs[1:]
-            t = filled[v]
-            filled[v] += 1
+            t = filled[p][v]
+            filled[p][v] += 1
             signs[p, v, t] = sign
             rows[p, v, t] = [row for row, _ in rest]
             cols[p, v, t] = [col for _, col in rest]
@@ -277,7 +177,7 @@ def _term_table(r: int, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
 @lru_cache(maxsize=64)
 def _subset_array(n: int, r: int) -> np.ndarray:
     """The size-``r`` subsets of ``range(n)`` as rows, in lexicographic order."""
-    subsets = np.array([s.indices for s in enumerate_subsets(n, r)], dtype=np.intp) - 1
+    subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
     subsets.setflags(write=False)
     return subsets
 
@@ -298,6 +198,13 @@ def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ),
         axis=-1,
     )
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` if every entry is finite, else :class:`OutOfRange`."""
+    if not np.isfinite(values).all():
+        raise OutOfRange(f"{what} overflows the float range")
+    return values
 
 
 def _local_coeffs(
@@ -348,9 +255,10 @@ def _coefficients(h: QMatrix, r: int, flavor: str) -> QMatrix:
     out = np.zeros((n, n, 4))
     if r > 0:
         subsets = _subset_array(n, r)
-        local = _local_coeffs(quat_array(h), subsets, list(range(r)), flavor)
-        anchors, borders = subsets[:, :, None], subsets[:, None, :]
-        np.add.at(out, (anchors, borders) if flavor == "col" else (borders, anchors), local)
+        with np.errstate(over="ignore", invalid="ignore"):
+            local = _local_coeffs(quat_array(h), subsets, list(range(r)), flavor)
+            anchors, borders = subsets[:, :, None], subsets[:, None, :]
+            np.add.at(out, (anchors, borders) if flavor == "col" else (borders, anchors), local)
     return QMatrix.from_array(out)
 
 
@@ -379,12 +287,14 @@ def _expand(a: QMatrix, anchor: int, flavor: str) -> Quaternion:
     if not 1 <= anchor <= n:
         raise InvalidSize(f"anchor {anchor} out of range 1..{n}")
     a4 = quat_array(a)
-    local = _local_coeffs(a4, _subset_array(n, n), [anchor - 1], flavor)[0, 0]
-    if flavor == "row":
-        terms = _qmul(a4[anchor - 1], local)
-    else:
-        terms = _qmul(local, a4[:, anchor - 1])
-    return Quaternion(*terms.sum(axis=0).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        local = _local_coeffs(a4, _subset_array(n, n), [anchor - 1], flavor)[0, 0]
+        if flavor == "row":
+            terms = _qmul(a4[anchor - 1], local)
+        else:
+            terms = _qmul(local, a4[:, anchor - 1])
+        total = terms.sum(axis=0)
+    return Quaternion(*_finite(total, "determinant").tolist())
 
 
 def rdet(a: QMatrix, i: int) -> Quaternion:
@@ -448,8 +358,10 @@ def principal_minor_sum(h: QMatrix, r: int, tol: float = HDET_TOL) -> float:
         return 1.0
     h4 = quat_array(h)
     subsets = _subset_array(n, r)
-    local = _local_coeffs(h4, subsets, [0], "row")[:, 0]
-    return float(_qmul(h4[subsets[:, :1], subsets], local)[..., 0].sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        local = _local_coeffs(h4, subsets, [0], "row")[:, 0]
+        total = _qmul(h4[subsets[:, :1], subsets], local)[..., 0].sum()
+    return float(_finite(total, "principal-minor sum"))
 
 
 def _check_border(h: QMatrix, i: int, d: Sequence[Quaternion], r: int) -> None:

@@ -250,51 +250,60 @@ class SolveReport:
 
 @dataclass(frozen=True, slots=True)
 class AuxData:
-    """Pseudoinverse-route data of the two-term kinds, and the shared ranks.
+    """Pseudoinverse-route data of one problem, and the shared ranks.
 
-    ``m = (i - a1 pinv(a1)) a2``, ``n = b2 (i - pinv(b1) b1)`` and
-    ``s = a2 (i - pinv(m) m)``.  Each rank is read off the same SVD as the
-    matching pseudoinverse and is the only thing the determinantal route
-    takes from here, so both routes agree on every rank decision.  That
-    route rebuilds ``m``, ``n`` and ``s`` from determinantal projectors
-    itself, so building this data evaluates no determinant.
+    Every kind gets the pseudoinverse and rank of ``a1`` (the ``a`` of the
+    conjugate-transpose kinds), and every kind with a ``b2`` (the ``b`` of
+    ``lyapunov-like``) those of ``b2``.  The two-term kinds also get ``b1``,
+    ``a2``, ``m = (i - a1 pinv(a1)) a2``, ``n = b2 (i - pinv(b1) b1)`` and
+    ``s = a2 (i - pinv(m) m)``; fields a kind has no use for are ``None``.
+    Each rank is read off the same SVD as the matching pseudoinverse and is
+    the only thing the determinantal route takes from here, so both routes
+    agree on every rank decision.  That route rebuilds ``m``, ``n`` and
+    ``s`` from determinantal projectors itself, so building this data
+    evaluates no determinant.
     """
 
     r_a1: int
-    r_b1: int
-    r_a2: int
-    r_b2: int
-    r_m: int
-    r_n: int
-    r_s: int
     a1_pinv: QMatrix
-    b1_pinv: QMatrix
-    a2_pinv: QMatrix
-    b2_pinv: QMatrix
-    m_mat: QMatrix
-    n_mat: QMatrix
-    s_mat: QMatrix
-    m_pinv: QMatrix
-    n_pinv: QMatrix
-    s_pinv: QMatrix
+    r_b2: Optional[int] = None
+    b2_pinv: Optional[QMatrix] = None
+    r_b1: Optional[int] = None
+    r_a2: Optional[int] = None
+    r_m: Optional[int] = None
+    r_n: Optional[int] = None
+    r_s: Optional[int] = None
+    b1_pinv: Optional[QMatrix] = None
+    a2_pinv: Optional[QMatrix] = None
+    m_mat: Optional[QMatrix] = None
+    n_mat: Optional[QMatrix] = None
+    s_mat: Optional[QMatrix] = None
+    m_pinv: Optional[QMatrix] = None
+    n_pinv: Optional[QMatrix] = None
+    s_pinv: Optional[QMatrix] = None
 
     @property
     def ranks(self) -> tuple[int, int, int, int, int, int, int]:
+        """The two-term ranks ``(a1, b1, a2, b2, m, n, s)``."""
         return (self.r_a1, self.r_b1, self.r_a2, self.r_b2, self.r_m, self.r_n, self.r_s)
 
 
 @lru_cache(maxsize=16)
 def derive_aux(problem: GenSylvesterProblem) -> AuxData:
-    """Derived matrices, pseudoinverses and shared ranks for two-term kinds.
+    """Derived matrices, pseudoinverses and shared ranks of ``problem``.
 
     Cached so that the gate, both routes and the general solution of one
     problem share one derivation.  An entry holds a few dozen kilobytes of
     matrices for a 6x6 problem, so the cache keeps only the last 16 problems.
     """
-    if not problem.kind.is_two_term:
-        raise InvalidSize("derive_aux applies to the two-term equation kinds")
     a1, b1, a2, b2 = problem.a1, problem.b1, problem.a2, problem.b2
-    a1_mp, b1_mp, a2_mp, b2_mp = mp_oracle(a1), mp_oracle(b1), mp_oracle(a2), mp_oracle(b2)
+    a1_mp = mp_oracle(a1)
+    if not problem.kind.is_two_term:
+        if b2 is None:
+            return AuxData(a1_mp.rank_used, a1_mp.pinv)
+        b2_mp = mp_oracle(b2)
+        return AuxData(a1_mp.rank_used, a1_mp.pinv, b2_mp.rank_used, b2_mp.pinv)
+    b1_mp, a2_mp, b2_mp = mp_oracle(b1), mp_oracle(a2), mp_oracle(b2)
     floor_a = DERIVED_RANK_FLOOR * (1.0 + a2.fro_norm())
     floor_b = DERIVED_RANK_FLOOR * (1.0 + b2.fro_norm())
     m_mat = (QMatrix.identity(a1.rows) - a1 @ a1_mp.pinv) @ a2
@@ -347,9 +356,9 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     """
     tol_c = tol * (1.0 + problem.c.fro_norm())
     checks: list[CheckResult] = []
+    aux = derive_aux(problem)
 
     if problem.kind.is_two_term:
-        aux = derive_aux(problem)
         a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
         m_rows, s_cols = c.rows, c.cols
         ident_m = QMatrix.identity(m_rows)
@@ -396,12 +405,12 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         return SolveReport(consistent, tuple(checks), residual_norm, "check")
 
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        sol = PairSolution(_direct_lyap_like(problem))
+        sol = PairSolution(_direct_lyap_like(problem, aux))
         res0 = residual(problem, sol)
         checks.append(CheckResult("partial_solves", res0 <= tol_c, res0))
         a, b = problem.a1, problem.b2
-        r_a_proj = QMatrix.identity(a.rows) - a @ mp_oracle(a).pinv
-        l_b_proj = QMatrix.identity(b.cols) - mp_oracle(b).pinv @ b
+        r_a_proj = QMatrix.identity(a.rows) - a @ aux.a1_pinv
+        l_b_proj = QMatrix.identity(b.cols) - aux.b2_pinv @ b
         res_range = (r_a_proj @ problem.c @ l_b_proj).fro_norm()
         checks.append(CheckResult("r_a_c_l_b_info", res_range <= tol_c, res_range))
         return SolveReport(res0 <= tol_c, tuple(checks), res0, "check")
@@ -411,7 +420,7 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     herm_res = (rhs - rhs.H).fro_norm()
     herm_ok = herm_res <= tol_c
     checks.append(CheckResult("rhs_hermitian", herm_ok, herm_res))
-    r_a_proj = QMatrix.identity(a.rows) - a @ mp_oracle(a).pinv
+    r_a_proj = QMatrix.identity(a.rows) - a @ aux.a1_pinv
     outer_res = (r_a_proj @ rhs @ r_a_proj).fro_norm()
     outer_ok = outer_res <= tol_c
     checks.append(CheckResult("r_a_rhs_r_a", outer_ok, outer_res))
@@ -437,21 +446,18 @@ def _direct_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatri
     return x1, x2
 
 
-def _direct_lyap_like(problem: GenSylvesterProblem) -> QMatrix:
+def _direct_lyap_like(problem: GenSylvesterProblem, aux: AuxData) -> QMatrix:
     a, b, c = problem.a1, problem.b2, problem.c
-    a_pinv = mp_oracle(a).pinv
-    b_pinv = mp_oracle(b).pinv
-    p_b = b_pinv @ b
+    p_b = aux.b2_pinv @ b
     half = QMatrix.identity(a.rows) - p_b * 0.5
-    return a_pinv @ c @ half
+    return aux.a1_pinv @ c @ half
 
 
-def _direct_lyap_star(problem: GenSylvesterProblem) -> QMatrix:
+def _direct_lyap_star(problem: GenSylvesterProblem, aux: AuxData) -> QMatrix:
     a, rhs = problem.a1, problem.c
-    a_pinv = mp_oracle(a).pinv
-    q_a = a @ a_pinv
+    q_a = a @ aux.a1_pinv
     half = QMatrix.identity(a.rows) - q_a * 0.5
-    return a_pinv @ rhs @ half
+    return aux.a1_pinv @ rhs @ half
 
 
 _DIRECT_PROVENANCE_TWO_TERM = (
@@ -465,51 +471,39 @@ _DIRECT_PROVENANCE_TWO_TERM = (
 
 
 def _partial_direct(problem: GenSylvesterProblem) -> tuple[PairSolution, tuple[tuple[str, str], ...]]:
+    aux = derive_aux(problem)
     if problem.kind.is_two_term:
-        aux = derive_aux(problem)
         x1, x2 = _direct_two_term(problem, aux)
         return PairSolution(x1, x2), _DIRECT_PROVENANCE_TWO_TERM
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        x = _direct_lyap_like(problem)
+        x = _direct_lyap_like(problem, aux)
         return PairSolution(x), (("x1", "pinv(a) c (i - proj_p(b)/2)"),)
-    x = _direct_lyap_star(problem)
+    x = _direct_lyap_star(problem, aux)
     return PairSolution(x), (("x1", "pinv(a) rhs (i - proj_q(a)/2)"),)
 
 
 # -- Cramer (determinantal) route ------------------------------------------------
 
 
-def _axb(left: DetPinv, c: QMatrix, right: DetPinv, form: str) -> QMatrix:
-    """``pinv(a) @ c @ pinv(b)`` from the factored inverses of ``a`` and ``b``."""
-    if form == "column":
-        return left.apply(right.apply(c))
-    return right.apply(left.apply(c))
-
-
 def cramer_axb(
     a: QMatrix,
     c: QMatrix,
     b: QMatrix,
-    form: str = "column",
     ra: Optional[int] = None,
     rb: Optional[int] = None,
 ) -> QMatrix:
     """Determinantal evaluation of ``pinv(a) @ c @ pinv(b)``.
 
-    With ``C = cdet_coeffs(a* a, ra)`` and ``R = rdet_coeffs(b b*, rb)``,
-    ``form="column"`` resolves the right factor first (``C @ (a* @ ((c @
-    b*) @ R))``: bordered row sums over the Gram matrix of ``b``, then
-    bordered column sums over that of ``a``) and ``form="row"`` the left one
-    (``((C @ (a* @ c)) @ b*) @ R``).  Each factor is divided by its
-    principal-minor sum; both forms produce the same value.
+    With ``C = cdet_coeffs(a* a, ra)`` and ``R = rdet_coeffs(b b*, rb)`` it
+    is ``C @ (a* @ ((c @ b*) @ R))``: the right factor first (bordered row
+    sums over the Gram matrix of ``b``), then the left one (bordered column
+    sums over that of ``a``), each divided by its principal-minor sum.
     """
     if a.rows != c.rows:
         raise DimensionMismatch(f"a has {a.rows} rows but c has {c.rows}")
     if b.cols != c.cols:
         raise DimensionMismatch(f"b has {b.cols} columns but c has {c.cols}")
-    if form not in ("column", "row"):
-        raise InvalidSize(f"form must be 'column' or 'row', got {form!r}")
-    return _axb(DetPinv.of(a, "left", ra), c, DetPinv.of(b, "right", rb), form)
+    return DetPinv.of(a, "left", ra).apply(DetPinv.of(b, "right", rb).apply(c))
 
 
 def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
@@ -520,7 +514,7 @@ def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
     return DetPinv.of(a, "left", ra).apply(c)
 
 
-def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData, form: str) -> tuple[QMatrix, QMatrix]:
+def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatrix, QMatrix]:
     a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
     r1, rb1, r3, r4, r5, r6, r7 = aux.ranks
     # each (matrix, side, rank) factor is built once and shared by its products
@@ -532,17 +526,19 @@ def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData, form: str) -> t
     m_left = DetPinv.of(m_det, "left", r5)
     s_det = a2 @ (QMatrix.identity(a2.cols) - m_left.projector())
 
-    x11 = _axb(a1_left, c, b1_right, form)
+    # pinv(a) @ c @ pinv(b) is left.apply(right.apply(c)): the right factor first
+    c_b1 = b1_right.apply(c)
+    x11 = a1_left.apply(c_b1)
 
-    inner12 = _axb(m_left, c, b1_right, form)
+    inner12 = m_left.apply(c_b1)
     x12 = a1_left.apply(a2 @ inner12)
 
-    eta = _axb(DetPinv.of(a2, "left", r3), c, DetPinv.of(n_det, "right", r6), form)
-    x13 = _axb(a1_left, s_det @ eta @ b2, b1_right, form)
+    eta = DetPinv.of(a2, "left", r3).apply(DetPinv.of(n_det, "right", r6).apply(c))
+    x13 = a1_left.apply(b1_right.apply(s_det @ eta @ b2))
 
     x1 = x11 - x12 - x13
 
-    x21 = _axb(m_left, c, DetPinv.of(b2, "right", r4), form)
+    x21 = m_left.apply(DetPinv.of(b2, "right", r4).apply(c))
     x22 = DetPinv.of(s_det, "left", r7).projector() @ eta
     x2 = x21 + x22
     return x1, x2
@@ -559,20 +555,20 @@ _CRAMER_PROVENANCE_TWO_TERM = (
 )
 
 
-def _partial_cramer(problem: GenSylvesterProblem, form: str) -> tuple[PairSolution, tuple[tuple[str, str], ...]]:
+def _partial_cramer(problem: GenSylvesterProblem) -> tuple[PairSolution, tuple[tuple[str, str], ...]]:
+    aux = derive_aux(problem)
     if problem.kind.is_two_term:
-        aux = derive_aux(problem)
-        x1, x2 = _cramer_two_term(problem, aux, form)
+        x1, x2 = _cramer_two_term(problem, aux)
         return PairSolution(x1, x2), _CRAMER_PROVENANCE_TWO_TERM
     # The direct route's halved terms c proj_p(b) and rhs proj_q(a), with the
     # projectors evaluated determinantally: they are scale-free, so no
     # intermediate product grows with the square of the coefficients.
     a, c = problem.a1, problem.c
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        proj, formula = proj_p_cramer(problem.b2), "ax(a, c (i - proj_p(b)/2))"
+        proj, formula = proj_p_cramer(problem.b2, aux.r_b2), "ax(a, c (i - proj_p(b)/2))"
     else:
-        proj, formula = proj_q_cramer(a), "ax(a, rhs (i - proj_q(a)/2))"
-    x = cramer_ax(a, c @ (QMatrix.identity(c.cols) - proj * 0.5))
+        proj, formula = proj_q_cramer(a, aux.r_a1), "ax(a, rhs (i - proj_q(a)/2))"
+    x = cramer_ax(a, c @ (QMatrix.identity(c.cols) - proj * 0.5), aux.r_a1)
     return PairSolution(x), (("x1", formula), ("route", "bordered minor sums"))
 
 
@@ -623,14 +619,11 @@ def solve_cramer(
     problem: GenSylvesterProblem,
     tol: float = DEFAULT_TOL,
     force: bool = False,
-    form: str = "column",
 ) -> tuple[PairSolution, SolveReport]:
     """The same canonical particular solution, evaluated determinantally."""
-    if form not in ("column", "row"):
-        raise InvalidSize(f"form must be 'column' or 'row', got {form!r}")
     base = _gate(problem, tol, force)
-    sol, prov = _partial_cramer(problem, form)
-    return _finish(problem, sol, base, "cramer", prov + (("form", form),))
+    sol, prov = _partial_cramer(problem)
+    return _finish(problem, sol, base, "cramer", prov)
 
 
 def _free_shapes(problem: GenSylvesterProblem) -> dict[str, tuple[int, int]]:
@@ -688,8 +681,8 @@ def solve_general(
     blocks = _check_free(problem, free)
     base = _gate(problem, tol, force)
 
+    aux = derive_aux(problem)
     if problem.kind.is_two_term:
-        aux = derive_aux(problem)
         x1, x2 = _direct_two_term(problem, aux)
         n_dim, r_dim = problem.x1_shape
         p_dim, q_dim = problem.x2_shape
@@ -733,9 +726,9 @@ def solve_general(
                 "the homogeneous family for this kind requires b = ctranspose(a); "
                 f"mismatch norm {mismatch:.3e}"
             )
-        x0 = _direct_lyap_like(problem)
+        x0 = _direct_lyap_like(problem, aux)
     else:
-        x0 = _direct_lyap_star(problem)
+        x0 = _direct_lyap_star(problem, aux)
     if zc is not None:
         sym = a @ (zc + zc.H) @ a.H
         sym_norm = sym.fro_norm()
@@ -744,9 +737,8 @@ def solve_general(
             raise ConstraintViolated(
                 f"zc violates a (zc + ctranspose(zc)) ctranspose(a) = 0: norm {sym_norm:.3e}"
             )
-    a_pinv = mp_oracle(a).pinv
-    l_a = QMatrix.identity(n_dim) - a_pinv @ a
-    p_a = a_pinv @ a
+    l_a = QMatrix.identity(n_dim) - aux.a1_pinv @ a
+    p_a = aux.a1_pinv @ a
     x = x0
     if y is not None:
         x = x + l_a @ y
@@ -765,7 +757,6 @@ def solve(
     method: str = "both",
     tol: float = DEFAULT_TOL,
     force: bool = False,
-    form: str = "column",
 ) -> tuple[PairSolution, SolveReport]:
     """Top-level solve: ``method`` is ``"direct"``, ``"cramer"`` or ``"both"``.
 
@@ -775,12 +766,12 @@ def solve(
     if method == "direct":
         return solve_direct(problem, tol, force)
     if method == "cramer":
-        return solve_cramer(problem, tol, force, form)
+        return solve_cramer(problem, tol, force)
     if method != "both":
         raise InvalidSize(f"method must be 'direct', 'cramer' or 'both', got {method!r}")
     base = _gate(problem, tol, force)
     sol_d, _ = _partial_direct(problem)
-    sol_c, prov = _partial_cramer(problem, form)
+    sol_c, prov = _partial_cramer(problem)
     diff = (sol_c.x1 - sol_d.x1).fro_norm()
     scale = sol_d.x1.fro_norm()
     if sol_d.x2 is not None:
@@ -788,4 +779,4 @@ def solve(
         scale += sol_d.x2.fro_norm()
     agree = diff <= tol * (1.0 + scale)
     extra = (CheckResult("methods_agree", agree, diff),)
-    return _finish(problem, sol_c, base, "cramer", prov + (("form", form),), extra)
+    return _finish(problem, sol_c, base, "cramer", prov, extra)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import qsylv
 import qsylv.svd as svd_module
 from qsylv import (
     EquationKind,
@@ -272,6 +273,16 @@ def test_det_non_hermitian_hdet_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("kind", ["rdet", "cdet", "hdet"])
+def test_det_overflow_exits_1_with_a_message(capsys, tmp_path, kind):
+    path = str(tmp_path / "huge.json")
+    write_json(path, qm([[q(1e200), q()], [q(), q(1e200)]]).to_json())
+    code, out, err = run_cli(["det", "--in", path, "--kind", kind], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qsylv: error:") and "overflows" in err
+
+
 # -- selftest / gen ---------------------------------------------------------------
 
 
@@ -448,6 +459,19 @@ def test_out_flag_writes_file(capsys, pair_files, tmp_path):
     assert code == 0
     assert target.exists()
     loads(target.read_text())
+
+
+def test_exports_resolve_and_removed_options_are_usage_errors(capsys, pair_files):
+    missing = [name for name in qsylv.__all__ if not hasattr(qsylv, name)]
+    assert missing == []
+    assert "IndexSubset" not in qsylv.__all__
+    assert "enumerate_subsets" not in qsylv.__all__
+    argv = ["solve", "--kind", "gen-sylvester", "--c", pair_files["c"]]
+    for name in ("a1", "b1", "a2", "b2"):
+        argv += [f"--{name}", pair_files[name]]
+    code, out, err = run_cli(argv + ["--form", "row"], capsys)
+    assert code == 64
+    assert out == "" and "--form" in err
 
 
 def test_console_script_entry_point():

@@ -18,9 +18,9 @@ from qsylv import (
     NotHermitian,
     NotSquare,
     QMatrix,
+    OutOfRange,
     cdet,
     det_dim_cap,
-    enumerate_subsets,
     hdet,
     max_det_dim,
     principal_minor_sum,
@@ -160,11 +160,11 @@ def test_identity_and_diagonal():
 
 
 def test_subset_enumeration_is_lexicographic_and_anchored():
-    subs = enumerate_subsets(4, 2, anchor=3)
+    subs = ref.enumerate_subsets(4, 2, anchor=3)
     tuples = [s.indices for s in subs]
     assert tuples == [(1, 3), (2, 3), (3, 4)]
     assert all(3 in t for t in tuples)
-    full = enumerate_subsets(3, 3, anchor=1)
+    full = ref.enumerate_subsets(3, 3, anchor=1)
     assert [s.indices for s in full] == [(1, 2, 3)]
 
 
@@ -317,7 +317,7 @@ def test_split_passes_give_the_same_coefficients(monkeypatch):
 def test_term_tables_are_built_on_first_use_only():
     code = (
         "import qsylv, qsylv.cli, qsylv.rcdet as r; "
-        "print(r._term_table.cache_info().currsize, r._det_terms.cache_info().currsize)"
+        "print(r._term_table.cache_info().currsize)"
     )
     src_dir = str(Path(__file__).resolve().parent.parent / "src")
     env_path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
@@ -328,4 +328,25 @@ def test_term_tables_are_built_on_first_use_only():
         env=dict(os.environ, PYTHONPATH=env_path),
         check=True,
     )
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0"]
+
+
+@pytest.mark.parametrize("flavor", ["row", "col"])
+def test_term_tables_match_the_reference_cycle_form(flavor):
+    for r in range(1, 8):
+        got = rcdet_module._term_table(r, flavor)
+        expected = ref.term_table(r, flavor)
+        for table, want in zip(got, expected):
+            assert table.dtype == want.dtype and np.array_equal(table, want), (r, flavor)
+
+
+def test_overflowing_determinants_raise_out_of_range():
+    huge = qm([[q(1e200), q()], [q(), q(1e200)]])
+    for fn in (lambda: rdet(huge, 1), lambda: cdet(huge, 2), lambda: hdet(huge),
+               lambda: principal_minor_sum(huge, 2)):
+        with pytest.raises(OutOfRange):
+            fn()
+    # each product stays finite here, but the sum of the two terms overflows
+    big = qm([[q(1e154), q(-1e154)], [q(1e154), q(1e154)]])
+    with pytest.raises(OutOfRange):
+        rdet(big, 1)
