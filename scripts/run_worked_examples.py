@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from qsylv import Quaternion, solve_cramer, solve_direct
-from qsylv.golden import example_pair, example_star, selftest
+from qsylv.golden import example_pair, example_star, print_selftest
 
 
 def fmt_quaternion(value: Quaternion) -> str:
@@ -62,15 +62,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"cramer {rep_c.residual_norm:.3e}")
             print()
 
-    rows = selftest()
-    width = max(len(name) for name, _, _ in rows)
-    failures = 0
-    for name, ok, detail in rows:
-        verdict = "PASS" if ok else "FAIL"
-        failures += not ok
-        print(f"{verdict}  {name.ljust(width)}  {detail}")
-    print(f"{len(rows) - failures}/{len(rows)} golden checks passed")
-    return 0 if failures == 0 else 1
+    return 1 if print_selftest() else 0
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     QsylvError,
 )
-from .golden import selftest
+from .golden import print_selftest
 from .mpinv import mp_cramer, mp_oracle
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
@@ -173,15 +173,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    rows = selftest()
-    width = max(len(name) for name, _, _ in rows)
-    failures = 0
-    for name, ok, detail in rows:
-        verdict = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        sys.stdout.write(f"{verdict}  {name.ljust(width)}  {detail}\n")
-    sys.stdout.write(f"{len(rows) - failures}/{len(rows)} golden checks passed\n")
-    return 0 if failures == 0 else 1
+    return 1 if print_selftest() else 0
 
 
 def _cmd_gen(args) -> int:

@@ -6,7 +6,8 @@ reproduce the expected matrices to tight tolerance, including intermediate
 quantities (pseudoinverses, projectors, Gram determinants).
 
 ``selftest`` runs the whole battery and returns one (name, ok, detail) row
-per check; the command-line ``selftest`` subcommand prints that table.
+per check; ``print_selftest`` prints that table, as the command-line
+``selftest`` subcommand and ``scripts/run_worked_examples.py`` do.
 """
 
 from __future__ import annotations
@@ -187,6 +188,18 @@ def selftest(tol: float = GOLDEN_TOL) -> list[tuple[str, bool, str]]:
         _check_solution(rows, f"{name}/cramer", example, sol_c, tol)
         rows.extend(_intermediate_rows(example, tol))
     return rows
+
+
+def print_selftest() -> int:
+    """Print :func:`selftest` as a PASS/FAIL table; returns the number of failures."""
+    rows = selftest()
+    width = max(len(name) for name, _, _ in rows)
+    failures = 0
+    for name, ok, detail in rows:
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {detail}")
+    print(f"{len(rows) - failures}/{len(rows)} golden checks passed")
+    return failures
 
 
 def _intermediate_rows(example: WorkedExample, tol: float) -> list[tuple[str, bool, str]]:

@@ -226,7 +226,9 @@ class QMatrix:
             if scalar == 0:
                 raise ZeroDivisor("division of a matrix by zero")
             # divide the real components: complex division would not round correctly
-            return QMatrix._of((self._pair.view(np.float64) / float(scalar)).view(np.complex128))
+            with np.errstate(over="ignore", invalid="ignore"):
+                pair = (self._pair.view(np.float64) / float(scalar)).view(np.complex128)
+            return QMatrix._of(pair)
         return NotImplemented
 
     @property
@@ -251,20 +253,25 @@ class QMatrix:
 def madd(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot add {a.shape} and {b.shape}")
-    return QMatrix._of(a._pair + b._pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = a._pair + b._pair
+    return QMatrix._of(pair)
 
 
 def msub(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot subtract {b.shape} from {a.shape}")
-    return QMatrix._of(a._pair - b._pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = a._pair - b._pair
+    return QMatrix._of(pair)
 
 
 def _pair_product(a1, a2, b1, b2, product: Callable) -> np.ndarray:
     """``(A1 + A2 j)(B1 + B2 j)`` as a pair, with ``product`` the complex product."""
-    return np.stack(
-        (product(a1, b1) - product(a2, np.conj(b2)), product(a1, b2) + product(a2, np.conj(b1)))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # _set_pair reports overflow
+        return np.stack(
+            (product(a1, b1) - product(a2, np.conj(b2)), product(a1, b2) + product(a2, np.conj(b1)))
+        )
 
 
 def mmul(a: QMatrix, b: QMatrix) -> QMatrix:

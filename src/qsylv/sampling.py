@@ -112,72 +112,27 @@ def _coefficient(rng: SplitMix64, rows: int, cols: int) -> QMatrix:
 
 
 def _make_slots(rng: SplitMix64, kind: EquationKind, max_dim: int) -> tuple[dict, int, int]:
-    """Random coefficient slots for ``kind``; returns (slots, c_rows, c_cols)."""
-    def d() -> int:
-        return rng.randint(1, max_dim)
+    """Random coefficient slots for ``kind``; returns (slots, c_rows, c_cols).
 
-    if kind is EquationKind.GEN_SYLVESTER:
-        m, n, r, s, p, q = d(), d(), d(), d(), d(), d()
-        return (
-            {
-                "a1": _coefficient(rng, m, n),
-                "b1": _coefficient(rng, r, s),
-                "a2": _coefficient(rng, m, p),
-                "b2": _coefficient(rng, q, s),
-            },
-            m, s,
-        )
-    if kind is EquationKind.ONE_LEFT:
-        m, n, p, q, s = d(), d(), d(), d(), d()
-        return (
-            {"a1": _coefficient(rng, m, n), "a2": _coefficient(rng, m, p),
-             "b2": _coefficient(rng, q, s)},
-            m, s,
-        )
-    if kind is EquationKind.ONE_RIGHT:
-        m, r, s, p, q = d(), d(), d(), d(), d()
-        return (
-            {"b1": _coefficient(rng, r, s), "a2": _coefficient(rng, m, p),
-             "b2": _coefficient(rng, q, s)},
-            m, s,
-        )
-    if kind is EquationKind.STEIN:
-        m, p, q, s = d(), d(), d(), d()
-        return (
-            {"a2": _coefficient(rng, m, p), "b2": _coefficient(rng, q, s)},
-            m, s,
-        )
-    if kind is EquationKind.SYLVESTER:
-        m, n, q, s = d(), d(), d(), d()
-        return (
-            {"a1": _coefficient(rng, m, n), "b2": _coefficient(rng, q, s)},
-            m, s,
-        )
-    if kind is EquationKind.SYLVESTER_MIRROR:
-        m, r, s, p = d(), d(), d(), d()
-        return (
-            {"b1": _coefficient(rng, r, s), "a2": _coefficient(rng, m, p)},
-            m, s,
-        )
-    if kind is EquationKind.TWO_LEFT:
-        m, n, p, s = d(), d(), d(), d()
-        return (
-            {"a1": _coefficient(rng, m, n), "a2": _coefficient(rng, m, p)},
-            m, s,
-        )
-    if kind is EquationKind.TWO_RIGHT:
-        m, r, s, q = d(), d(), d(), d()
-        return (
-            {"b1": _coefficient(rng, r, s), "b2": _coefficient(rng, q, s)},
-            m, s,
-        )
-    if kind is EquationKind.LYAPUNOV_LIKE:
-        m, n = d(), d()
-        a = _coefficient(rng, m, n)
-        return ({"a1": a, "b2": ctranspose(a)}, m, m)
-    # lyapunov-star
-    m, n = d(), d()
-    return ({"a1": _coefficient(rng, m, n)}, m, m)
+    Draws the size ``m`` of ``c``'s rows first, then each new dimension letter
+    of :attr:`EquationKind.slot_shapes` in slot order, then the coefficients
+    in slot order.  ``lyapunov-like`` takes ``b = ctranspose(a)``.
+    """
+    shapes = kind.slot_shapes
+    sizes = {"m": rng.randint(1, max_dim)}
+    for letter in "".join(shapes.values()):
+        if letter not in sizes:
+            sizes[letter] = rng.randint(1, max_dim)
+    slots = {}
+    for name, (rows, cols) in shapes.items():
+        if name == "c":
+            continue
+        if kind is EquationKind.LYAPUNOV_LIKE and name == "b2":
+            slots[name] = ctranspose(slots["a1"])
+        else:
+            slots[name] = _coefficient(rng, sizes[rows], sizes[cols])
+    c_rows, c_cols = shapes["c"]
+    return slots, sizes[c_rows], sizes[c_cols]
 
 
 def make_consistent_instance(

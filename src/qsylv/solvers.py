@@ -81,25 +81,32 @@ class EquationKind(Enum):
         raise InvalidSize(f"unknown equation kind {name!r}")
 
     @property
+    def slot_shapes(self) -> dict[str, str]:
+        """Each slot of this kind, ``c`` last, with its two dimension letters."""
+        return _SHAPES[self]
+
+    @property
     def required_slots(self) -> tuple[str, ...]:
-        return _REQUIRED_SLOTS[self]
+        return tuple(_SHAPES[self])
 
     @property
     def is_two_term(self) -> bool:
         return self not in (EquationKind.LYAPUNOV_LIKE, EquationKind.LYAPUNOV_STAR)
 
 
-_REQUIRED_SLOTS = {
-    EquationKind.GEN_SYLVESTER: ("a1", "b1", "a2", "b2", "c"),
-    EquationKind.ONE_LEFT: ("a1", "a2", "b2", "c"),
-    EquationKind.ONE_RIGHT: ("b1", "a2", "b2", "c"),
-    EquationKind.STEIN: ("a2", "b2", "c"),
-    EquationKind.SYLVESTER: ("a1", "b2", "c"),
-    EquationKind.SYLVESTER_MIRROR: ("b1", "a2", "c"),
-    EquationKind.TWO_LEFT: ("a1", "a2", "c"),
-    EquationKind.TWO_RIGHT: ("b1", "b2", "c"),
-    EquationKind.LYAPUNOV_LIKE: ("a1", "b2", "c"),
-    EquationKind.LYAPUNOV_STAR: ("a1", "c"),
+# The slots of each kind and their shapes.  A shape is two dimension letters,
+# rows then columns; a letter names one size that every slot using it shares.
+_SHAPES = {
+    EquationKind.GEN_SYLVESTER: {"a1": "mn", "b1": "rs", "a2": "mp", "b2": "qs", "c": "ms"},
+    EquationKind.ONE_LEFT: {"a1": "mn", "a2": "mp", "b2": "qs", "c": "ms"},
+    EquationKind.ONE_RIGHT: {"b1": "rs", "a2": "mp", "b2": "qs", "c": "ms"},
+    EquationKind.STEIN: {"a2": "mp", "b2": "qs", "c": "ms"},
+    EquationKind.SYLVESTER: {"a1": "mn", "b2": "qs", "c": "ms"},
+    EquationKind.SYLVESTER_MIRROR: {"b1": "rs", "a2": "mp", "c": "ms"},
+    EquationKind.TWO_LEFT: {"a1": "mn", "a2": "mp", "c": "ms"},
+    EquationKind.TWO_RIGHT: {"b1": "rs", "b2": "qs", "c": "ms"},
+    EquationKind.LYAPUNOV_LIKE: {"a1": "mn", "b2": "nm", "c": "mm"},
+    EquationKind.LYAPUNOV_STAR: {"a1": "mn", "c": "mm"},
 }
 
 
@@ -132,47 +139,29 @@ class GenSylvesterProblem:
         c: QMatrix,
     ) -> "GenSylvesterProblem":
         given = {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
-        for name in kind.required_slots:
-            if name != "c" and given[name] is None:
-                raise DimensionMismatch(f"kind {kind.cli_name!r} requires matrix {name!r}")
+        shapes = kind.slot_shapes
         for name, value in given.items():
-            if value is not None and name not in kind.required_slots:
+            if value is None and name in shapes:
+                raise DimensionMismatch(f"kind {kind.cli_name!r} requires matrix {name!r}")
+            if value is not None and name not in shapes:
                 raise DimensionMismatch(f"kind {kind.cli_name!r} does not take matrix {name!r}")
-        m, s = c.rows, c.cols
-
-        if kind is EquationKind.LYAPUNOV_STAR:
-            if m != s:
-                raise DimensionMismatch(f"right-hand side must be square, got {c.shape}")
-            if a1.rows != m:
-                raise DimensionMismatch(f"a has {a1.rows} rows, expected {m}")
-            return cls(kind, a1, None, None, None, c)
-
-        if kind is EquationKind.LYAPUNOV_LIKE:
-            if m != s:
-                raise DimensionMismatch(f"right-hand side must be square, got {c.shape}")
-            if a1.rows != m:
-                raise DimensionMismatch(f"a has {a1.rows} rows, expected {m}")
-            if b2.cols != m:
-                raise DimensionMismatch(f"b has {b2.cols} columns, expected {m}")
-            if b2.rows != a1.cols:
-                raise DimensionMismatch(
-                    f"a is {a1.shape} and b is {b2.shape}: inner sizes must match"
-                )
+        given["c"] = c
+        sizes: dict[str, int] = {}
+        for name in ("c", *shapes):  # c first: a clash is reported against its sizes
+            for letter, size, axis in zip(shapes[name], given[name].shape, ("rows", "columns")):
+                if sizes.setdefault(letter, size) != size:
+                    raise DimensionMismatch(f"{name} has {size} {axis}, expected {sizes[letter]}")
+        if not kind.is_two_term:
             return cls(kind, a1, None, None, b2, c)
-
-        a1e = a1 if a1 is not None else QMatrix.identity(m)
-        a2e = a2 if a2 is not None else QMatrix.identity(m)
-        b1e = b1 if b1 is not None else QMatrix.identity(s)
-        b2e = b2 if b2 is not None else QMatrix.identity(s)
-        if a1e.rows != m:
-            raise DimensionMismatch(f"a1 has {a1e.rows} rows, expected {m}")
-        if a2e.rows != m:
-            raise DimensionMismatch(f"a2 has {a2e.rows} rows, expected {m}")
-        if b1e.cols != s:
-            raise DimensionMismatch(f"b1 has {b1e.cols} columns, expected {s}")
-        if b2e.cols != s:
-            raise DimensionMismatch(f"b2 has {b2e.cols} columns, expected {s}")
-        return cls(kind, a1e, b1e, a2e, b2e, c)
+        m, s = c.shape
+        return cls(
+            kind,
+            a1 if a1 is not None else QMatrix.identity(m),
+            b1 if b1 is not None else QMatrix.identity(s),
+            a2 if a2 is not None else QMatrix.identity(m),
+            b2 if b2 is not None else QMatrix.identity(s),
+            c,
+        )
 
     @property
     def x1_shape(self) -> tuple[int, int]:
@@ -256,7 +245,9 @@ class AuxData:
     conjugate-transpose kinds), and every kind with a ``b2`` (the ``b`` of
     ``lyapunov-like``) those of ``b2``.  The two-term kinds also get ``b1``,
     ``a2``, ``m = (i - a1 pinv(a1)) a2``, ``n = b2 (i - pinv(b1) b1)`` and
-    ``s = a2 (i - pinv(m) m)``; fields a kind has no use for are ``None``.
+    ``s = a2 (i - pinv(m) m)``.  ``lyapunov-like`` also gets its direct-route
+    solution ``like_x1``, which the gate checks and the direct route returns.
+    Fields a kind has no use for are ``None``.
     Each rank is read off the same SVD as the matching pseudoinverse and is
     the only thing the determinantal route takes from here, so both routes
     agree on every rank decision.  That route rebuilds ``m``, ``n`` and
@@ -281,6 +272,7 @@ class AuxData:
     m_pinv: Optional[QMatrix] = None
     n_pinv: Optional[QMatrix] = None
     s_pinv: Optional[QMatrix] = None
+    like_x1: Optional[QMatrix] = None
 
     @property
     def ranks(self) -> tuple[int, int, int, int, int, int, int]:
@@ -302,7 +294,8 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
         if b2 is None:
             return AuxData(a1_mp.rank_used, a1_mp.pinv)
         b2_mp = mp_oracle(b2)
-        return AuxData(a1_mp.rank_used, a1_mp.pinv, b2_mp.rank_used, b2_mp.pinv)
+        x1 = _direct_lyap_like(problem, a1_mp.pinv, b2_mp.pinv)
+        return AuxData(a1_mp.rank_used, a1_mp.pinv, b2_mp.rank_used, b2_mp.pinv, like_x1=x1)
     b1_mp, a2_mp, b2_mp = mp_oracle(b1), mp_oracle(a2), mp_oracle(b2)
     floor_a = DERIVED_RANK_FLOOR * (1.0 + a2.fro_norm())
     floor_b = DERIVED_RANK_FLOOR * (1.0 + b2.fro_norm())
@@ -405,7 +398,7 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         return SolveReport(consistent, tuple(checks), residual_norm, "check")
 
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        sol = PairSolution(_direct_lyap_like(problem, aux))
+        sol = PairSolution(aux.like_x1)
         res0 = residual(problem, sol)
         checks.append(CheckResult("partial_solves", res0 <= tol_c, res0))
         a, b = problem.a1, problem.b2
@@ -446,11 +439,11 @@ def _direct_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatri
     return x1, x2
 
 
-def _direct_lyap_like(problem: GenSylvesterProblem, aux: AuxData) -> QMatrix:
+def _direct_lyap_like(problem: GenSylvesterProblem, a_pinv: QMatrix, b_pinv: QMatrix) -> QMatrix:
     a, b, c = problem.a1, problem.b2, problem.c
-    p_b = aux.b2_pinv @ b
+    p_b = b_pinv @ b
     half = QMatrix.identity(a.rows) - p_b * 0.5
-    return aux.a1_pinv @ c @ half
+    return a_pinv @ c @ half
 
 
 def _direct_lyap_star(problem: GenSylvesterProblem, aux: AuxData) -> QMatrix:
@@ -476,8 +469,7 @@ def _partial_direct(problem: GenSylvesterProblem) -> tuple[PairSolution, tuple[t
         x1, x2 = _direct_two_term(problem, aux)
         return PairSolution(x1, x2), _DIRECT_PROVENANCE_TWO_TERM
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        x = _direct_lyap_like(problem, aux)
-        return PairSolution(x), (("x1", "pinv(a) c (i - proj_p(b)/2)"),)
+        return PairSolution(aux.like_x1), (("x1", "pinv(a) c (i - proj_p(b)/2)"),)
     x = _direct_lyap_star(problem, aux)
     return PairSolution(x), (("x1", "pinv(a) rhs (i - proj_q(a)/2)"),)
 
@@ -626,7 +618,8 @@ def solve_cramer(
     return _finish(problem, sol, base, "cramer", prov)
 
 
-def _free_shapes(problem: GenSylvesterProblem) -> dict[str, tuple[int, int]]:
+def free_param_shapes(problem: GenSylvesterProblem) -> dict[str, tuple[int, int]]:
+    """Expected shapes of the free parameter blocks for this problem."""
     if problem.kind.is_two_term:
         return {
             "u": problem.x1_shape,
@@ -639,7 +632,7 @@ def _free_shapes(problem: GenSylvesterProblem) -> dict[str, tuple[int, int]]:
 
 
 def _check_free(problem: GenSylvesterProblem, free: FreeParams) -> dict[str, Optional[QMatrix]]:
-    shapes = _free_shapes(problem)
+    shapes = free_param_shapes(problem)
     supplied = {
         "u": free.u, "v": free.v, "z": free.z, "w": free.w, "y": free.y, "zc": free.zc,
     }
@@ -655,11 +648,6 @@ def _check_free(problem: GenSylvesterProblem, free: FreeParams) -> dict[str, Opt
                 f"free parameter {name!r} has shape {value.shape}, expected {shapes[name]}"
             )
     return {name: supplied.get(name) for name in shapes}
-
-
-def free_param_shapes(problem: GenSylvesterProblem) -> dict[str, tuple[int, int]]:
-    """Expected shapes of the free parameter blocks for this problem."""
-    return dict(_free_shapes(problem))
 
 
 def solve_general(
@@ -726,7 +714,7 @@ def solve_general(
                 "the homogeneous family for this kind requires b = ctranspose(a); "
                 f"mismatch norm {mismatch:.3e}"
             )
-        x0 = _direct_lyap_like(problem, aux)
+        x0 = aux.like_x1
     else:
         x0 = _direct_lyap_star(problem, aux)
     if zc is not None:

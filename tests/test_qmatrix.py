@@ -6,6 +6,8 @@ values, ranks, and classical determinants; the library itself never calls it.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ import qsylv.svd as svd_module
 from qsylv import (
     DimensionMismatch,
     NotConverged,
+    OutOfRange,
     ParseError,
     QMatrix,
     Quaternion,
@@ -94,6 +97,22 @@ def test_scalar_sides_differ_for_quaternion_scalars():
     s = q(x=1)  # i
     assert scalar_lmul(s, a) == qm([[q(z=1)]])  # i*j = k
     assert scalar_rmul(a, s) == qm([[q(z=-1)]])  # j*i = -k
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda a: a @ a, id="matmul"),
+    pytest.param(lambda a: a * 1e200, id="scalar-right"),
+    pytest.param(lambda a: 1e200 * a, id="scalar-left"),
+    pytest.param(lambda a: a / 1e-200, id="divide"),
+    pytest.param(lambda a: a * 1e108 + a * 1e108, id="add"),
+    pytest.param(lambda a: a * 1e108 - a * -1e108, id="subtract"),
+])
+def test_overflow_raises_out_of_range_without_a_numpy_warning(op):
+    a = QMatrix.from_rows([[1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            op(a)
 
 
 def test_matmul_shape_mismatch():

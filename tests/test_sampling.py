@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from qsylv import EquationKind, check_consistency, fro_norm, rank, residual
+from qsylv.qmatrix import quat_array
 from qsylv.sampling import (
     SplitMix64,
     make_consistent_instance,
@@ -97,3 +100,28 @@ def test_generation_is_reproducible():
     p2, s2 = make_consistent_instance(SplitMix64(99), EquationKind.STEIN, max_dim=3)
     assert p1.c == p2.c and p1.a2 == p2.a2 and p1.b2 == p2.b2
     assert s1.x1 == s2.x1
+
+
+# sha256 over the instances that test_generation_is_pinned_bit_for_bit draws,
+# recorded while each kind still drew its sizes in a hand-written branch
+GENERATION_DIGEST = "e0ab8e0d45da03aee1ff17ab16b7819bb9dd238cf5eb3fd6b72866e98ebb61ad"
+
+
+def test_generation_is_pinned_bit_for_bit():
+    # consistent instances of every kind and inconsistent ones of every kind
+    # that has them, seeds 0-9, at two size limits
+    perturbable = [k for k in EquationKind if k.is_two_term and k is not EquationKind.STEIN]
+    digest = hashlib.sha256()
+    for kind in EquationKind:
+        for max_dim in (3, 5):
+            for seed in range(10):
+                problem, planted = make_consistent_instance(SplitMix64(seed), kind, max_dim)
+                mats = [problem.a1, problem.b1, problem.a2, problem.b2, problem.c,
+                        planted.x1, planted.x2]
+                if kind in perturbable:
+                    bad = make_inconsistent_instance(SplitMix64(seed), kind, max_dim)
+                    mats += [bad.a1, bad.b1, bad.a2, bad.b2, bad.c]
+                for mat in mats:
+                    digest.update(b"-" if mat is None
+                                  else repr(mat.shape).encode() + quat_array(mat).tobytes())
+    assert digest.hexdigest() == GENERATION_DIGEST

@@ -29,6 +29,7 @@ from qsylv import (
     solve_general,
 )
 import qsylv.mpinv as mpinv_module
+import qsylv.solvers as solvers_module
 import qsylv.svd as svd_module
 from qsylv.qmatrix import scale_pow2
 from qsylv.sampling import (
@@ -110,6 +111,57 @@ def test_conjugate_transpose_kinds_validate_shapes():
     )
     assert prob.x1_shape == (2, 3)
     assert prob.x2_shape is None
+
+
+def _zero_slots(kind, grow=None, axis=0):
+    """Zero matrices for every slot of ``kind``, one distinct size per letter;
+    slot ``grow`` gets one more row (``axis`` 0) or column (``axis`` 1)."""
+    sizes = {letter: 2 + i for i, letter in enumerate("mnrspq")}
+    slots = {}
+    for name, letters in kind.slot_shapes.items():
+        shape = [sizes[letter] for letter in letters]
+        if name == grow:
+            shape[axis] += 1
+        slots[name] = QMatrix.zeros(*shape)
+    return slots
+
+
+@pytest.mark.parametrize("kind, name, axis", [
+    pytest.param(kind, name, axis, id=f"{kind.cli_name}-{name}-{('rows', 'cols')[axis]}")
+    for kind in ALL_KINDS for name in kind.slot_shapes for axis in (0, 1)
+])
+def test_every_slot_size_is_validated(kind, name, axis):
+    GenSylvesterProblem.build(kind, **_zero_slots(kind))
+    slots = _zero_slots(kind, grow=name, axis=axis)
+    letter = kind.slot_shapes[name][axis]
+    if "".join(kind.slot_shapes.values()).count(letter) > 1:
+        with pytest.raises(DimensionMismatch):
+            GenSylvesterProblem.build(kind, **slots)
+        return
+    # a size no other slot shares is free: an unknown takes it on
+    prob = GenSylvesterProblem.build(kind, **slots)
+    x2 = QMatrix.zeros(*prob.x2_shape) if prob.x2_shape else None
+    assert apply_lhs(prob, PairSolution(QMatrix.zeros(*prob.x1_shape), x2)).shape == prob.c.shape
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.cli_name)
+def test_every_missing_slot_is_refused(kind):
+    for name in kind.required_slots:
+        if name == "c":
+            continue
+        slots = _zero_slots(kind)
+        del slots[name]
+        with pytest.raises(DimensionMismatch, match="requires"):
+            GenSylvesterProblem.build(kind, **slots)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.cli_name)
+def test_every_foreign_slot_is_refused(kind):
+    for name in {"a1", "b1", "a2", "b2"} - set(kind.slot_shapes):
+        slots = _zero_slots(kind)
+        slots[name] = QMatrix.zeros(slots["c"].rows, slots["c"].rows)
+        with pytest.raises(DimensionMismatch, match="does not take"):
+            GenSylvesterProblem.build(kind, **slots)
 
 
 def test_apply_lhs_conjugate_transpose_kinds():
@@ -334,6 +386,27 @@ def test_lyapunov_kinds_take_one_svd_per_coefficient(kind, slots, monkeypatch):
     derive_aux.cache_clear()
     solve(prob, method="both", force=True)
     assert calls == [(6, 6)] * len(slots)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda prob: solve(prob, method="direct"), id="direct"),
+    pytest.param(lambda prob: solve(prob, method="both"), id="both"),
+    pytest.param(lambda prob: solve_general(prob), id="general"),
+])
+def test_lyapunov_like_direct_solution_is_formed_once_per_solve(run, monkeypatch):
+    # the gate's partial_solves check and the direct route share one solution
+    prob, _ = make_consistent_instance(SplitMix64(77), EquationKind.LYAPUNOV_LIKE, max_dim=3)
+    calls = []
+    original = solvers_module._direct_lyap_like
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solvers_module, "_direct_lyap_like", counting)
+    derive_aux.cache_clear()
+    run(prob)
+    assert len(calls) == 1
 
 
 def test_residual_matches_definition():
