@@ -5,137 +5,53 @@ eight identity-specialized variants and two conjugate-transpose variants —
 both by closed-form pseudoinverse products and by entrywise noncommutative
 Cramer-style formulas (bordered minor sums of Gram matrices), and
 cross-verifies the two.
+
+Every exported name is listed once, under the submodule that defines it, and
+that submodule is imported on first access (PEP 562), so ``import qsylv``
+loads no numeric code and the determinant engine loads only when used.
 """
 
-from .errors import (
-    ConstraintViolated,
-    DimensionMismatch,
-    DimensionTooLarge,
-    Inconsistent,
-    InconsistentDeterminants,
-    InvalidSize,
-    NotConverged,
-    NotHermitian,
-    NotSquare,
-    OutOfRange,
-    ParseError,
-    QsylvError,
-    ZeroDivisor,
-)
-from .mpinv import MpResult, mp_cramer, mp_oracle, proj_l, proj_p, proj_q, proj_r
-from .qmatrix import (
-    QMatrix,
-    block2x2,
-    complex_embed,
-    complex_unembed,
-    ctranspose,
-    fro_norm,
-    hstack,
-    is_hermitian,
-    rank,
-    scalar_lmul,
-    scalar_rmul,
-    vstack,
-)
-from .quaternion import Quaternion
-from .rcdet import (
-    bordered_cdet_sum,
-    bordered_rdet_sum,
-    cdet,
-    cdet_coeffs,
-    det_dim_cap,
-    hdet,
-    max_det_dim,
-    principal_minor_sum,
-    rdet,
-    rdet_coeffs,
-)
-from .solvers import (
-    AuxData,
-    CheckResult,
-    DEFAULT_TOL,
-    EquationKind,
-    FreeParams,
-    GenSylvesterProblem,
-    PairSolution,
-    SolveReport,
-    apply_lhs,
-    check_consistency,
-    cramer_ax,
-    cramer_axb,
-    derive_aux,
-    free_param_shapes,
-    residual,
-    solve,
-    solve_cramer,
-    solve_direct,
-    solve_general,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxData",
-    "CheckResult",
-    "ConstraintViolated",
-    "DEFAULT_TOL",
-    "DimensionMismatch",
-    "DimensionTooLarge",
-    "EquationKind",
-    "FreeParams",
-    "GenSylvesterProblem",
-    "Inconsistent",
-    "InconsistentDeterminants",
-    "InvalidSize",
-    "MpResult",
-    "NotConverged",
-    "NotHermitian",
-    "NotSquare",
-    "OutOfRange",
-    "PairSolution",
-    "ParseError",
-    "QMatrix",
-    "QsylvError",
-    "Quaternion",
-    "SolveReport",
-    "ZeroDivisor",
-    "apply_lhs",
-    "block2x2",
-    "bordered_cdet_sum",
-    "bordered_rdet_sum",
-    "cdet",
-    "cdet_coeffs",
-    "check_consistency",
-    "complex_embed",
-    "complex_unembed",
-    "cramer_ax",
-    "cramer_axb",
-    "ctranspose",
-    "derive_aux",
-    "det_dim_cap",
-    "free_param_shapes",
-    "fro_norm",
-    "hdet",
-    "hstack",
-    "is_hermitian",
-    "max_det_dim",
-    "mp_cramer",
-    "mp_oracle",
-    "principal_minor_sum",
-    "proj_l",
-    "proj_p",
-    "proj_q",
-    "proj_r",
-    "rank",
-    "rdet",
-    "rdet_coeffs",
-    "residual",
-    "scalar_lmul",
-    "scalar_rmul",
-    "solve",
-    "solve_cramer",
-    "solve_direct",
-    "solve_general",
-    "vstack",
-    "__version__",
-]
+_EXPORTS = {
+    "errors": (
+        "ConstraintViolated", "DimensionMismatch", "DimensionTooLarge", "Inconsistent",
+        "InconsistentDeterminants", "InvalidSize", "NotConverged", "NotHermitian",
+        "NotSquare", "OutOfRange", "ParseError", "QsylvError", "ZeroDivisor",
+    ),
+    "mpinv": ("MpResult", "mp_cramer", "mp_oracle", "proj_l", "proj_p", "proj_q", "proj_r"),
+    "qmatrix": (
+        "QMatrix", "block2x2", "complex_embed", "complex_unembed", "ctranspose", "fro_norm",
+        "hstack", "is_hermitian", "rank", "scalar_lmul", "scalar_rmul", "vstack",
+    ),
+    "quaternion": ("Quaternion",),
+    "rcdet": (
+        "bordered_cdet_sum", "bordered_rdet_sum", "cdet", "cdet_coeffs", "det_dim_cap",
+        "hdet", "max_det_dim", "principal_minor_sum", "rdet", "rdet_coeffs",
+    ),
+    "solvers": (
+        "AuxData", "CheckResult", "DEFAULT_TOL", "EquationKind", "FreeParams",
+        "GenSylvesterProblem", "PairSolution", "SolveReport", "apply_lhs",
+        "check_consistency", "cramer_ax", "cramer_axb", "derive_aux", "free_param_shapes",
+        "residual", "solve", "solve_cramer", "solve_direct", "solve_general",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from . import jsonio
@@ -30,12 +31,8 @@ from .errors import (
     ParseError,
     QsylvError,
 )
-from .golden import print_selftest
-from .mpinv import mp_cramer, mp_oracle
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .rcdet import DEFAULT_MAX_DET_DIM, cdet, det_dim_cap, hdet, rdet
-from .sampling import SplitMix64, make_consistent_instance, make_inconsistent_instance
 from .solvers import DEFAULT_TOL, EquationKind, GenSylvesterProblem, check_consistency, solve
 
 _KIND_NAMES = tuple(kind.cli_name for kind in EquationKind)
@@ -101,13 +98,29 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", metavar="FILE", required=True,
                         help="matrix file for the right-hand side")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="consistency tolerance (scaled by 1 + |c|)")
+                        help="consistency tolerance, relative to |c|")
     _add_det_dim_arg(parser)
 
 
+def _det_dim(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"determinant dimension cap must be >= 1, got {n}")
+    return n
+
+
 def _add_det_dim_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-det-dim", type=int, default=DEFAULT_MAX_DET_DIM,
+    parser.add_argument("--max-det-dim", type=_det_dim,
                         help="largest determinant expansion dimension")
+
+
+def _det_cap(n: Optional[int]):
+    """A ``det_dim_cap(n)`` block, which loads the determinant engine, or no
+    block for ``None``: the engine's default cap then applies."""
+    if n is None:
+        return nullcontext()
+    from .rcdet import det_dim_cap
+    return det_dim_cap(n)
 
 
 def _solution_doc(sol, report) -> dict:
@@ -119,7 +132,7 @@ def _solution_doc(sol, report) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    with det_dim_cap(args.max_det_dim):
+    with _det_cap(None if args.method == "direct" else args.max_det_dim):
         problem = _build_problem(args)
         try:
             sol, report = solve(problem, method=args.method, tol=args.tol, force=args.force)
@@ -131,36 +144,27 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    with det_dim_cap(args.max_det_dim):
-        problem = _build_problem(args)
-        report = check_consistency(problem, tol=args.tol)
+    # the consistency criteria evaluate no determinant, so no cap applies
+    report = check_consistency(_build_problem(args), tol=args.tol)
     _emit({"report": report.to_json_dict()}, args.out)
     return 0 if report.consistent else 2
 
 
 def _cmd_mpinv(args) -> int:
-    with det_dim_cap(args.max_det_dim):
+    from .mpinv import mp_cramer, mp_oracle
+    with _det_cap(args.max_det_dim):
         mat = _load_matrix(getattr(args, "in"))
-        if args.method == "oracle":
-            result = mp_oracle(mat)
-            doc = {"pinv": result.pinv.to_json(), "rank": result.rank_used,
-                   "method": result.method}
-        elif args.method == "cramer":
-            result = mp_cramer(mat, side=args.side)
-            doc = {"pinv": result.pinv.to_json(), "rank": result.rank_used,
-                   "method": result.method}
-        else:
-            det_result = mp_cramer(mat, side=args.side)
-            oracle_result = mp_oracle(mat)
-            diff = (det_result.pinv - oracle_result.pinv).fro_norm()
-            doc = {"pinv": det_result.pinv.to_json(), "rank": det_result.rank_used,
-                   "method": det_result.method, "agreement": diff}
+        result = mp_oracle(mat) if args.method == "oracle" else mp_cramer(mat, side=args.side)
+        doc = {"pinv": result.pinv.to_json(), "rank": result.rank_used, "method": result.method}
+        if args.method == "both":
+            doc["agreement"] = (result.pinv - mp_oracle(mat).pinv).fro_norm()
     _emit(doc, args.out)
     return 0
 
 
 def _cmd_det(args) -> int:
-    with det_dim_cap(args.max_det_dim):
+    from .rcdet import cdet, hdet, rdet
+    with _det_cap(args.max_det_dim):
         mat = _load_matrix(getattr(args, "in"))
         if args.kind == "hdet":
             value = Quaternion(hdet(mat, verify=args.verify))
@@ -173,10 +177,12 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .golden import print_selftest
     return 1 if print_selftest() else 0
 
 
 def _cmd_gen(args) -> int:
+    from .sampling import SplitMix64, make_consistent_instance, make_inconsistent_instance
     kind = EquationKind.from_cli_name(args.kind)
     rng = SplitMix64(args.seed)
     try:

@@ -38,7 +38,6 @@ from .qmatrix import (
     rank,
     scale_pow2,
 )
-from .rcdet import cdet_coeffs, principal_minor_sum, rdet_coeffs
 from .svd import pinv_from_svd, rank_cutoff, svd
 
 
@@ -97,7 +96,10 @@ class DetPinv:
         """Factor ``pinv(a)`` for products on ``side``; ``r`` overrides the rank decision.
 
         Raises :class:`ZeroDivisor` when the principal-minor sum is zero.
+        The determinant engine is imported here, so the pseudoinverse route
+        never loads it.
         """
+        from .rcdet import cdet_coeffs, principal_minor_sum, rdet_coeffs
         if side not in ("left", "right"):
             raise InvalidSize(f"side must be 'left' or 'right', got {side!r}")
         r = rank(a) if r is None else r

@@ -208,7 +208,13 @@ def make_inconsistent_instance(
     Draws fresh consistent instances until one admits an inconsistent
     perturbation (a draw whose coefficients span the full space admits none),
     so the result is deterministic in ``rng`` but may consume several draws.
+    A kind that no draw can perturb is refused before drawing: only two-term
+    kinds are perturbed, and with an identity ``a1`` and ``b1`` (``stein``)
+    every direction is in the span of the coefficients.
     """
+    if not kind.is_two_term or not {"a1", "b1"} & kind.slot_shapes.keys():
+        raise InvalidSize(f"kind {kind.cli_name!r} cannot be perturbed: "
+                          "no inconsistent right-hand side exists among its perturbations")
     reason = None
     for _ in range(max_tries):
         problem, _ = make_consistent_instance(rng, kind, max_dim)

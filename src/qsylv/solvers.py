@@ -41,7 +41,9 @@ from .qmatrix import (
     block2x2,
     ctranspose,
     hstack,
+    pow2_exponent,
     rank,
+    scale_pow2,
     vstack,
 )
 
@@ -297,8 +299,8 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
         x1 = _direct_lyap_like(problem, a1_mp.pinv, b2_mp.pinv)
         return AuxData(a1_mp.rank_used, a1_mp.pinv, b2_mp.rank_used, b2_mp.pinv, like_x1=x1)
     b1_mp, a2_mp, b2_mp = mp_oracle(b1), mp_oracle(a2), mp_oracle(b2)
-    floor_a = DERIVED_RANK_FLOOR * (1.0 + a2.fro_norm())
-    floor_b = DERIVED_RANK_FLOOR * (1.0 + b2.fro_norm())
+    floor_a = DERIVED_RANK_FLOOR * a2.fro_norm()
+    floor_b = DERIVED_RANK_FLOOR * b2.fro_norm()
     m_mat = (QMatrix.identity(a1.rows) - a1 @ a1_mp.pinv) @ a2
     n_mat = b2 @ (QMatrix.identity(b1.cols) - b1_mp.pinv @ b1)
     m_mp = mp_oracle(m_mat, rank_floor=floor_a)
@@ -343,11 +345,12 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     projector criteria and four independent rank criteria; the verdict is
     driven by the projector family, and a ``criteria_agree`` entry records
     whether the two families concur.  The conjugate-transpose kinds check
-    their own compatibility conditions.  Only pseudoinverse-route data is
-    used, so no determinant is evaluated and the determinant cap never
-    applies here.
+    their own compatibility conditions.  Residuals are compared with
+    ``tol * |c|``, so rescaling the coefficients and ``c`` leaves the verdict.
+    Only pseudoinverse-route data is used, so no determinant is evaluated
+    and the determinant cap never applies here.
     """
-    tol_c = tol * (1.0 + problem.c.fro_norm())
+    tol_c = tol * problem.c.fro_norm()
     checks: list[CheckResult] = []
     aux = derive_aux(problem)
 
@@ -373,6 +376,10 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
             checks.append(CheckResult(name, res <= tol_c, res))
         consistent = all(res <= tol_c for _, res in projector_residuals)
 
+        # Each block is first scaled to unit size by a power of two.  That is
+        # exact and keeps every rank below, and it lets no coefficient's scale
+        # hide another block under the rank cutoff.
+        a1, b1, a2, b2, c = (scale_pow2(x, pow2_exponent(x)) for x in (a1, b1, a2, b2, c))
         rank_pairs = (
             ("rank_cols", rank(hstack([a1, a2, c])), rank(hstack([a1, a2]))),
             ("rank_rows", rank(vstack([b1, b2, c])), rank(vstack([b1, b2]))),
@@ -709,7 +716,7 @@ def solve_general(
     )
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
         mismatch = (problem.b2 - a.H).fro_norm()
-        if nonzero_free and mismatch > tol * (1.0 + problem.b2.fro_norm()):
+        if nonzero_free and mismatch > tol * problem.b2.fro_norm():
             raise ConstraintViolated(
                 "the homogeneous family for this kind requires b = ctranspose(a); "
                 f"mismatch norm {mismatch:.3e}"
@@ -720,7 +727,7 @@ def solve_general(
     if zc is not None:
         sym = a @ (zc + zc.H) @ a.H
         sym_norm = sym.fro_norm()
-        budget = tol * (1.0 + a.fro_norm() ** 2 * zc.fro_norm())
+        budget = tol * a.fro_norm() ** 2 * zc.fro_norm()
         if sym_norm > budget:
             raise ConstraintViolated(
                 f"zc violates a (zc + ctranspose(zc)) ctranspose(a) = 0: norm {sym_norm:.3e}"
@@ -765,6 +772,6 @@ def solve(
     if sol_d.x2 is not None:
         diff = max(diff, (sol_c.x2 - sol_d.x2).fro_norm())
         scale += sol_d.x2.fro_norm()
-    agree = diff <= tol * (1.0 + scale)
+    agree = diff <= tol * scale
     extra = (CheckResult("methods_agree", agree, diff),)
     return _finish(problem, sol_c, base, "cramer", prov, extra)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -472,6 +474,63 @@ def test_exports_resolve_and_removed_options_are_usage_errors(capsys, pair_files
     code, out, err = run_cli(argv + ["--form", "row"], capsys)
     assert code == 64
     assert out == "" and "--form" in err
+
+
+def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports ``qsylv`` from this tree."""
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env_path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=env_path))
+
+
+def _modules_loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of the CLI on ``argv`` in a new interpreter, and the qsylv modules it loaded."""
+    code = ("import sys; from qsylv.cli import main; status = main(sys.argv[1:]); "
+            "print(status, *sorted(m for m in sys.modules if m.startswith('qsylv')))")
+    proc = _fresh_process(code, *argv)
+    status, *modules = proc.stdout.split()
+    return int(status), set(modules)
+
+
+def _problem_argv(files: dict, tmp_path) -> list[str]:
+    argv = ["--kind", "gen-sylvester", "--out", str(tmp_path / "out.json")]
+    for name in ("a1", "b1", "a2", "b2", "c"):
+        argv += [f"--{name}", files[name]]
+    return argv
+
+
+@pytest.mark.parametrize("command", [["check"], ["solve", "--method", "direct"]],
+                         ids=["check", "solve-direct"])
+def test_pseudoinverse_commands_load_no_determinant_engine(command, pair_files, tmp_path):
+    status, modules = _modules_loaded_by(command + _problem_argv(pair_files, tmp_path))
+    assert status == 0
+    assert "qsylv.solvers" in modules
+    assert modules.isdisjoint({"qsylv.rcdet", "qsylv.golden", "qsylv.sampling"})
+
+
+def test_solve_both_loads_the_determinant_engine(pair_files, tmp_path):
+    status, modules = _modules_loaded_by(
+        ["solve", "--method", "both"] + _problem_argv(pair_files, tmp_path))
+    assert status == 0
+    assert "qsylv.rcdet" in modules
+
+
+def test_every_export_is_listed_and_binds_on_star_import():
+    code = ("import qsylv; listed = set(dir(qsylv)) >= set(qsylv.__all__); "
+            "names = {}; exec('from qsylv import *', names); "
+            "print(listed, all(n in names for n in qsylv.__all__))")
+    assert _fresh_process(code).stdout.split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("command", [["check"], ["solve", "--method", "direct"],
+                                     ["solve", "--method", "both"]],
+                         ids=["check", "solve-direct", "solve-both"])
+def test_zero_det_dim_cap_is_a_usage_error(command, capsys, pair_files, tmp_path):
+    argv = command + _problem_argv(pair_files, tmp_path) + ["--max-det-dim", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64 and out == ""
+    assert "determinant dimension cap must be >= 1" in err
 
 
 def test_console_script_entry_point():

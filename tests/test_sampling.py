@@ -6,7 +6,8 @@ import hashlib
 
 import pytest
 
-from qsylv import EquationKind, check_consistency, fro_norm, rank, residual
+import qsylv.sampling as sampling_module
+from qsylv import EquationKind, InvalidSize, check_consistency, fro_norm, rank, residual
 from qsylv.qmatrix import quat_array
 from qsylv.sampling import (
     SplitMix64,
@@ -84,6 +85,21 @@ def test_inconsistent_instances_are_flagged():
         rng = SplitMix64(1200 + seed)
         bad = make_inconsistent_instance(rng, EquationKind.GEN_SYLVESTER, max_dim=3)
         assert not check_consistency(bad).consistent
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [EquationKind.STEIN, EquationKind.LYAPUNOV_LIKE, EquationKind.LYAPUNOV_STAR],
+    ids=lambda k: k.cli_name,
+)
+def test_unperturbable_kinds_are_refused_before_drawing(kind, monkeypatch):
+    draws = []
+    draw = sampling_module.make_consistent_instance
+    monkeypatch.setattr(sampling_module, "make_consistent_instance",
+                        lambda *args: draws.append(args) or draw(*args))
+    with pytest.raises(InvalidSize, match="no inconsistent right-hand side exists"):
+        make_inconsistent_instance(SplitMix64(0), kind, 3)
+    assert len(draws) == 0
 
 
 def test_free_params_have_constraint_compatible_blocks():

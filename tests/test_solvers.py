@@ -222,7 +222,7 @@ def test_verdict_holds_iff_the_forced_representative_solves():
     verdicts = []
     for prob in cases:
         _, report = solve_direct(prob, force=True)
-        solves = report.residual_norm <= 1e-8 * (1.0 + prob.c.fro_norm())
+        solves = report.residual_norm <= 1e-8 * prob.c.fro_norm()
         assert check_consistency(prob).consistent == solves, (prob.kind, report.residual_norm)
         verdicts.append(solves)
     assert any(verdicts) and not all(verdicts)
@@ -356,7 +356,48 @@ def test_solving_at_extreme_power_of_two_scales(kind):
                 _, report = solve(scaled, method="both")
             except QsylvError:
                 continue
-            assert report.residual_norm <= 1e-8 * (1.0 + scaled.c.fro_norm())
+            assert report.residual_norm <= 1e-8 * scaled.c.fro_norm()
+
+
+# Exponents of (a1, b1, a2, b2, c); a kind's identity-filled slots keep
+# exponent 0, and the conjugate-transpose kinds scale b like a.
+SCALINGS = [(3, -5, 7, 2, 11), (600,) * 5, (-600,) * 5, (-200, 450, 300, -350, 100)]
+
+
+def _rescaled(problem, exponents):
+    shapes = problem.kind.slot_shapes
+    k = {name: e if name in shapes else 0 for name, e in zip(("a1", "b1", "a2", "b2", "c"), exponents)}
+    if not problem.kind.is_two_term:
+        k["b2"] = k["a1"]
+    slots = {name: scale_pow2(getattr(problem, name), k[name]) for name in shapes}
+    return GenSylvesterProblem.build(problem.kind, **slots), k
+
+
+def _outcome(problem):
+    """Verdict, each check's ``passed``, ranks and both routes' solutions."""
+    direct, _ = solve(problem, method="direct", force=True)
+    sol, report = solve(problem, method="both", force=True)
+    passed = tuple((c.name, c.passed) for c in report.checks)
+    return report.consistent, passed, derive_aux(problem).ranks, direct, sol
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.cli_name)
+def test_results_rescale_exactly_under_power_of_two_scaling(kind):
+    for seed in (0, 1):
+        problem, _ = make_consistent_instance(SplitMix64(seed), kind)
+        cases = [problem]
+        if kind.is_two_term and kind is not EquationKind.STEIN:
+            cases.append(make_inconsistent_instance(SplitMix64(seed), kind))
+        for case in cases:
+            verdict, passed, ranks, direct, cramer = _outcome(case)
+            for exponents in SCALINGS:
+                scaled, k = _rescaled(case, exponents)
+                got = _outcome(scaled)
+                assert got[:3] == (verdict, passed, ranks), (seed, exponents)
+                for want, sol in zip((direct, cramer), got[3:]):
+                    assert sol.x1 == scale_pow2(want.x1, k["c"] - k["a1"] - k["b1"])
+                    if want.x2 is not None:
+                        assert sol.x2 == scale_pow2(want.x2, k["c"] - k["a2"] - k["b2"])
 
 
 def test_derive_aux_is_cached_per_problem():
