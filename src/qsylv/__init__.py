@@ -21,7 +21,7 @@ _EXPORTS = {
         "InconsistentDeterminants", "InvalidSize", "NotConverged", "NotHermitian",
         "NotSquare", "OutOfRange", "ParseError", "QsylvError", "ZeroDivisor",
     ),
-    "mpinv": ("MpResult", "mp_cramer", "mp_oracle", "proj_l", "proj_p", "proj_q", "proj_r"),
+    "mpinv": ("MpResult", "mp_cramer", "mp_oracle", "proj_p", "proj_q"),
     "qmatrix": (
         "QMatrix", "block2x2", "complex_embed", "complex_unembed", "ctranspose", "fro_norm",
         "hstack", "is_hermitian", "rank", "scalar_lmul", "scalar_rmul", "vstack",

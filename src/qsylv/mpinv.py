@@ -5,7 +5,8 @@
   sum of its rank-sized principal minors.  The bordered sums of all entries
   come from one coefficient matrix of the Gram matrix (see :mod:`qsylv.rcdet`),
   so the inverse is ``cdet_coeffs(A*A) @ A* / denom`` or
-  ``A* @ rdet_coeffs(AA*) / denom``.
+  ``A* @ rdet_coeffs(AA*) / denom``, and ``denom`` is a trace read of the
+  same coefficient matrix times the Gram matrix.
 - :func:`mp_oracle` works through the complex embedding and an SVD-based
   complex pseudoinverse.
 
@@ -79,9 +80,11 @@ class DetPinv:
     ``"left"`` side ``gram = a_s* a_s`` and ``coeffs = cdet_coeffs(gram, r)``,
     so ``pinv(a) = 2**k coeffs @ a_s* / denom``; on the ``"right"`` side
     ``gram = a_s a_s*`` and ``coeffs = rdet_coeffs(gram, r)``, so
-    ``pinv(a) = 2**k a_s* @ coeffs / denom``.  ``denom`` is the sum of the
-    ``r x r`` principal minors of ``gram``.  Building one costs one
-    coefficient pass; every product with it afterwards is a matrix product.
+    ``pinv(a) = 2**k a_s* @ coeffs / denom``.  ``denom``, the sum of the
+    ``r x r`` principal minors of ``gram``, is read off the same coefficients
+    as ``Re tr(coeffs @ gram) / r`` (left) or ``Re tr(gram @ coeffs) / r``
+    (right), so the projector has trace ``r`` up to rounding.  Building one
+    costs one coefficient pass; every product with it is a matrix product.
     """
 
     side: str
@@ -99,7 +102,7 @@ class DetPinv:
         The determinant engine is imported here, so the pseudoinverse route
         never loads it.
         """
-        from .rcdet import cdet_coeffs, principal_minor_sum, rdet_coeffs
+        from .rcdet import cdet_coeffs, rdet_coeffs
         if side not in ("left", "right"):
             raise InvalidSize(f"side must be 'left' or 'right', got {side!r}")
         r = rank(a) if r is None else r
@@ -108,10 +111,12 @@ class DetPinv:
         if side == "left":
             gram = gram_left(scaled)
             coeffs = cdet_coeffs(gram, r)
+            product = coeffs @ gram
         else:
             gram = gram_right(scaled)
             coeffs = rdet_coeffs(gram, r)
-        denom = principal_minor_sum(gram, r)
+            product = gram @ coeffs
+        denom = product.trace().w / r if r else 1.0
         if denom == 0.0:
             raise ZeroDivisor(f"the rank-{r} principal-minor sum of a Gram matrix is zero")
         return DetPinv(side, k, ctranspose(scaled), gram, coeffs, denom)
@@ -147,8 +152,6 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -
     """
     if side is None:
         side = "left" if a.cols <= a.rows else "right"
-    if side not in ("left", "right"):
-        raise InvalidSize(f"side must be 'left' or 'right', got {side!r}")
     r = rank(a, floor=rank_floor)
     return MpResult(DetPinv.of(a, side, r).pinv(), f"cramer_{side}", r)
 
@@ -180,23 +183,9 @@ def proj_q(a: QMatrix) -> QMatrix:
     return mmul(a, mp_oracle(a).pinv)
 
 
-def proj_l(a: QMatrix) -> QMatrix:
-    """``I - pinv(a) @ a``: projector onto the null space of ``a``."""
-    return QMatrix.identity(a.cols) - proj_p(a)
-
-
-def proj_r(a: QMatrix) -> QMatrix:
-    """``I - a @ pinv(a)``: projector onto the left null space of ``a``."""
-    return QMatrix.identity(a.rows) - proj_q(a)
-
-
 def proj_p_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
     """Determinantal form of ``pinv(a) @ a``: ``cdet_coeffs(g, r) @ g / denom``
-    with ``g = a* a`` (see :class:`DetPinv`).
-
-    ``r`` overrides the rank decision (callers that share one rank across
-    several routes pass it explicitly).
-    """
+    with ``g = a* a`` (see :class:`DetPinv`); ``r`` overrides the rank decision."""
     return DetPinv.of(a, "left", r).projector()
 
 

@@ -246,6 +246,10 @@ class QMatrix:
     def is_hermitian(self, tol: float = 0.0) -> bool:
         return is_hermitian(self, tol)
 
+    def trace(self) -> Quaternion:
+        """The sum of the diagonal entries."""
+        return Quaternion(*np.trace(quat_array(self)).tolist())
+
 
 # -- free functions (the module-level operation set) -------------------------------
 
@@ -300,12 +304,7 @@ def is_hermitian(a: QMatrix, tol: float = 0.0) -> bool:
     """Whether ``A* == A`` entrywise within ``tol`` (requires a square matrix)."""
     if a.rows != a.cols:
         raise NotSquare(f"hermitian test requires a square matrix, got {a.shape}")
-    return bool((entry_abs(a - ctranspose(a)) <= tol).all())
-
-
-def entry_abs(a: QMatrix) -> np.ndarray:
-    """The ``rows x cols`` array of entry magnitudes ``|a_ij|``."""
-    return np.hypot(*np.abs(a._pair))
+    return bool((np.hypot(*np.abs((a - ctranspose(a))._pair)) <= tol).all())
 
 
 def fro_norm(a: QMatrix) -> float:

@@ -49,10 +49,17 @@ per right-hand vector.  The index tables of these terms are built from the
 cycle form on first use, cached per ``(r, flavour)``, and evaluated with
 NumPy on an ``n x n x 4`` array of components, with the same component
 formula and factor order as :class:`~qsylv.quaternion.Quaternion`
-multiplication.  :func:`rdet`, :func:`cdet` and :func:`principal_minor_sum`
-use the same pass, closing each term with its border factor.  A value or
-coefficient that overflows the float range raises
-:class:`~qsylv.errors.OutOfRange`.
+multiplication.  This pass is the only place terms are evaluated; every
+other quantity is read off a coefficient matrix::
+
+    rdet(a, i) = sum_v a[i, v] * R[v, i]            (R = rdet_coeffs(a, n))
+    cdet(a, j) = sum_v C[j, v] * a[v, j]            (C = cdet_coeffs(a, n))
+    principal_minor_sum(h, r) = Re tr(C @ h) / r    (C = cdet_coeffs(h, r))
+
+The trace sums the ``r`` anchored determinants of each ``r x r`` principal
+minor, all equal to it on a Hermitian matrix.  :func:`hdet` and
+:func:`principal_minor_sum` work on the matrix scaled to unit size by a power
+of two.  A value or coefficient that overflows raises ``OutOfRange``.
 
 Dimension cap: an expansion of size ``r`` has ``r!`` terms, so expansions
 refuse to run beyond ``max_det_dim()`` with
@@ -83,12 +90,13 @@ from .errors import (
     NotSquare,
     OutOfRange,
 )
-from .qmatrix import QMatrix, entry_abs, is_hermitian, quat_array
+from .qmatrix import QMatrix, is_hermitian, pow2_exponent, quat_array, scale_pow2
 from .quaternion import Quaternion, qsum
 
 DEFAULT_MAX_DET_DIM = 7
 
-#: Relative tolerance used by :func:`hdet` for realness/agreement checks.
+#: Tolerance of the Hermitian, realness and agreement checks of :func:`hdet`
+#: and :func:`principal_minor_sum`, on the matrix scaled to unit size.
 HDET_TOL = 1e-10
 
 #: Most factor quaternions one evaluation pass holds at once; larger
@@ -174,14 +182,6 @@ def _term_table(r: int, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rows, cols, signs
 
 
-@lru_cache(maxsize=64)
-def _subset_array(n: int, r: int) -> np.ndarray:
-    """The size-``r`` subsets of ``range(n)`` as rows, in lexicographic order."""
-    subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
-    subsets.setflags(write=False)
-    return subsets
-
-
 def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise quaternion product over the last axis, ``(w, x, y, z)``.
 
@@ -200,34 +200,25 @@ def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` if every entry is finite, else :class:`OutOfRange`."""
-    if not np.isfinite(values).all():
-        raise OutOfRange(f"{what} overflows the float range")
-    return values
-
-
-def _local_coeffs(
-    a4: np.ndarray, subsets: np.ndarray, positions: Sequence[int], flavor: str
-) -> np.ndarray:
+def _local_coeffs(a4: np.ndarray, subsets: np.ndarray, flavor: str) -> np.ndarray:
     """Coefficients of the principal submatrices of ``a4`` on ``subsets``.
 
     ``a4`` is an ``n x n x 4`` component array and ``subsets`` an ``S x r``
-    array of 0-based indices.  Entry ``[s, k, v]`` of the ``S x len(positions)
-    x r x 4`` result sums the signed left-to-right products of the non-border
-    factors of the terms of submatrix ``s`` anchored at local position
-    ``positions[k]`` whose border index is local ``v``.  Work is split into
-    passes of at most ``_PASS_FACTORS`` factors where one group of terms fits.
+    array of 0-based indices.  Entry ``[s, p, v]`` of the ``S x r x r x 4``
+    result sums the signed left-to-right products of the non-border factors
+    of the terms of submatrix ``s`` anchored at local position ``p`` whose
+    border index is local ``v``.  Work is split into passes of at most
+    ``_PASS_FACTORS`` factors where one group of terms fits.
     """
     count, r = subsets.shape
     cap = _MAX_DET_DIM.get()
     if r > cap:
         raise DimensionTooLarge(f"determinant dimension {r} exceeds cap {cap}")
     rows, cols, signs = _term_table(r, flavor)
-    groups, per_group = len(positions) * r, signs.shape[-1]
-    rows = rows[positions].reshape(groups, per_group, r - 1)
-    cols = cols[positions].reshape(groups, per_group, r - 1)
-    signs = signs[positions].reshape(groups, per_group)
+    groups, per_group = r * r, signs.shape[-1]
+    rows = rows.reshape(groups, per_group, r - 1)
+    cols = cols.reshape(groups, per_group, r - 1)
+    signs = signs.reshape(groups, per_group)
     total = count * groups
     out = np.empty((total, 4))
     step = max(1, _PASS_FACTORS // (per_group * max(r - 1, 1)))
@@ -235,18 +226,17 @@ def _local_coeffs(
         s, g = np.divmod(np.arange(start, min(start + step, total)), groups)
         owner = s[:, None, None]
         factors = a4[subsets[owner, rows[g]], subsets[owner, cols[g]]]
-        if r == 1:
-            prod = np.zeros(factors.shape[:2] + (4,))
-            prod[..., 0] = 1.0
-        else:
-            prod = factors[:, :, 0]
-            for k in range(1, r - 1):
-                prod = _qmul(prod, factors[:, :, k])
+        prod = factors[:, :, 0] if r > 1 else np.array([1.0, 0.0, 0.0, 0.0])
+        for k in range(1, r - 1):
+            prod = _qmul(prod, factors[:, :, k])
         out[start:start + len(s)] = (prod * signs[g][..., None]).sum(axis=1)
-    return out.reshape(count, len(positions), r, 4)
+    return out.reshape(count, r, r, 4)
 
 
-def _coefficients(h: QMatrix, r: int, flavor: str) -> QMatrix:
+def _coefficients(h: QMatrix, r: int, flavor: str) -> np.ndarray:
+    """The ``n x n x 4`` components of ``cdet_coeffs(h, r)`` (``flavor="col"``)
+    or ``rdet_coeffs(h, r)`` (``flavor="row"``), over the size-``r`` subsets
+    in lexicographic order: the one evaluation pass."""
     n = h.rows
     if h.rows != h.cols:
         raise NotSquare(f"coefficient matrices require a square matrix, got {h.shape}")
@@ -254,12 +244,12 @@ def _coefficients(h: QMatrix, r: int, flavor: str) -> QMatrix:
         raise InvalidSize(f"subset size {r} out of range 0..{n}")
     out = np.zeros((n, n, 4))
     if r > 0:
-        subsets = _subset_array(n, r)
+        subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):
-            local = _local_coeffs(quat_array(h), subsets, list(range(r)), flavor)
+            local = _local_coeffs(quat_array(h), subsets, flavor)
             anchors, borders = subsets[:, :, None], subsets[:, None, :]
             np.add.at(out, (anchors, borders) if flavor == "col" else (borders, anchors), local)
-    return QMatrix.from_array(out)
+    return out
 
 
 def cdet_coeffs(h: QMatrix, r: int) -> QMatrix:
@@ -268,7 +258,7 @@ def cdet_coeffs(h: QMatrix, r: int) -> QMatrix:
     So for a matrix ``D`` of right-hand columns, ``C @ D`` holds every
     bordered column-determinant sum.  ``r = 0`` gives the zero matrix.
     """
-    return _coefficients(h, r, "col")
+    return QMatrix.from_array(_coefficients(h, r, "col"))
 
 
 def rdet_coeffs(h: QMatrix, r: int) -> QMatrix:
@@ -277,104 +267,108 @@ def rdet_coeffs(h: QMatrix, r: int) -> QMatrix:
     So for a matrix ``D`` of right-hand rows, ``D @ R`` holds every bordered
     row-determinant sum.  ``r = 0`` gives the zero matrix.
     """
-    return _coefficients(h, r, "row")
+    return QMatrix.from_array(_coefficients(h, r, "row"))
 
 
-def _expand(a: QMatrix, anchor: int, flavor: str) -> Quaternion:
-    n = a.rows
+def _anchored(a: QMatrix, flavor: str) -> np.ndarray:
+    """All ``n`` anchored determinants of ``a`` (``n x 4``), read off one coefficient
+    matrix: ``rdet_i = sum_v a[i,v] R[v,i]``, ``cdet_j = sum_v C[j,v] a[v,j]``."""
+    a4, coeffs = quat_array(a), _coefficients(a, a.rows, flavor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if flavor == "row":
+            return _qmul(a4, coeffs.transpose(1, 0, 2)).sum(axis=1)
+        return _qmul(coeffs, a4.transpose(1, 0, 2)).sum(axis=1)
+
+
+def _det(a: QMatrix, anchor: int, flavor: str) -> Quaternion:
     if a.rows != a.cols:
         raise NotSquare(f"determinant requires a square matrix, got {a.shape}")
-    if not 1 <= anchor <= n:
-        raise InvalidSize(f"anchor {anchor} out of range 1..{n}")
-    a4 = quat_array(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        local = _local_coeffs(a4, _subset_array(n, n), [anchor - 1], flavor)[0, 0]
-        if flavor == "row":
-            terms = _qmul(a4[anchor - 1], local)
-        else:
-            terms = _qmul(local, a4[:, anchor - 1])
-        total = terms.sum(axis=0)
-    return Quaternion(*_finite(total, "determinant").tolist())
+    if not 1 <= anchor <= a.rows:
+        raise InvalidSize(f"anchor {anchor} out of range 1..{a.rows}")
+    value = _anchored(a, flavor)[anchor - 1]
+    if not np.isfinite(value).all():
+        raise OutOfRange("determinant overflows the float range")
+    return Quaternion(*value.tolist())
 
 
 def rdet(a: QMatrix, i: int) -> Quaternion:
     """Row determinant anchored at 1-based row ``i``."""
-    return _expand(a, i, "row")
+    return _det(a, i, "row")
 
 
 def cdet(a: QMatrix, j: int) -> Quaternion:
     """Column determinant anchored at 1-based column ``j``."""
-    return _expand(a, j, "col")
+    return _det(a, j, "col")
+
+
+def _unit_hermitian(h: QMatrix, tol: float, what: str) -> tuple[int, QMatrix]:
+    """``(k, 2**k h)`` scaled to unit size (:func:`~qsylv.qmatrix.pow2_exponent`);
+    :class:`NotHermitian` unless that is Hermitian within ``tol``."""
+    k = pow2_exponent(h)
+    scaled = scale_pow2(h, k)
+    if not is_hermitian(scaled, tol):
+        raise NotHermitian(f"{what} requires a Hermitian matrix")
+    return k, scaled
+
+
+def _scale_back(value: float, k: int, what: str) -> float:
+    """``2**k * value``, exact; :class:`OutOfRange` if it overflows."""
+    try:
+        return math.ldexp(value, k)
+    except OverflowError:
+        raise OutOfRange(f"{what} overflows the float range") from None
 
 
 def hdet(a: QMatrix, tol: float = HDET_TOL, verify: bool = False) -> float:
     """The common real value of all anchored determinants of a Hermitian matrix.
 
-    With ``verify=True`` all ``2n`` anchored determinants are expanded and
-    checked to agree within ``tol * (1 + |det|)``; otherwise only ``rdet_1``
-    is expanded and checked to be real at the same tolerance.
+    ``rdet_1`` is read and checked to be real within ``tol * (1 + |det|)``;
+    with ``verify=True`` all ``2n`` anchored determinants are read off the
+    row and column coefficient matrices and checked to agree within the same
+    budget.  Every check runs on ``a`` scaled to unit size by ``2**k``, and
+    the value is scaled back exactly by ``2**(-k n)``.
     """
-    scale_tol = tol * (1.0 + fro_scale(a))
-    if not is_hermitian(a, scale_tol):
-        raise NotHermitian("hdet requires a Hermitian matrix")
-    value = rdet(a, 1)
+    k, scaled = _unit_hermitian(a, tol, "hdet")
+    rows = _anchored(scaled, "row")
+    value = Quaternion(*rows[0].tolist())
     budget = tol * (1.0 + abs(value.w))
     if abs(value.x) > budget or abs(value.y) > budget or abs(value.z) > budget:
         raise InconsistentDeterminants(
             f"anchored determinant of a Hermitian matrix is not real: {value!r}"
         )
     if verify:
-        for anchor in range(1, a.rows + 1):
-            for flavor_fn in (rdet, cdet):
-                other = flavor_fn(a, anchor)
-                if abs(other - value) > budget:
-                    raise InconsistentDeterminants(
-                        f"anchored determinants disagree: {value!r} vs {other!r}"
-                    )
-    return value.w
-
-
-def fro_scale(a: QMatrix) -> float:
-    """Max entry magnitude, used to scale Hermitian tolerance checks."""
-    return float(entry_abs(a).max())
+        for comps in np.concatenate((rows, _anchored(scaled, "col"))).tolist():
+            other = Quaternion(*comps)
+            if abs(other - value) > budget:
+                raise InconsistentDeterminants(
+                    f"anchored determinants disagree: {value!r} vs {other!r}"
+                )
+    return _scale_back(value.w, -k * a.rows, "determinant")
 
 
 def principal_minor_sum(h: QMatrix, r: int, tol: float = HDET_TOL) -> float:
     """Sum of all ``r x r`` principal minors (Hermitian determinants) of ``h``.
 
-    Each minor is the real part of its ``rdet_1``.  ``r = 0`` returns 1.0
-    (the empty-product convention used by callers that special-case rank-0
-    matrices away before dividing by this value).
+    Read as ``Re tr(C h) / r`` with ``C = cdet_coeffs(h, r)``: the trace sums
+    the ``r`` anchored column determinants of every principal minor.  As in
+    :func:`hdet`, the check and the read run on ``2**k h`` and the sum is
+    scaled back by ``2**(-k r)``.  ``r = 0`` returns 1.0 (the empty-product
+    convention used by callers that special-case rank-0 matrices away before
+    dividing by this value).
     """
-    n = h.rows
-    if h.rows != h.cols:
-        raise NotSquare(f"principal minors require a square matrix, got {h.shape}")
-    scale_tol = tol * (1.0 + fro_scale(h))
-    if not is_hermitian(h, scale_tol):
-        raise NotHermitian("principal_minor_sum requires a Hermitian matrix")
-    if not 0 <= r <= n:
-        raise InvalidSize(f"subset size {r} out of range 0..{n}")
+    k, scaled = _unit_hermitian(h, tol, "principal_minor_sum")
     if r == 0:
         return 1.0
-    h4 = quat_array(h)
-    subsets = _subset_array(n, r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        local = _local_coeffs(h4, subsets, [0], "row")[:, 0]
-        total = _qmul(h4[subsets[:, :1], subsets], local)[..., 0].sum()
-    return float(_finite(total, "principal-minor sum"))
+    value = (cdet_coeffs(scaled, r) @ scaled).trace().w / r
+    return _scale_back(value, -k * r, "principal-minor sum")
 
 
-def _check_border(h: QMatrix, i: int, d: Sequence[Quaternion], r: int) -> None:
-    if h.rows != h.cols:
-        raise NotSquare(f"bordered sums require a square matrix, got {h.shape}")
+def _check_border(h: QMatrix, i: int, d: Sequence[Quaternion]) -> None:
+    """Vector and anchor checks; the coefficient pass checks the rest."""
     if len(d) != h.rows:
-        raise DimensionMismatch(
-            f"replacement vector has length {len(d)}, expected {h.rows}"
-        )
+        raise DimensionMismatch(f"replacement vector has length {len(d)}, expected {h.rows}")
     if not 1 <= i <= h.rows:
         raise InvalidSize(f"anchor {i} out of range 1..{h.rows}")
-    if not 0 <= r <= h.rows:
-        raise InvalidSize(f"subset size {r} out of range 0..{h.rows}")
 
 
 def bordered_cdet_sum(h: QMatrix, i: int, d: Sequence[Quaternion], r: int) -> Quaternion:
@@ -384,7 +378,7 @@ def bordered_cdet_sum(h: QMatrix, i: int, d: Sequence[Quaternion], r: int) -> Qu
     Right-linear in ``d``: it is ``sum_v C[i-1, v] * d[v]`` with
     ``C = cdet_coeffs(h, r)``.
     """
-    _check_border(h, i, d, r)
+    _check_border(h, i, d)
     row = cdet_coeffs(h, r).row(i - 1)
     return qsum(c * dv for c, dv in zip(row, d))
 
@@ -396,6 +390,6 @@ def bordered_rdet_sum(h: QMatrix, j: int, d: Sequence[Quaternion], r: int) -> Qu
     Left-linear in ``d``: it is ``sum_v d[v] * R[v, j-1]`` with
     ``R = rdet_coeffs(h, r)``.
     """
-    _check_border(h, j, d, r)
+    _check_border(h, j, d)
     col = rdet_coeffs(h, r).col(j - 1)
     return qsum(dv * c for dv, c in zip(d, col))

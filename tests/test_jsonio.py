@@ -86,7 +86,8 @@ def test_write_then_read(tmp_path):
     path = str(tmp_path / "doc.json")
     doc = {"a": [0.25, -0.0, 7.0]}
     write_json(path, doc)
-    raw = open(path).read()
+    with open(path) as handle:
+        raw = handle.read()
     assert raw.endswith("\n")
     assert loads(raw) == doc
     assert read_json(path) == doc

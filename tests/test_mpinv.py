@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import qsylv.mpinv as mpinv
-from qsylv import QMatrix, mp_cramer, mp_oracle, proj_l, proj_p, proj_q, proj_r, rank
+from qsylv import QMatrix, mp_cramer, mp_oracle, proj_p, proj_q, rank
 from qsylv.mpinv import (
+    DetPinv,
     gram_left,
     gram_right,
     hermitize,
@@ -22,6 +23,16 @@ TOL = 1e-9
 
 def _penrose_max(a: QMatrix, x: QMatrix) -> float:
     return max(penrose_residuals(a, x))
+
+
+def proj_l(a: QMatrix) -> QMatrix:
+    """``I - pinv(a) @ a``: the projector onto the null space of ``a``."""
+    return QMatrix.identity(a.cols) - proj_p(a)
+
+
+def proj_r(a: QMatrix) -> QMatrix:
+    """``I - a @ pinv(a)``: the projector onto the left null space of ``a``."""
+    return QMatrix.identity(a.rows) - proj_q(a)
 
 
 def test_penrose_properties_on_planted_ranks():
@@ -147,6 +158,18 @@ def test_determinantal_projectors_match_oracle_route():
         a = planted_rank_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 1)
         assert_matrix_close(proj_p_cramer(a), proj_p(a), 1e-9)
         assert_matrix_close(proj_q_cramer(a), proj_q(a), 1e-9)
+
+
+def test_determinantal_projector_has_trace_rank():
+    # denom is read off the coefficients the projector uses, so tr P = r up to rounding
+    rng = SplitMix64(51)
+    for _ in range(12):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(1, min(rows, cols))
+        a = planted_rank_matrix(rng, rows, cols, r)
+        for side in ("left", "right"):
+            trace = DetPinv.of(a, side, r).projector().trace()
+            assert abs(trace.w - r) <= 1e-12 * r, (rows, cols, r, side)
 
 
 def test_projectors_annihilate_as_expected():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -26,8 +27,8 @@ from qsylv import (
     principal_minor_sum,
     rdet,
 )
-from qsylv.mpinv import gram_left
-from qsylv.qmatrix import complex_embed
+from qsylv.mpinv import DetPinv, gram_left
+from qsylv.qmatrix import complex_embed, scale_pow2
 from qsylv.rcdet import bordered_cdet_sum, bordered_rdet_sum, cdet_coeffs, rdet_coeffs
 from qsylv.sampling import SplitMix64, random_hermitian, random_matrix, random_quaternion
 
@@ -114,6 +115,53 @@ def test_hdet_rejects_non_hermitian():
     m = qm([[q(1), q(x=1)], [q(x=1), q(1)]])  # symmetric but not Hermitian
     with pytest.raises(NotHermitian):
         hdet(m)
+
+
+@pytest.mark.parametrize("exponent", [-300, -40, 0, 40, 300])
+def test_hermitian_checks_and_values_are_scale_free(exponent):
+    def scaled(m):
+        return scale_pow2(m, exponent)
+
+    for m in (qm([[q(1), q(1)], [q(), q(2)]]), qm([[q(1), q(x=1)], [q(x=1), q(2)]])):
+        for fn in (hdet, lambda a: hdet(a, verify=True), lambda a: principal_minor_sum(a, 1)):
+            with pytest.raises(NotHermitian):
+                fn(scaled(m))
+    rng = SplitMix64(36)
+    for n in (1, 2, 3):
+        h = random_hermitian(rng, n)
+        assert hdet(scaled(h)) == math.ldexp(hdet(h), exponent * n)
+        assert hdet(scaled(h), verify=True) == math.ldexp(hdet(h, verify=True), exponent * n)
+        for r in range(n + 1):
+            expected = math.ldexp(principal_minor_sum(h, r), exponent * r)
+            assert principal_minor_sum(scaled(h), r) == expected
+
+
+@pytest.mark.parametrize(
+    "call, passes",
+    [
+        (lambda a, h: rdet(a, 2), 1),
+        (lambda a, h: cdet(a, 3), 1),
+        (lambda a, h: hdet(h), 1),
+        (lambda a, h: hdet(h, verify=True), 2),
+        (lambda a, h: principal_minor_sum(h, 2), 1),
+        (lambda a, h: DetPinv.of(a, "left", 3), 1),
+        (lambda a, h: DetPinv.of(a, "right", 3), 1),
+    ],
+    ids=["rdet", "cdet", "hdet", "hdet-verify", "minor-sum", "detpinv-left", "detpinv-right"],
+)
+def test_every_determinant_quantity_is_one_coefficient_pass(monkeypatch, call, passes):
+    rng = SplitMix64(37)
+    a, h = _rand_square(rng, 4), random_hermitian(rng, 4)
+    calls = []
+    engine = rcdet_module._local_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(rcdet_module, "_local_coeffs", counted)
+    call(a, h)
+    assert len(calls) == passes
 
 
 def test_determinants_require_square_input():
