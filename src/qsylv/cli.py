@@ -18,6 +18,7 @@ Exit codes: 0 success (and, for solve/check, the instance is consistent);
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -97,9 +98,16 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
                             help=f"matrix file for coefficient {name}")
     parser.add_argument("--c", metavar="FILE", required=True,
                         help="matrix file for the right-hand side")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    parser.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
                         help="consistency tolerance, relative to |c|")
     _add_det_dim_arg(parser)
+
+
+def _tol(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return tol
 
 
 def _det_dim(text: str) -> int:

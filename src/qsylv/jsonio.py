@@ -70,17 +70,21 @@ def dumps(obj: Any) -> str:
 
 
 def loads(text: str) -> Any:
+    """Parse ``text``; malformed JSON, an integer literal too long to convert
+    and nesting too deep to parse all raise :class:`ParseError`."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or the integer digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
 
 
 def read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return loads(text)
 

@@ -47,7 +47,7 @@ class MpResult:
     """A pseudoinverse together with how it was obtained."""
 
     pinv: QMatrix
-    method: str  # "cramer_left" | "cramer_right" | "oracle"
+    method: str  # "cramer_left" | "cramer_right" | "oracle" | "identity"
     rank_used: int
 
 

@@ -36,6 +36,7 @@ row-major data; parsing rejects ragged rows and non-finite numbers.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -140,7 +141,9 @@ class QMatrix:
         return QMatrix._of(np.zeros((2, rows, cols), dtype=np.complex128))
 
     @staticmethod
+    @lru_cache(maxsize=32)
     def identity(n: int) -> "QMatrix":
+        """The ``n x n`` identity; one shared (immutable) matrix per size."""
         pair = np.zeros((2, n, n), dtype=np.complex128)
         pair[0] = np.eye(n)
         return QMatrix._of(pair)

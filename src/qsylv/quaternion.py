@@ -51,7 +51,10 @@ class Quaternion:
         for part in data:
             if isinstance(part, bool) or not isinstance(part, (int, float)):
                 raise ParseError(f"quaternion component must be a number, got {part!r}")
-            value = float(part)
+            try:
+                value = float(part)
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ParseError("quaternion component is out of the float range") from exc
             if not math.isfinite(value):
                 raise ParseError(f"quaternion component must be finite, got {part!r}")
             comps.append(value)

@@ -24,6 +24,7 @@ disagreement between the two families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -35,7 +36,7 @@ from .errors import (
     Inconsistent,
     InvalidSize,
 )
-from .mpinv import DetPinv, mp_oracle, proj_p_cramer, proj_q_cramer
+from .mpinv import DetPinv, MpResult, mp_oracle, proj_p_cramer, proj_q_cramer
 from .qmatrix import (
     QMatrix,
     block2x2,
@@ -94,6 +95,13 @@ class EquationKind(Enum):
     @property
     def is_two_term(self) -> bool:
         return self not in (EquationKind.LYAPUNOV_LIKE, EquationKind.LYAPUNOV_STAR)
+
+    @property
+    def identity_slots(self) -> frozenset[str]:
+        """The coefficient slots a two-term kind omits, which hold identities."""
+        if not self.is_two_term:
+            return frozenset()
+        return frozenset(("a1", "b1", "a2", "b2")).difference(_SHAPES[self])
 
 
 # The slots of each kind and their shapes.  A shape is two dimension letters,
@@ -250,8 +258,9 @@ class AuxData:
     ``s = a2 (i - pinv(m) m)``.  ``lyapunov-like`` also gets its direct-route
     solution ``like_x1``, which the gate checks and the direct route returns.
     Fields a kind has no use for are ``None``.
-    Each rank is read off the same SVD as the matching pseudoinverse and is
-    the only thing the determinantal route takes from here, so both routes
+    Each rank is read off the same SVD as the matching pseudoinverse (an
+    identity-filled slot takes none: it is its own pseudoinverse, of full
+    rank) and is the only thing the determinantal route takes from here, so both routes
     agree on every rank decision.  That route rebuilds ``m``, ``n`` and
     ``s`` from determinantal projectors itself, so building this data
     evaluates no determinant.
@@ -282,6 +291,16 @@ class AuxData:
         return (self.r_a1, self.r_b1, self.r_a2, self.r_b2, self.r_m, self.r_n, self.r_s)
 
 
+def _slot_oracle(problem: GenSylvesterProblem, name: str) -> MpResult:
+    """``mp_oracle`` of coefficient slot ``name``.  An identity-filled slot is
+    its own pseudoinverse, of rank its size, so it takes no SVD (the SVD
+    gives exactly that: every factor of it is a power of two)."""
+    mat = getattr(problem, name)
+    if name in problem.kind.identity_slots:
+        return MpResult(mat, "identity", mat.rows)
+    return mp_oracle(mat)
+
+
 @lru_cache(maxsize=16)
 def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     """Derived matrices, pseudoinverses and shared ranks of ``problem``.
@@ -291,14 +310,14 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     matrices for a 6x6 problem, so the cache keeps only the last 16 problems.
     """
     a1, b1, a2, b2 = problem.a1, problem.b1, problem.a2, problem.b2
-    a1_mp = mp_oracle(a1)
+    a1_mp = _slot_oracle(problem, "a1")
     if not problem.kind.is_two_term:
         if b2 is None:
             return AuxData(a1_mp.rank_used, a1_mp.pinv)
         b2_mp = mp_oracle(b2)
         x1 = _direct_lyap_like(problem, a1_mp.pinv, b2_mp.pinv)
         return AuxData(a1_mp.rank_used, a1_mp.pinv, b2_mp.rank_used, b2_mp.pinv, like_x1=x1)
-    b1_mp, a2_mp, b2_mp = mp_oracle(b1), mp_oracle(a2), mp_oracle(b2)
+    b1_mp, a2_mp, b2_mp = (_slot_oracle(problem, name) for name in ("b1", "a2", "b2"))
     floor_a = DERIVED_RANK_FLOOR * a2.fro_norm()
     floor_b = DERIVED_RANK_FLOOR * b2.fro_norm()
     m_mat = (QMatrix.identity(a1.rows) - a1 @ a1_mp.pinv) @ a2
@@ -346,10 +365,13 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     driven by the projector family, and a ``criteria_agree`` entry records
     whether the two families concur.  The conjugate-transpose kinds check
     their own compatibility conditions.  Residuals are compared with
-    ``tol * |c|``, so rescaling the coefficients and ``c`` leaves the verdict.
-    Only pseudoinverse-route data is used, so no determinant is evaluated
-    and the determinant cap never applies here.
+    ``tol * |c|``, so rescaling the coefficients and ``c`` leaves the verdict;
+    ``tol`` must be finite and non-negative.  Only pseudoinverse-route data
+    is used, so no determinant is evaluated and the determinant cap never
+    applies here.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidSize(f"tolerance must be finite and >= 0, got {tol!r}")
     tol_c = tol * problem.c.fro_norm()
     checks: list[CheckResult] = []
     aux = derive_aux(problem)
@@ -378,21 +400,31 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
 
         # Each block is first scaled to unit size by a power of two.  That is
         # exact and keeps every rank below, and it lets no coefficient's scale
-        # hide another block under the rank cutoff.
+        # hide another block under the rank cutoff.  An identity-filled slot
+        # decides a stack it spans (every singular value of the scaled stack
+        # is then at least 1/2, far above the cutoff), and so do two identity
+        # diagonal blocks; those ranks are read off the sizes.
+        ident = problem.kind.identity_slots
         a1, b1, a2, b2, c = (scale_pow2(x, pow2_exponent(x)) for x in (a1, b1, a2, b2, c))
+        if ident.isdisjoint(("a1", "a2")):
+            cols = rank(hstack([a1, a2, c])), rank(hstack([a1, a2]))
+        else:
+            cols = m_rows, m_rows
+        if ident.isdisjoint(("b1", "b2")):
+            rows = rank(vstack([b1, b2, c])), rank(vstack([b1, b2]))
+        else:
+            rows = s_cols, s_cols
+
+        def block(a_name: str, b_name: str, a: QMatrix, b: QMatrix) -> int:
+            if ident.issuperset((a_name, b_name)):
+                return m_rows + s_cols
+            return rank(block2x2(a, c, QMatrix.zeros(b.rows, a.cols), b))
+
         rank_pairs = (
-            ("rank_cols", rank(hstack([a1, a2, c])), rank(hstack([a1, a2]))),
-            ("rank_rows", rank(vstack([b1, b2, c])), rank(vstack([b1, b2]))),
-            (
-                "rank_block_a1_b2",
-                rank(block2x2(a1, c, QMatrix.zeros(b2.rows, a1.cols), b2)),
-                aux.r_a1 + aux.r_b2,
-            ),
-            (
-                "rank_block_a2_b1",
-                rank(block2x2(a2, c, QMatrix.zeros(b1.rows, a2.cols), b1)),
-                aux.r_a2 + aux.r_b1,
-            ),
+            ("rank_cols", *cols),
+            ("rank_rows", *rows),
+            ("rank_block_a1_b2", block("a1", "b2", a1, b2), aux.r_a1 + aux.r_b2),
+            ("rank_block_a2_b1", block("a2", "b1", a2, b1), aux.r_a2 + aux.r_b1),
         )
         ranks_ok = True
         for name, lhs, rhs in rank_pairs:
@@ -513,12 +545,23 @@ def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
     return DetPinv.of(a, "left", ra).apply(c)
 
 
+def _slot_factor(problem: GenSylvesterProblem, name: str, side: str, r: int) -> DetPinv:
+    """``DetPinv.of`` of coefficient slot ``name``.  An identity-filled slot is
+    its own Gram matrix, coefficient matrix and pseudoinverse, so it takes no
+    coefficient pass (the pass gives the same products: every factor of it
+    is a power of two)."""
+    mat = getattr(problem, name)
+    if name in problem.kind.identity_slots:
+        return DetPinv(side, 0, mat, mat, mat, 1.0)
+    return DetPinv.of(mat, side, r)
+
+
 def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatrix, QMatrix]:
     a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
     r1, rb1, r3, r4, r5, r6, r7 = aux.ranks
     # each (matrix, side, rank) factor is built once and shared by its products
-    a1_left, a1_right = DetPinv.of(a1, "left", r1), DetPinv.of(a1, "right", r1)
-    b1_left, b1_right = DetPinv.of(b1, "left", rb1), DetPinv.of(b1, "right", rb1)
+    a1_left, a1_right = (_slot_factor(problem, "a1", side, r1) for side in ("left", "right"))
+    b1_left, b1_right = (_slot_factor(problem, "b1", side, rb1) for side in ("left", "right"))
 
     m_det = (QMatrix.identity(a1.rows) - a1_right.projector()) @ a2
     n_det = b2 @ (QMatrix.identity(b1.cols) - b1_left.projector())
@@ -532,12 +575,12 @@ def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatri
     inner12 = m_left.apply(c_b1)
     x12 = a1_left.apply(a2 @ inner12)
 
-    eta = DetPinv.of(a2, "left", r3).apply(DetPinv.of(n_det, "right", r6).apply(c))
+    eta = _slot_factor(problem, "a2", "left", r3).apply(DetPinv.of(n_det, "right", r6).apply(c))
     x13 = a1_left.apply(b1_right.apply(s_det @ eta @ b2))
 
     x1 = x11 - x12 - x13
 
-    x21 = m_left.apply(DetPinv.of(b2, "right", r4).apply(c))
+    x21 = m_left.apply(_slot_factor(problem, "b2", "right", r4).apply(c))
     x22 = DetPinv.of(s_det, "left", r7).projector() @ eta
     x2 = x21 + x22
     return x1, x2

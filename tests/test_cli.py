@@ -124,6 +124,39 @@ def test_non_finite_input_is_refused_by_the_api_and_the_cli(capsys, tmp_path):
         assert code == 66 and out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"rows": 1, "cols": 1, "data": [[[1' + b"0" * 400 + b', 0, 0, 0]]]}',
+                 id="integer-beyond-float-range"),
+    pytest.param(b'{"rows": 1, "cols": 1, "data": [[[1' + b"0" * 5000 + b', 0, 0, 0]]]}',
+                 id="integer-over-4300-digits"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nesting-past-recursion-limit"),
+    pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+])
+def test_unrepresentable_json_exits_66(content, capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["mpinv", "--in", str(path)], capsys)
+    assert code == 66 and out == ""
+    assert err.startswith("qsylv: error: ") and len(err) < 400
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("command", [["check"], ["solve", "--method", "direct"]],
+                         ids=["check", "solve-direct"])
+def test_tolerance_must_be_finite_and_non_negative(command, tol, capsys, tmp_path):
+    # an inconsistent instance: an infinite tolerance would call it consistent
+    out_dir = tmp_path / "two-left"
+    code, _, _ = run_cli(["gen", "--kind", "two-left", "--seed", "3", "--inconsistent",
+                          "--out-dir", str(out_dir)], capsys)
+    assert code == 0
+    argv = command + ["--kind", "two-left", "--tol", tol]
+    for slot in ("a1", "a2", "c"):
+        argv += [f"--{slot}", str(out_dir / f"{slot}.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64 and out == ""
+    assert "tolerance must be finite and >= 0" in err
+
+
 # -- solve / check ----------------------------------------------------------------
 
 

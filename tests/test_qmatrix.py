@@ -79,6 +79,15 @@ def test_is_immutable():
     assert isinstance(a.entries[0], tuple)
 
 
+def test_identity_is_one_shared_read_only_matrix_per_size():
+    ident = QMatrix.identity(3)
+    assert QMatrix.identity(3) is ident
+    assert QMatrix.identity(2) is not ident
+    assert not ident._pair.flags.writeable
+    with pytest.raises(ValueError):
+        ident._pair[0, 0, 1] = 1.0
+
+
 def test_add_sub_scalar_ops():
     a = qm([[q(1), q(x=1)]])
     b = qm([[q(0, 0, 1), q(z=1)]])

@@ -29,8 +29,10 @@ from qsylv import (
     solve_general,
 )
 import qsylv.mpinv as mpinv_module
+import qsylv.rcdet as rcdet_module
 import qsylv.solvers as solvers_module
 import qsylv.svd as svd_module
+from qsylv.jsonio import dumps
 from qsylv.qmatrix import scale_pow2
 from qsylv.sampling import (
     SplitMix64,
@@ -398,6 +400,84 @@ def test_results_rescale_exactly_under_power_of_two_scaling(kind):
                     assert sol.x1 == scale_pow2(want.x1, k["c"] - k["a1"] - k["b1"])
                     if want.x2 is not None:
                         assert sol.x2 == scale_pow2(want.x2, k["c"] - k["a2"] - k["b2"])
+
+
+def _as_gen_sylvester(problem):
+    """The same equation with its identities written out: the general path."""
+    slots = {name: getattr(problem, name) for name in ("a1", "b1", "a2", "b2", "c")}
+    return GenSylvesterProblem.build(EquationKind.GEN_SYLVESTER, **slots)
+
+
+def _solve_doc(problem, method):
+    sol, report = solve(problem, method=method, force=True)
+    return dumps([sol.x1.to_json(), sol.x2.to_json(), report.to_json_dict()])
+
+
+@pytest.mark.parametrize("kind", [k for k in TWO_TERM_KINDS if k.identity_slots],
+                         ids=lambda k: k.cli_name)
+def test_identity_filled_kinds_match_their_general_form_bit_for_bit(kind):
+    # the SVDs, coefficient passes and rank criteria an identity slot skips
+    # return exactly what the general path computes for an explicit identity
+    for seed in range(10):
+        cases = [make_consistent_instance(SplitMix64(seed), kind, max_dim=4)[0]]
+        if kind is not EquationKind.STEIN:
+            cases.append(make_inconsistent_instance(SplitMix64(seed), kind, max_dim=4))
+        for case in cases:
+            general = _as_gen_sylvester(case)
+            assert derive_aux(case).ranks == derive_aux(general).ranks, seed
+            for method in ("direct", "cramer", "both"):
+                assert _solve_doc(case, method) == _solve_doc(general, method), (seed, method)
+
+
+# SVD calls and coefficient passes of one solve(method="both") of the seed-3,
+# max_dim-4 instance: identity-filled slots take neither.
+WORK_PER_SOLVE = {
+    EquationKind.GEN_SYLVESTER: (13, 9),
+    EquationKind.ONE_LEFT: (10, 5),
+    EquationKind.ONE_RIGHT: (10, 5),
+    EquationKind.STEIN: (7, 3),
+    EquationKind.SYLVESTER: (6, 5),
+    EquationKind.SYLVESTER_MIRROR: (6, 5),
+    EquationKind.TWO_LEFT: (9, 4),
+    EquationKind.TWO_RIGHT: (9, 5),
+    EquationKind.LYAPUNOV_LIKE: (2, 2),
+    EquationKind.LYAPUNOV_STAR: (1, 2),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.cli_name)
+def test_identity_slots_take_no_svd_or_coefficient_pass(kind, monkeypatch):
+    prob, _ = make_consistent_instance(SplitMix64(3), kind, max_dim=4)
+    counts = {"svd": 0, "pass": 0}
+    svd, engine = svd_module.svd, rcdet_module._local_coeffs
+
+    def counted_svd(a):
+        # a wide input recurses once on its transpose: count each decomposition once
+        counts["svd"] += a.shape[0] >= a.shape[1]
+        return svd(a)
+
+    def counted_pass(*args):
+        counts["pass"] += 1
+        return engine(*args)
+
+    for module in (svd_module, mpinv_module):
+        monkeypatch.setattr(module, "svd", counted_svd)
+    monkeypatch.setattr(rcdet_module, "_local_coeffs", counted_pass)
+    derive_aux.cache_clear()
+    solve(prob, method="both", force=True)
+    assert (counts["svd"], counts["pass"]) == WORK_PER_SOLVE[kind]
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    prob = make_inconsistent_instance(SplitMix64(3), EquationKind.TWO_LEFT)
+    with pytest.raises(InvalidSize):
+        check_consistency(prob, tol)
+    for method in ("direct", "cramer", "both"):
+        with pytest.raises(InvalidSize):
+            solve(prob, method=method, tol=tol)
+    with pytest.raises(InvalidSize):
+        solve_general(prob, tol=tol)
 
 
 def test_derive_aux_is_cached_per_problem():
