@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Fingerprint the CLI's output, one sha256 per command family.
+
+For every equation kind, seed and ``--max-dim`` of the grid, plain and
+``--inconsistent``, this runs ``qsylv gen --out-dir`` and then, on each
+generated instance:
+
+- ``check``;
+- ``solve --method direct|cramer|both``, each with and without ``--force``;
+- ``mpinv`` on each matrix file.
+
+``gen`` writes files, not stdout, so its family also covers each
+``instance.json``, which holds every generated matrix.
+
+Every command runs in-process through :func:`qsylv.cli.main`.  A family's
+digest covers, per command and in order, its arguments (with the scratch
+directory left out), its exit code, its stdout and its stderr.  Two commits
+with the same digests print the same bytes on the whole grid; compare them
+with one command:
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from qsylv import EquationKind
+from qsylv.cli import main as qsylv_main
+
+FAMILIES = ("gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv")
+
+
+class Digests:
+    """One running sha256 and command count per family."""
+
+    def __init__(self, scratch: str):
+        self.scratch = scratch
+        self.hashes = {family: hashlib.sha256() for family in FAMILIES}
+        self.counts = dict.fromkeys(FAMILIES, 0)
+
+    def run(self, family: str, argv: list[str]) -> int:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = qsylv_main(argv)
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+        self.record(family, [*argv, str(code), out.getvalue(), err.getvalue()])
+        return code
+
+    def record(self, family: str, texts: list[str]) -> None:
+        record = "\0".join(texts).replace(self.scratch, "")
+        self.hashes[family].update(record.encode() + b"\1")
+        self.counts[family] += 1
+
+
+def digest_instance(d: Digests, kind: EquationKind, seed: int, max_dim: int,
+                    inconsistent: bool) -> None:
+    label = f"{kind.cli_name}-{seed}-{max_dim}{'-inconsistent' * inconsistent}"
+    where = os.path.join(d.scratch, label)
+    argv = ["gen", "--kind", kind.cli_name, "--seed", str(seed), "--max-dim", str(max_dim),
+            "--out-dir", where]
+    if d.run("gen", argv + ["--inconsistent"] * inconsistent) != 0:
+        return
+    with open(os.path.join(where, "instance.json"), encoding="utf-8") as handle:
+        d.record("gen", [handle.read()])
+    slots = [name for name in kind.required_slots if name != "c"]
+    problem = ["--kind", kind.cli_name, "--c", os.path.join(where, "c.json")]
+    for name in slots:
+        problem += [f"--{name}", os.path.join(where, f"{name}.json")]
+    d.run("check", ["check", *problem])
+    for method in ("direct", "cramer", "both"):
+        for force in ([], ["--force"]):
+            d.run(f"solve-{method}", ["solve", *problem, "--method", method, *force])
+    for name in [*slots, "c"]:
+        d.run("mpinv", ["mpinv", "--in", os.path.join(where, f"{name}.json")])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, default=10, help="seeds 0 .. SEEDS-1")
+    parser.add_argument("--max-dims", type=int, nargs="+", default=[3, 5],
+                        help="the --max-dim values of the grid")
+    parser.add_argument("--kinds", nargs="+", default=[k.cli_name for k in EquationKind],
+                        choices=[k.cli_name for k in EquationKind], help="equation kinds")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="qsylv-digest-") as scratch:
+        d = Digests(scratch)
+        for name in args.kinds:
+            kind = EquationKind.from_cli_name(name)
+            for seed in range(args.seeds):
+                for max_dim in args.max_dims:
+                    for inconsistent in (False, True):
+                        digest_instance(d, kind, seed, max_dim, inconsistent)
+    for family in FAMILIES:
+        print(f"{family:<13} {d.counts[family]:>5}  {d.hashes[family].hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

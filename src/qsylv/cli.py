@@ -110,11 +110,22 @@ def _tol(text: str) -> float:
     return tol
 
 
-def _det_dim(text: str) -> int:
-    n = int(text)
+def _at_least_one(text: str, what: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
     if n < 1:
-        raise argparse.ArgumentTypeError(f"determinant dimension cap must be >= 1, got {n}")
+        raise argparse.ArgumentTypeError(f"{what} must be >= 1, got {n}")
     return n
+
+
+def _det_dim(text: str) -> int:
+    return _at_least_one(text, "determinant dimension cap")
+
+
+def _max_dim(text: str) -> int:
+    return _at_least_one(text, "largest matrix dimension")
 
 
 def _add_det_dim_arg(parser: argparse.ArgumentParser) -> None:
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a deterministic random instance")
     p_gen.add_argument("--kind", choices=_KIND_NAMES, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--max-dim", type=int, default=3,
+    p_gen.add_argument("--max-dim", type=_max_dim, default=3,
                        help="largest matrix dimension to draw")
     p_gen.add_argument("--inconsistent", action="store_true",
                        help="perturb the right-hand side out of the solvable set")

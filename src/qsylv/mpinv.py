@@ -160,8 +160,12 @@ def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
     """Moore-Penrose inverse through the complex embedding and one SVD.
 
     The rank and the pseudoinverse are read off the same decomposition of
-    the prescaled matrix; the absolute ``rank_floor`` is scaled with it.
+    the prescaled matrix; the absolute ``rank_floor`` is scaled with it.  A
+    zero matrix takes no SVD: its pseudoinverse is the zero matrix of rank 0,
+    which is what the SVD gives (an all-zero spectrum has an infinite cutoff).
     """
+    if a.is_zero():
+        return MpResult(QMatrix.zeros(a.cols, a.rows), "oracle", 0)
     k = pow2_exponent(a)
     embedded = complex_embed(scale_pow2(a, k))
     u, s, vh = svd(embedded)

@@ -64,9 +64,10 @@ def _pair_of(components: np.ndarray) -> np.ndarray:
 def _set_pair(target: "QMatrix", pair: np.ndarray) -> None:
     if pair.shape[1] == 0 or pair.shape[2] == 0:
         raise DimensionMismatch("matrices must have at least one row and one column")
-    if not np.isfinite(pair).all():
+    if np.count_nonzero(np.isfinite(pair)) != pair.size:
         raise OutOfRange("matrix entries must be finite")
-    pair = np.ascontiguousarray(pair, dtype=np.complex128)
+    if pair.dtype != np.complex128 or not pair.flags.c_contiguous:
+        pair = np.ascontiguousarray(pair, dtype=np.complex128)
     pair.setflags(write=False)
     object.__setattr__(target, "_pair", pair)
 
@@ -186,7 +187,7 @@ class QMatrix:
             if key not in data:
                 raise ParseError(f"matrix JSON missing key {key!r}")
         rows, cols, grid = data["rows"], data["cols"], data["data"]
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+        if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
             raise ParseError("matrix JSON 'rows'/'cols' must be positive integers")
         if not isinstance(grid, list) or len(grid) != rows:
             raise ParseError(f"matrix JSON 'data' must be a list of {rows} rows")
@@ -223,15 +224,14 @@ class QMatrix:
             return scalar_lmul(_as_quaternion(scalar), self)
         return NotImplemented
 
+    @np.errstate(over="ignore", invalid="ignore")  # _set_pair reports overflow
     def __truediv__(self, scalar: object) -> "QMatrix":
         """``M / d`` for a real ``d``; ``d == 0`` raises :class:`ZeroDivisor`."""
         if isinstance(scalar, (int, float)):
             if scalar == 0:
                 raise ZeroDivisor("division of a matrix by zero")
             # divide the real components: complex division would not round correctly
-            with np.errstate(over="ignore", invalid="ignore"):
-                pair = (self._pair.view(np.float64) / float(scalar)).view(np.complex128)
-            return QMatrix._of(pair)
+            return QMatrix._of((self._pair.view(np.float64) / float(scalar)).view(np.complex128))
         return NotImplemented
 
     @property
@@ -242,6 +242,10 @@ class QMatrix:
 
     def fro_norm(self) -> float:
         return fro_norm(self)
+
+    def is_zero(self) -> bool:
+        """Whether no entry is nonzero (``-0.0`` counts as zero)."""
+        return not self._pair.any()
 
     def rank(self, floor: float = 0.0) -> int:
         return rank(self, floor=floor)
@@ -257,50 +261,70 @@ class QMatrix:
 # -- free functions (the module-level operation set) -------------------------------
 
 
+# The kernels let a result overflow quietly: _set_pair checks every result for
+# finiteness and raises OutOfRange.  As a decorator, np.errstate costs about
+# half what a with-block does.
+@np.errstate(over="ignore", invalid="ignore")
 def madd(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot add {a.shape} and {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair = a._pair + b._pair
-    return QMatrix._of(pair)
+    return QMatrix._of(a._pair + b._pair)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def msub(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot subtract {b.shape} from {a.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair = a._pair - b._pair
-    return QMatrix._of(pair)
+    return QMatrix._of(a._pair - b._pair)
 
 
-def _pair_product(a1, a2, b1, b2, product: Callable) -> np.ndarray:
-    """``(A1 + A2 j)(B1 + B2 j)`` as a pair, with ``product`` the complex product."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _set_pair reports overflow
-        return np.stack(
-            (product(a1, b1) - product(a2, np.conj(b2)), product(a1, b2) + product(a2, np.conj(b1)))
-        )
+@np.errstate(over="ignore", invalid="ignore")
+def _pair_product(a: np.ndarray, b: np.ndarray, product: Callable) -> np.ndarray:
+    """``(A1 + A2 j)(B1 + B2 j)`` for the pairs ``a = (A1, A2)``, ``b = (B1, B2)``.
+
+    One ``product`` call (``np.matmul`` or ``np.multiply``) forms the four
+    complex block products, ``(A1, A2)`` against ``[[B1, B2], [conj(B2),
+    conj(B1)]]``; one subtraction and one addition combine them into a fresh
+    array.
+    """
+    rhs = np.empty((2, *b.shape), dtype=np.complex128)
+    rhs[0] = b
+    np.conjugate(b[::-1], out=rhs[1])
+    blocks = product(a[:, None], rhs)
+    out = np.empty(blocks.shape[1:], dtype=np.complex128)
+    np.subtract(blocks[0, 0], blocks[1, 0], out=out[0])
+    np.add(blocks[0, 1], blocks[1, 1], out=out[1])
+    return out
+
+
+def _scalar_pair(s: Quaternion) -> np.ndarray:
+    """The pair of ``s`` shaped to broadcast against a matrix pair."""
+    return np.array([complex(s.w, s.x), complex(s.y, s.z)]).reshape(2, 1, 1)
 
 
 def mmul(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return QMatrix._of(_pair_product(*a._pair, *b._pair, np.matmul))
+    return QMatrix._of(_pair_product(a._pair, b._pair, np.matmul))
 
 
 def scalar_lmul(s: Quaternion, a: QMatrix) -> QMatrix:
     """``s * A`` with the scalar multiplied on the left of every entry."""
-    return QMatrix._of(_pair_product(complex(s.w, s.x), complex(s.y, s.z), *a._pair, np.multiply))
+    return QMatrix._of(_pair_product(_scalar_pair(s), a._pair, np.multiply))
 
 
 def scalar_rmul(a: QMatrix, s: Quaternion) -> QMatrix:
     """``A * s`` with the scalar multiplied on the right of every entry."""
-    return QMatrix._of(_pair_product(*a._pair, complex(s.w, s.x), complex(s.y, s.z), np.multiply))
+    return QMatrix._of(_pair_product(a._pair, _scalar_pair(s), np.multiply))
 
 
 def ctranspose(a: QMatrix) -> QMatrix:
     """Conjugate transpose ``A* = A1^H - A2^T j``."""
     a1, a2 = a._pair
-    return QMatrix._of(np.stack((a1.conj().T, -a2.T)))
+    out = np.empty((2, a.cols, a.rows), dtype=np.complex128)
+    np.conjugate(a1.T, out=out[0])
+    np.negative(a2.T, out=out[1])
+    return QMatrix._of(out)
 
 
 def is_hermitian(a: QMatrix, tol: float = 0.0) -> bool:
@@ -340,26 +364,37 @@ def scale_pow2(a: QMatrix, k: int) -> QMatrix:
         return a
     with np.errstate(over="ignore"):
         pair = _svd.scale_pow2(a._pair, k)
-    if not np.isfinite(pair).all():
-        raise OutOfRange(f"scaling by 2**{k} overflows the float range")
-    return QMatrix._of(pair)
+    try:
+        return QMatrix._of(pair)
+    except OutOfRange:
+        raise OutOfRange(f"scaling by 2**{k} overflows the float range") from None
 
 
 def complex_embed(a: QMatrix) -> np.ndarray:
     """The ``2m x 2n`` complex embedding described in the module docstring."""
-    a1, a2 = a._pair
-    return np.block([[a1, a2], [-a2.conj(), a1.conj()]])
+    m, n = a.shape
+    out = np.empty((2 * m, 2 * n), dtype=np.complex128)
+    top, bottom = out.reshape(2, m, 2, n)  # block (r, c) is top/bottom[:, c]
+    np.copyto(top, a._pair.transpose(1, 0, 2))
+    np.conjugate(a._pair[::-1].transpose(1, 0, 2), out=bottom)
+    np.negative(bottom[:, 0], out=bottom[:, 0])
+    return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _set_pair reports overflow
 def complex_unembed(e: np.ndarray, rows: int, cols: int) -> QMatrix:
     """Inverse of :func:`complex_embed`, averaging the two redundant blocks."""
     if e.shape != (2 * rows, 2 * cols):
         raise DimensionMismatch(
             f"embedded matrix has shape {e.shape}, expected {(2 * rows, 2 * cols)}"
         )
-    a1 = 0.5 * (e[:rows, :cols] + np.conj(e[rows:, cols:]))
-    a2 = 0.5 * (e[:rows, cols:] - np.conj(e[rows:, :cols]))
-    return QMatrix._of(np.stack((a1, a2)))
+    out = np.empty((2, rows, cols), dtype=np.complex128)
+    np.conjugate(e[rows:, cols:], out=out[0])
+    np.conjugate(e[rows:, :cols], out=out[1])
+    np.add(e[:rows, :cols], out[0], out=out[0])
+    np.subtract(e[:rows, cols:], out[1], out=out[1])
+    np.multiply(out, 0.5, out=out)
+    return QMatrix._of(out)
 
 
 def embedded_rank(s: np.ndarray, cut: float) -> int:
@@ -376,8 +411,11 @@ def rank(a: QMatrix, floor: float = 0.0) -> int:
     """Numerical rank via paired singular values of the complex embedding.
 
     The SVD prescales its input by a power of two, so the decision does not
-    change under power-of-two rescaling of ``a`` and ``floor`` together.
+    change under power-of-two rescaling of ``a`` and ``floor`` together.  A
+    zero matrix has rank 0 and takes no SVD.
     """
+    if a.is_zero():
+        return 0
     e = complex_embed(a)
     s = _svd.singular_values(e)
     return embedded_rank(s, _svd.rank_cutoff(e.shape, s, floor))

@@ -66,6 +66,14 @@ def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The read-only complex ``n x n`` identity the Jacobi loop copies from."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
+
+
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``a = U @ diag(s) @ Vh`` of a complex matrix.
 
@@ -85,7 +93,7 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     k = pow2_exponent(a)
     # rows [:m] hold W, rows [m:] hold V, so one update rotates both
-    stacked = np.vstack((scale_pow2(a, k), np.eye(n, dtype=np.complex128)))
+    stacked = np.concatenate((scale_pow2(a, k), _identity(n)))
     work = stacked[:m]
     # A column whose squared norm falls to this level is rounding noise left
     # by a rank deficiency.  Rotating it further only shrinks it toward
@@ -112,7 +120,7 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             c = 1.0 / np.hypot(1.0, t)
             s_rot = t * c
             # columns transform by diag(1, conj(phase)) then the real rotation
-            rot = np.eye(n, dtype=np.complex128)
+            rot = _identity(n).copy()
             rot[p, p] = c
             rot[q, p] = -phase * s_rot
             rot[p, q] = s_rot

@@ -140,6 +140,26 @@ def test_unrepresentable_json_exits_66(content, capsys, tmp_path):
     assert err.startswith("qsylv: error: ") and len(err) < 400
 
 
+@pytest.mark.parametrize("dims", [("true", "true"), ("1", "true"), ("false", "1")],
+                         ids=["both", "cols", "rows"])
+def test_boolean_matrix_dimensions_exit_66(dims, capsys, tmp_path):
+    # True == 1 and isinstance(True, int) hold, but a JSON boolean is no size
+    path = tmp_path / "bool.json"
+    path.write_text('{"rows": %s, "cols": %s, "data": [[[2, 0, 0, 0]]]}' % dims)
+    code, out, err = run_cli(["mpinv", "--in", str(path)], capsys)
+    assert code == 66 and out == ""
+    assert "'rows'/'cols' must be positive integers" in err
+
+
+@pytest.mark.parametrize("max_dim, message", [
+    ("0", "must be >= 1, got 0"), ("-1", "must be >= 1, got -1"),
+    ("2x", "must be an integer, got '2x'")])
+def test_gen_max_dim_must_be_a_positive_integer(max_dim, message, capsys):
+    code, out, err = run_cli(["gen", "--kind", "two-left", "--max-dim", max_dim], capsys)
+    assert code == 64 and out == ""
+    assert f"largest matrix dimension {message}" in err
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 @pytest.mark.parametrize("command", [["check"], ["solve", "--method", "direct"]],
                          ids=["check", "solve-direct"])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 import qsylv.mpinv as mpinv
+import qsylv.svd as svd_module
 from qsylv import QMatrix, mp_cramer, mp_oracle, proj_p, proj_q, rank
 from qsylv.mpinv import (
     DetPinv,
@@ -13,8 +16,9 @@ from qsylv.mpinv import (
     proj_p_cramer,
     proj_q_cramer,
 )
-from qsylv.qmatrix import scale_pow2
+from qsylv.qmatrix import complex_embed, complex_unembed, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_matrix
+from qsylv.svd import pinv_from_svd, rank_cutoff
 
 from conftest import assert_matrix_close, max_entry_diff, q, qm
 
@@ -61,6 +65,29 @@ def test_rank_zero_gives_zero_pinv():
     for result in (mp_cramer(a), mp_oracle(a)):
         assert result.pinv == QMatrix.zeros(2, 3)
         assert result.rank_used == 0
+
+
+def test_zero_matrices_take_no_svd_and_match_the_svd_route(monkeypatch):
+    signed = np.zeros((3, 2, 4))
+    signed[::2, :, 1::2] = -0.0
+    zeros = [QMatrix.zeros(1, 1), QMatrix.zeros(2, 3), QMatrix.from_array(signed)]
+    by_svd = []
+    for a in zeros:
+        e = complex_embed(a)
+        u, s, vh = svd_module.svd(e)
+        by_svd.append(complex_unembed(pinv_from_svd(u, s, vh, rank_cutoff(e.shape, s)),
+                                      a.cols, a.rows))
+
+    def no_svd(a):
+        raise AssertionError("a zero matrix reached the SVD")
+
+    monkeypatch.setattr(svd_module, "svd", no_svd)
+    monkeypatch.setattr(mpinv, "svd", no_svd)
+    for a, expected in zip(zeros, by_svd):
+        result = mp_oracle(a, rank_floor=1.0)
+        assert result.rank_used == 0 and rank(a) == 0 and rank(a, floor=1.0) == 0
+        assert result.pinv.shape == (a.cols, a.rows)
+        assert result.pinv._pair.tobytes() == expected._pair.tobytes()
 
 
 def test_rank_used_matches_planted_rank():

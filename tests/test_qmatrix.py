@@ -124,6 +124,97 @@ def test_overflow_raises_out_of_range_without_a_numpy_warning(op):
             op(a)
 
 
+# -- kernel pin: the array kernels against the formulas they replaced ------------
+
+
+def _ref_pair_product(a1, a2, b1, b2, product):
+    return np.stack(
+        (product(a1, b1) - product(a2, np.conj(b2)), product(a1, b2) + product(a2, np.conj(b1)))
+    )
+
+
+def _ref_embed(a1, a2):
+    return np.block([[a1, a2], [-a2.conj(), a1.conj()]])
+
+
+def _ref_unembed(e, rows, cols):
+    a1 = 0.5 * (e[:rows, :cols] + np.conj(e[rows:, cols:]))
+    a2 = 0.5 * (e[:rows, cols:] - np.conj(e[rows:, :cols]))
+    return np.stack((a1, a2))
+
+
+def _signed_zero_matrix(rng, rows, cols):
+    """A random matrix about a third of whose components are +0.0 or -0.0."""
+    values = rng.standard_normal((rows, cols, 4))
+    zeroed = rng.random(values.shape) < 1 / 3
+    values[zeroed] = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)[zeroed]
+    return QMatrix.from_array(values)
+
+
+def _assert_fresh(result: QMatrix, *operands: QMatrix) -> None:
+    assert not result._pair.flags.writeable
+    for operand in operands:
+        assert not np.shares_memory(result._pair, operand._pair)
+
+
+@pytest.mark.parametrize("m, k, n", [(1, 1, 1), (2, 3, 1), (1, 4, 2), (3, 2, 5), (6, 5, 6),
+                                     (6, 5, 3)])
+def test_kernels_match_the_stack_and_block_formulas_bit_for_bit(m, k, n):
+    from qsylv import scalar_lmul, scalar_rmul
+
+    rng = np.random.default_rng(1000 * m + 100 * k + n)
+    draws = [(_signed_zero_matrix(rng, m, k), _signed_zero_matrix(rng, k, n)) for _ in range(4)]
+    draws.append((QMatrix.from_array(np.full((m, k, 4), -0.0)), _signed_zero_matrix(rng, k, n)))
+    for a, b in draws:
+        product = a @ b
+        assert product._pair.tobytes() == _ref_pair_product(*a._pair, *b._pair, np.matmul).tobytes()
+        _assert_fresh(product, a, b)
+        star = ctranspose(a)
+        assert star._pair.tobytes() == np.stack((a._pair[0].conj().T, -a._pair[1].T)).tobytes()
+        _assert_fresh(star, a)
+        e = complex_embed(a)
+        assert e.tobytes() == _ref_embed(*a._pair).tobytes()
+        assert not np.shares_memory(e, a._pair)
+        wide = complex_embed(_signed_zero_matrix(rng, m, k)) + complex_embed(a)
+        back = complex_unembed(wide, m, k)
+        assert back._pair.tobytes() == _ref_unembed(wide, m, k).tobytes()
+        assert not back._pair.flags.writeable and not np.shares_memory(back._pair, wide)
+        for s in (Quaternion(0.5, -0.0, 2.0, -1.5), Quaternion(-0.0)):
+            pair = (complex(s.w, s.x), complex(s.y, s.z))
+            left, right = scalar_lmul(s, a), scalar_rmul(a, s)
+            assert left._pair.tobytes() == _ref_pair_product(*pair, *a._pair, np.multiply).tobytes()
+            assert right._pair.tobytes() == _ref_pair_product(*a._pair, *pair, np.multiply).tobytes()
+            _assert_fresh(left, a)
+            _assert_fresh(right, a)
+
+
+def test_kernel_overflow_raises_out_of_range_without_a_numpy_warning():
+    huge = QMatrix.from_array(np.full((6, 5, 4), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            huge @ ctranspose(huge)
+        with pytest.raises(OutOfRange):
+            huge * Quaternion(0.0, 1e200)
+        with pytest.raises(OutOfRange):
+            Quaternion(0.0, 0.0, 1e200) * huge
+        with pytest.raises(OutOfRange):
+            complex_unembed(np.full((12, 10), 1.5e308 + 0j), 6, 5)
+
+
+def test_jacobi_identity_is_cached_read_only_and_left_intact():
+    ident = svd_module._identity(4)
+    assert svd_module._identity(4) is ident and not ident.flags.writeable
+    rng = SplitMix64(22)
+    for rows in (2, 4, 6):
+        svd(np.asarray(complex_embed(random_matrix(rng, rows, 2))))
+        svd(np.asarray(complex_embed(planted_rank_matrix(rng, rows, 2, 1))))
+    assert svd_module._identity(4) is ident and not ident.flags.writeable
+    assert ident.tobytes() == np.eye(4, dtype=np.complex128).tobytes()
+    with pytest.raises(ValueError):
+        ident[0, 1] = 1.0
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         QMatrix.zeros(2, 3) @ QMatrix.zeros(2, 3)

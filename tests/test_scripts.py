@@ -41,3 +41,22 @@ def test_sweep_lines_do_not_depend_on_the_hash_seed():
         per_kind_lines.append([line for line in proc.stdout.splitlines() if "(n=1)" in line])
     assert len(per_kind_lines[0]) == len(EquationKind)
     assert per_kind_lines[0] == per_kind_lines[1]
+
+
+def test_output_digest_does_not_depend_on_the_hash_seed_or_scratch_directory():
+    outputs = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "output_digest.py"),
+             "--seeds", "1", "--max-dims", "2"],
+            capture_output=True,
+            text=True,
+            env=_env(PYTHONHASHSEED=hash_seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    rows = [line.split() for line in outputs[0].splitlines()]
+    assert [row[0] for row in rows] == [
+        "gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv"]
+    assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
+    assert outputs[0] == outputs[1]

@@ -430,16 +430,17 @@ def test_identity_filled_kinds_match_their_general_form_bit_for_bit(kind):
 
 
 # SVD calls and coefficient passes of one solve(method="both") of the seed-3,
-# max_dim-4 instance: identity-filled slots take neither.
+# max_dim-4 instance: identity-filled slots take neither, and a derived matrix
+# that is exactly zero takes no SVD.
 WORK_PER_SOLVE = {
     EquationKind.GEN_SYLVESTER: (13, 9),
-    EquationKind.ONE_LEFT: (10, 5),
-    EquationKind.ONE_RIGHT: (10, 5),
-    EquationKind.STEIN: (7, 3),
-    EquationKind.SYLVESTER: (6, 5),
-    EquationKind.SYLVESTER_MIRROR: (6, 5),
-    EquationKind.TWO_LEFT: (9, 4),
-    EquationKind.TWO_RIGHT: (9, 5),
+    EquationKind.ONE_LEFT: (9, 5),
+    EquationKind.ONE_RIGHT: (9, 5),
+    EquationKind.STEIN: (5, 3),
+    EquationKind.SYLVESTER: (5, 5),
+    EquationKind.SYLVESTER_MIRROR: (5, 5),
+    EquationKind.TWO_LEFT: (8, 4),
+    EquationKind.TWO_RIGHT: (8, 5),
     EquationKind.LYAPUNOV_LIKE: (2, 2),
     EquationKind.LYAPUNOV_STAR: (1, 2),
 }
