@@ -18,6 +18,7 @@ Exit codes: 0 success (and, for solve/check, the instance is consistent);
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -320,5 +321,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry of the ``qsylv`` console script and ``python -m qsylv.cli``.
+
+    Runs :func:`main` on the command line and exits with its code.  Before
+    exiting it freezes the collector (``gc.freeze``), so interpreter shutdown
+    does not walk every NumPy and qsylv object in full collection passes.
+    ``main`` itself never freezes: in-process callers keep a normal collector.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

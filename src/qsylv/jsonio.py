@@ -40,7 +40,8 @@ def _emit(obj: Any, parts: list[str]) -> None:
         parts.append(str(obj))
     elif isinstance(obj, float):
         parts.append(format_float(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
+        # a result record is a NamedTuple: refused below, not written as an array
         parts.append("[")
         for t, item in enumerate(obj):
             if t:

@@ -24,8 +24,7 @@ never have to multiply a pseudoinverse into their main path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidSize, ZeroDivisor
 from .qmatrix import (
@@ -42,8 +41,7 @@ from .qmatrix import (
 from .svd import pinv_from_svd, rank_cutoff, svd
 
 
-@dataclass(frozen=True, slots=True)
-class MpResult:
+class MpResult(NamedTuple):
     """A pseudoinverse together with how it was obtained."""
 
     pinv: QMatrix
@@ -71,8 +69,7 @@ def gram_right(a: QMatrix) -> QMatrix:
     return hermitize(mmul(a, ctranspose(a)))
 
 
-@dataclass(frozen=True, slots=True)
-class DetPinv:
+class DetPinv(NamedTuple):
     """The determinantal pseudoinverse of one matrix ``a`` in factored form.
 
     ``a`` is prescaled to ``a_s = 2**k a`` (:func:`~qsylv.qmatrix.pow2_exponent`)

@@ -214,25 +214,33 @@ class QMatrix:
 
     def __mul__(self, scalar: object) -> "QMatrix":
         """``M * s``: scalar applied on the *right* of every entry."""
-        if isinstance(scalar, (int, float, Quaternion)):
-            return scalar_rmul(self, _as_quaternion(scalar))
+        if isinstance(scalar, (int, float)):
+            return self._scaled(np.multiply, scalar)
+        if isinstance(scalar, Quaternion):
+            return scalar_rmul(self, scalar)
         return NotImplemented
 
     def __rmul__(self, scalar: object) -> "QMatrix":
         """``s * M``: scalar applied on the *left* of every entry."""
-        if isinstance(scalar, (int, float, Quaternion)):
-            return scalar_lmul(_as_quaternion(scalar), self)
+        if isinstance(scalar, (int, float)):
+            return self._scaled(np.multiply, scalar)
+        if isinstance(scalar, Quaternion):
+            return scalar_lmul(scalar, self)
         return NotImplemented
 
-    @np.errstate(over="ignore", invalid="ignore")  # _set_pair reports overflow
     def __truediv__(self, scalar: object) -> "QMatrix":
         """``M / d`` for a real ``d``; ``d == 0`` raises :class:`ZeroDivisor`."""
         if isinstance(scalar, (int, float)):
             if scalar == 0:
                 raise ZeroDivisor("division of a matrix by zero")
-            # divide the real components: complex division would not round correctly
-            return QMatrix._of((self._pair.view(np.float64) / float(scalar)).view(np.complex128))
+            return self._scaled(np.divide, scalar)
         return NotImplemented
+
+    @np.errstate(over="ignore", invalid="ignore")  # _set_pair reports overflow
+    def _scaled(self, op: Callable, real: float) -> "QMatrix":
+        # A real scalar commutes with every entry and acts on each real
+        # component alone; complex arithmetic would not round the same.
+        return QMatrix._of(op(self._pair.view(np.float64), float(real)).view(np.complex128))
 
     @property
     def H(self) -> "QMatrix":

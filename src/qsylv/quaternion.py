@@ -31,6 +31,8 @@ def _coerce(value: "Quaternion | Real") -> "Quaternion":
     return NotImplemented  # type: ignore[return-value]
 
 
+# A dataclass, not a NamedTuple like the result records: NumPy would read a
+# tuple subclass as a 4-vector wherever a quaternion meets an array.
 @dataclass(frozen=True, slots=True)
 class Quaternion:
     """An immutable quaternion ``w + x*i + y*j + z*k``."""

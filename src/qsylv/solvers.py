@@ -25,10 +25,9 @@ disagreement between the two families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ConstraintViolated,
@@ -120,8 +119,11 @@ _SHAPES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class GenSylvesterProblem:
+# The records below are NamedTuples rather than frozen dataclasses: creating a
+# dataclass generates and compiles its methods, about ten times the cost of a
+# NamedTuple class, and every CLI process pays that at import.  A record is
+# therefore also a tuple, so ``x1, x2 = sol`` works.
+class GenSylvesterProblem(NamedTuple):
     """A fully validated equation instance.
 
     For the two-term kinds all four coefficient slots are populated
@@ -186,8 +188,7 @@ class GenSylvesterProblem:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class FreeParams:
+class FreeParams(NamedTuple):
     """Free parameter blocks for :func:`solve_general`.
 
     ``u``/``z`` perturb ``x1``, ``v``/``w`` perturb ``x2`` (two-term kinds);
@@ -203,23 +204,20 @@ class FreeParams:
     zc: Optional[QMatrix] = None
 
 
-@dataclass(frozen=True, slots=True)
-class PairSolution:
+class PairSolution(NamedTuple):
     """The solution pair; ``x2`` is ``None`` for single-unknown kinds."""
 
     x1: QMatrix
     x2: Optional[QMatrix] = None
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float
 
 
-@dataclass(frozen=True, slots=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome summary: verdict, per-criterion results, and provenance."""
 
     consistent: bool
@@ -247,8 +245,7 @@ class SolveReport:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class AuxData:
+class AuxData(NamedTuple):
     """Pseudoinverse-route data of one problem, and the shared ranks.
 
     Every kind gets the pseudoinverse and rank of ``a1`` (the ``a`` of the

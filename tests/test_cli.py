@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -529,12 +530,17 @@ def test_exports_resolve_and_removed_options_are_usage_errors(capsys, pair_files
     assert out == "" and "--form" in err
 
 
-def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports ``qsylv`` from this tree."""
+def _src_env() -> dict:
+    """The environment of a new interpreter that imports ``qsylv`` from this tree."""
     src_dir = str(Path(__file__).resolve().parent.parent / "src")
     env_path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=env_path)
+
+
+def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports ``qsylv`` from this tree."""
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=env_path))
+                          text=True, env=_src_env())
 
 
 def _modules_loaded_by(argv: list[str]) -> tuple[int, set[str]]:
@@ -584,6 +590,61 @@ def test_zero_det_dim_cap_is_a_usage_error(command, capsys, pair_files, tmp_path
     code, out, err = run_cli(argv, capsys)
     assert code == 64 and out == ""
     assert "determinant dimension cap must be >= 1" in err
+
+
+# -- the process entry: python -m qsylv.cli and the console script -------------
+
+
+def _gen_argv(capsys, tmp_path, command: list[str], *flags: str) -> list[str]:
+    """``command`` on a ``qsylv gen`` gen-sylvester instance written into ``tmp_path``."""
+    out_dir = tmp_path / "inst"
+    code, _, _ = run_cli(["gen", "--kind", "gen-sylvester", "--seed", "3", *flags,
+                          "--out-dir", str(out_dir)], capsys)
+    assert code == 0
+    argv = [*command, "--kind", "gen-sylvester", "--c", str(out_dir / "c.json")]
+    for slot in ("a1", "b1", "a2", "b2"):
+        argv += [f"--{slot}", str(out_dir / f"{slot}.json")]
+    return argv
+
+
+def _assert_process_matches_main(argv: list[str], expected: int, capsys) -> None:
+    """``python -m qsylv.cli`` and an in-process ``main`` exit alike and print the same bytes."""
+    proc = subprocess.run([sys.executable, "-m", "qsylv.cli", *argv], capture_output=True,
+                          env=_src_env())
+    code, out, _ = run_cli(argv, capsys)
+    assert (proc.returncode, code) == (expected, expected), proc.stderr
+    assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize("command, flags, expected", [
+    (["check"], (), 0),
+    (["check"], ("--inconsistent",), 2),
+    (["solve", "--method", "direct"], (), 0),
+    (["check", "--unknown-flag"], (), 64),
+], ids=["check-consistent", "check-perturbed", "solve-direct", "unknown-flag"])
+def test_process_exit_codes_and_output_match_main(command, flags, expected, capsys, tmp_path):
+    argv = _gen_argv(capsys, tmp_path, command, *flags)
+    _assert_process_matches_main(argv, expected, capsys)
+
+
+def test_process_missing_file_exits_66(capsys, tmp_path):
+    argv = ["check", "--kind", "lyapunov-star", "--a1", str(tmp_path / "no.json"),
+            "--c", str(tmp_path / "no.json")]
+    _assert_process_matches_main(argv, 66, capsys)
+
+
+def test_main_leaves_the_collector_unfrozen(capsys, pair_files, tmp_path):
+    # only the process entry (run) freezes, right before it exits
+    code, _, _ = run_cli(["check"] + _problem_argv(pair_files, tmp_path), capsys)
+    assert code == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_targets_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"qsylv": "qsylv.cli:run"}
 
 
 def test_console_script_entry_point():

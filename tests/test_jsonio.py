@@ -56,6 +56,14 @@ def test_dumps_preserves_insertion_order_and_spacing():
     assert text == '{"b": 1, "a": [1.5, true, null, "x"], "c": {"nested": -0.0}}'
 
 
+def test_dumps_refuses_records_but_writes_plain_tuples_as_arrays():
+    from qsylv.solvers import CheckResult
+
+    with pytest.raises(ValueError, match="cannot serialize object of type CheckResult"):
+        dumps({"check": CheckResult("rank_cols", True, 0.0)})
+    assert dumps({"pair": ("rank_cols", 1.0)}) == '{"pair": ["rank_cols", 1.0]}'
+
+
 def test_dumps_is_deterministic():
     doc = {"values": [0.1 * i for i in range(20)]}
     assert dumps(doc) == dumps(doc)

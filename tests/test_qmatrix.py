@@ -99,6 +99,16 @@ def test_add_sub_scalar_ops():
     assert a / 2 == qm([[q(0.5), q(x=0.5)]])
 
 
+def test_real_scalars_scale_components_bit_for_bit():
+    a = qm([[q(-0.0, -1.0, 0.0, -0.0), q(0.1, -0.0, 3.0, 5e-324)],
+            [q(-0.0, 0.0, -0.0, 0.0), q(-7.0, 0.3, -0.0, 1e-300)]])
+    want = (a / 2.0)._pair.tobytes()
+    assert (a * 0.5)._pair.tobytes() == want
+    assert (0.5 * a)._pair.tobytes() == want
+    assert np.signbit((a * 0.5)._pair.view(np.float64)).tolist() == \
+        np.signbit(a._pair.view(np.float64)).tolist()
+
+
 def test_scalar_sides_differ_for_quaternion_scalars():
     from qsylv import scalar_lmul, scalar_rmul
 

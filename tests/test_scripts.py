@@ -60,3 +60,22 @@ def test_output_digest_does_not_depend_on_the_hash_seed_or_scratch_directory():
         "gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv"]
     assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
     assert outputs[0] == outputs[1]
+
+
+def test_cli_startup_times_every_tree_it_is_given():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_startup.py"), "--rounds", "2",
+         "--max-dim", "2", str(ROOT), str(ROOT)],
+        capture_output=True,
+        text=True,
+        env=_env(PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    blocks = proc.stdout.split("tree ")[1:]
+    assert len(blocks) == 2
+    for block in blocks:
+        lines = block.splitlines()
+        assert lines[0] == str(ROOT)
+        assert [line.split()[0] for line in lines[1:]] == [
+            "check", "solve-direct", "qsylv", "PYTHONDONTWRITEBYTECODE='1'"]
+        assert all("median" in line for line in lines[1:4])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from qsylv import (
+    AuxData,
+    CheckResult,
     ConstraintViolated,
     DimensionMismatch,
     EquationKind,
@@ -12,9 +14,11 @@ from qsylv import (
     GenSylvesterProblem,
     Inconsistent,
     InvalidSize,
+    MpResult,
     PairSolution,
     QMatrix,
     QsylvError,
+    SolveReport,
     apply_lhs,
     check_consistency,
     cramer_axb,
@@ -479,6 +483,60 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
             solve(prob, method=method, tol=tol)
     with pytest.raises(InvalidSize):
         solve_general(prob, tol=tol)
+
+
+def _records():
+    m = QMatrix.from_rows([[1.0, 2.0]])
+    one = QMatrix.identity(1)
+    pairs = [
+        (GenSylvesterProblem.build(EquationKind.TWO_LEFT, a1=one, a2=one, c=one),
+         "GenSylvesterProblem(kind=<EquationKind.TWO_LEFT: 'two-left'>, a1=QMatrix(1x1), "
+         "b1=QMatrix(1x1), a2=QMatrix(1x1), b2=QMatrix(1x1), c=QMatrix(1x1))"),
+        (FreeParams(u=m), "FreeParams(u=QMatrix(1x2), v=None, z=None, w=None, y=None, zc=None)"),
+        (PairSolution(m), "PairSolution(x1=QMatrix(1x2), x2=None)"),
+        (CheckResult("rank_cols", True, 0.0),
+         "CheckResult(name='rank_cols', passed=True, residual=0.0)"),
+        (SolveReport(True, (CheckResult("r", False, 1.5),), 0.25, "check", (("x1", "f"),)),
+         "SolveReport(consistent=True, checks=(CheckResult(name='r', passed=False, "
+         "residual=1.5),), residual_norm=0.25, method='check', provenance=(('x1', 'f'),))"),
+        (AuxData(1, m),
+         "AuxData(r_a1=1, a1_pinv=QMatrix(1x2), r_b2=None, b2_pinv=None, r_b1=None, "
+         "r_a2=None, r_m=None, r_n=None, r_s=None, b1_pinv=None, a2_pinv=None, m_mat=None, "
+         "n_mat=None, s_mat=None, m_pinv=None, n_pinv=None, s_pinv=None, like_x1=None)"),
+        (MpResult(m, "oracle", 1), "MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1)"),
+        (mpinv_module.DetPinv("left", -1, m, m, m, 2.0),
+         "DetPinv(side='left', k=-1, scaled_h=QMatrix(1x2), gram=QMatrix(1x2), "
+         "coeffs=QMatrix(1x2), denom=2.0)"),
+    ]
+    return [pytest.param(record, text, id=type(record).__name__) for record, text in pairs]
+
+
+@pytest.mark.parametrize("record, text", _records())
+def test_records_are_immutable_and_keep_their_repr(record, text):
+    # the repr texts are those of the frozen dataclasses the records once were
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_equal_problems_hash_alike_and_share_one_derive_aux_entry():
+    rng = SplitMix64(73)
+    rows = {name: random_matrix(rng, 3, 3).entries for name in ("a1", "b1", "a2", "b2", "c")}
+
+    def build():
+        mats = {name: QMatrix.from_rows(value) for name, value in rows.items()}
+        return GenSylvesterProblem.build(EquationKind.GEN_SYLVESTER, **mats)
+
+    first, second = build(), build()
+    assert first is not second and first.c is not second.c
+    assert first == second and hash(first) == hash(second)
+    derive_aux.cache_clear()
+    aux = derive_aux(first)
+    assert derive_aux(second) is aux
+    info = derive_aux.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_derive_aux_is_cached_per_problem():
