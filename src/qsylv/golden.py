@@ -212,10 +212,10 @@ def _intermediate_rows(example: WorkedExample, tol: float) -> list[tuple[str, bo
         for label, actual in (
             ("pinv_a1", mp_cramer(a1).pinv),
             ("pinv_a1_oracle", mp_oracle(a1).pinv),
-            ("m", aux.m_mat),
-            ("pinv_m", aux.m_pinv),
-            ("pinv_b1", aux.b1_pinv),
-            ("pinv_b2", aux.b2_pinv),
+            ("m", aux.m.a),
+            ("pinv_m", aux.m.pinv),
+            ("pinv_b1", aux.b1.pinv),
+            ("pinv_b2", aux.b2.pinv),
         ):
             key = label.replace("_oracle", "")
             ok, detail = _close(actual, expected[key], tol)

@@ -13,12 +13,15 @@
 Both prescale their input by an exact power of two (``pinv(2**k A) =
 2**-k pinv(A)``), so tiny and huge inputs neither underflow nor overflow.
 Both satisfy the four Penrose identities; tests cross-verify them against
-each other.  :class:`DetPinv` keeps the determinantal inverse factored
+each other.  Both return an :class:`MpResult`, which keeps the inverted
+matrix next to its pseudoinverse and forms the paper's four orthogonal
+projectors ``P_A = A⁺A``, ``Q_A = AA⁺``, ``L_A = I - P_A`` and
+``R_A = I - Q_A``.  :class:`DetPinv` keeps the determinantal inverse factored
 (prescaled matrix, Gram matrix, coefficient matrix, minor sum), so a caller
-can form ``pinv(A) @ X``, ``X @ pinv(A)`` and the orthogonal projectors
-``P = pinv(A) A`` and ``Q = A pinv(A)`` (:func:`proj_p_cramer`,
-:func:`proj_q_cramer`) from one coefficient pass, and Cramer-route solvers
-never have to multiply a pseudoinverse into their main path.
+can form ``pinv(A) @ X``, ``X @ pinv(A)`` and the projectors ``P`` and ``Q``
+(:func:`proj_p_cramer`, :func:`proj_q_cramer`) from one coefficient pass, and
+Cramer-route solvers never have to multiply a pseudoinverse into their main
+path.
 """
 
 from __future__ import annotations
@@ -42,11 +45,32 @@ from .svd import pinv_from_svd, rank_cutoff, svd
 
 
 class MpResult(NamedTuple):
-    """A pseudoinverse together with how it was obtained."""
+    """The pseudoinverse ``pinv`` of ``a``, how it was obtained, and its rank.
+
+    The four orthogonal projectors are read off the pair, so every projector
+    of the pseudoinverse route is formed here and nowhere else.
+    """
 
     pinv: QMatrix
     method: str  # "cramer_left" | "cramer_right" | "oracle" | "identity"
     rank_used: int
+    a: QMatrix
+
+    def proj_p(self) -> QMatrix:
+        """``P_A = pinv(a) @ a``: projector onto the row space (cols x cols)."""
+        return self.pinv @ self.a
+
+    def proj_q(self) -> QMatrix:
+        """``Q_A = a @ pinv(a)``: projector onto the column space (rows x rows)."""
+        return self.a @ self.pinv
+
+    def proj_l(self) -> QMatrix:
+        """``L_A = I - P_A``: projector onto the null space of ``a``."""
+        return QMatrix.identity(self.a.cols) - self.proj_p()
+
+    def proj_r(self) -> QMatrix:
+        """``R_A = I - Q_A``: projector onto the left null space of ``a``."""
+        return QMatrix.identity(self.a.rows) - self.proj_q()
 
 
 def hermitize(g: QMatrix) -> QMatrix:
@@ -150,7 +174,7 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -
     if side is None:
         side = "left" if a.cols <= a.rows else "right"
     r = rank(a, floor=rank_floor)
-    return MpResult(DetPinv.of(a, side, r).pinv(), f"cramer_{side}", r)
+    return MpResult(DetPinv.of(a, side, r).pinv(), f"cramer_{side}", r, a)
 
 
 def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
@@ -162,26 +186,16 @@ def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
     which is what the SVD gives (an all-zero spectrum has an infinite cutoff).
     """
     if a.is_zero():
-        return MpResult(QMatrix.zeros(a.cols, a.rows), "oracle", 0)
+        return MpResult(QMatrix.zeros(a.cols, a.rows), "oracle", 0, a)
     k = pow2_exponent(a)
     embedded = complex_embed(scale_pow2(a, k))
     u, s, vh = svd(embedded)
     cut = rank_cutoff(embedded.shape, s, math.ldexp(rank_floor, k))
     pinv = complex_unembed(pinv_from_svd(u, s, vh, cut), a.cols, a.rows)
-    return MpResult(scale_pow2(pinv, k), "oracle", embedded_rank(s, cut))
+    return MpResult(scale_pow2(pinv, k), "oracle", embedded_rank(s, cut), a)
 
 
-# -- orthogonal projectors -----------------------------------------------------
-
-
-def proj_p(a: QMatrix) -> QMatrix:
-    """``pinv(a) @ a``: orthogonal projector onto the row space (cols x cols)."""
-    return mmul(mp_oracle(a).pinv, a)
-
-
-def proj_q(a: QMatrix) -> QMatrix:
-    """``a @ pinv(a)``: orthogonal projector onto the column space (rows x rows)."""
-    return mmul(a, mp_oracle(a).pinv)
+# -- determinantal projectors --------------------------------------------------
 
 
 def proj_p_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
@@ -195,16 +209,3 @@ def proj_q_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
     with ``g = a a*``."""
     return DetPinv.of(a, "right", r).projector()
 
-
-def penrose_residuals(a: QMatrix, x: QMatrix) -> tuple[float, float, float, float]:
-    """Frobenius norms of the four Penrose identity residuals for ``x ~ pinv(a)``."""
-    axa = mmul(mmul(a, x), a)
-    xax = mmul(mmul(x, a), x)
-    ax = mmul(a, x)
-    xa = mmul(x, a)
-    return (
-        (axa - a).fro_norm(),
-        (xax - x).fro_norm(),
-        (ax - ctranspose(ax)).fro_norm(),
-        (xa - ctranspose(xa)).fro_norm(),
-    )

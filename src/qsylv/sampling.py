@@ -166,23 +166,11 @@ def perturb_inconsistent(rng: SplitMix64, problem: GenSylvesterProblem) -> GenSy
         raise InvalidSize("inconsistent perturbations apply to two-term kinds")
     a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
     g = random_matrix(rng, c.rows, c.cols)
-    ident_m = QMatrix.identity(c.rows)
-    ident_s = QMatrix.identity(c.cols)
-
-    stacked_a = hstack([a1, a2])
-    r_stack = ident_m - stacked_a @ mp_oracle(stacked_a).pinv
-    stacked_b = vstack([b1, b2])
-    l_stack = ident_s - mp_oracle(stacked_b).pinv @ stacked_b
-    r_a1 = ident_m - a1 @ mp_oracle(a1).pinv
-    r_a2 = ident_m - a2 @ mp_oracle(a2).pinv
-    l_b1 = ident_s - mp_oracle(b1).pinv @ b1
-    l_b2 = ident_s - mp_oracle(b2).pinv @ b2
-
     candidates = (
-        r_stack @ g,
-        g @ l_stack,
-        r_a1 @ g @ l_b2,
-        r_a2 @ g @ l_b1,
+        mp_oracle(hstack([a1, a2])).proj_r() @ g,
+        g @ mp_oracle(vstack([b1, b2])).proj_l(),
+        mp_oracle(a1).proj_r() @ g @ mp_oracle(b2).proj_l(),
+        mp_oracle(a2).proj_r() @ g @ mp_oracle(b1).proj_l(),
     )
     for e in candidates:
         norm = e.fro_norm()

@@ -248,13 +248,14 @@ class SolveReport(NamedTuple):
 class AuxData(NamedTuple):
     """Pseudoinverse-route data of one problem, and the shared ranks.
 
-    Every kind gets the pseudoinverse and rank of ``a1`` (the ``a`` of the
+    One :class:`~qsylv.mpinv.MpResult` per matrix, so each projector is read
+    off the record of its matrix.  Every kind gets ``a1`` (the ``a`` of the
     conjugate-transpose kinds), and every kind with a ``b2`` (the ``b`` of
-    ``lyapunov-like``) those of ``b2``.  The two-term kinds also get ``b1``,
-    ``a2``, ``m = (i - a1 pinv(a1)) a2``, ``n = b2 (i - pinv(b1) b1)`` and
-    ``s = a2 (i - pinv(m) m)``.  ``lyapunov-like`` also gets its direct-route
-    solution ``like_x1``, which the gate checks and the direct route returns.
-    Fields a kind has no use for are ``None``.
+    ``lyapunov-like``) gets ``b2``.  The two-term kinds also get ``b1``,
+    ``a2``, ``m = R_a1 a2``, ``n = b2 L_b1`` and ``s = a2 L_m``.
+    ``lyapunov-like`` also gets its direct-route solution ``like_x1``, which
+    the gate checks and the direct route returns.  Fields a kind has no use
+    for are ``None``.
     Each rank is read off the same SVD as the matching pseudoinverse (an
     identity-filled slot takes none: it is its own pseudoinverse, of full
     rank) and is the only thing the determinantal route takes from here, so both routes
@@ -263,29 +264,20 @@ class AuxData(NamedTuple):
     evaluates no determinant.
     """
 
-    r_a1: int
-    a1_pinv: QMatrix
-    r_b2: Optional[int] = None
-    b2_pinv: Optional[QMatrix] = None
-    r_b1: Optional[int] = None
-    r_a2: Optional[int] = None
-    r_m: Optional[int] = None
-    r_n: Optional[int] = None
-    r_s: Optional[int] = None
-    b1_pinv: Optional[QMatrix] = None
-    a2_pinv: Optional[QMatrix] = None
-    m_mat: Optional[QMatrix] = None
-    n_mat: Optional[QMatrix] = None
-    s_mat: Optional[QMatrix] = None
-    m_pinv: Optional[QMatrix] = None
-    n_pinv: Optional[QMatrix] = None
-    s_pinv: Optional[QMatrix] = None
+    a1: MpResult
+    b2: Optional[MpResult] = None
+    b1: Optional[MpResult] = None
+    a2: Optional[MpResult] = None
+    m: Optional[MpResult] = None
+    n: Optional[MpResult] = None
+    s: Optional[MpResult] = None
     like_x1: Optional[QMatrix] = None
 
     @property
-    def ranks(self) -> tuple[int, int, int, int, int, int, int]:
-        """The two-term ranks ``(a1, b1, a2, b2, m, n, s)``."""
-        return (self.r_a1, self.r_b1, self.r_a2, self.r_b2, self.r_m, self.r_n, self.r_s)
+    def ranks(self) -> tuple[Optional[int], ...]:
+        """The two-term ranks ``(a1, b1, a2, b2, m, n, s)``; ``None`` where absent."""
+        return tuple(None if mp is None else mp.rank_used
+                     for mp in (self.a1, self.b1, self.a2, self.b2, self.m, self.n, self.s))
 
 
 def _slot_oracle(problem: GenSylvesterProblem, name: str) -> MpResult:
@@ -294,7 +286,7 @@ def _slot_oracle(problem: GenSylvesterProblem, name: str) -> MpResult:
     gives exactly that: every factor of it is a power of two)."""
     mat = getattr(problem, name)
     if name in problem.kind.identity_slots:
-        return MpResult(mat, "identity", mat.rows)
+        return MpResult(mat, "identity", mat.rows, mat)
     return mp_oracle(mat)
 
 
@@ -306,30 +298,19 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     problem share one derivation.  An entry holds a few dozen kilobytes of
     matrices for a 6x6 problem, so the cache keeps only the last 16 problems.
     """
-    a1, b1, a2, b2 = problem.a1, problem.b1, problem.a2, problem.b2
-    a1_mp = _slot_oracle(problem, "a1")
+    a1 = _slot_oracle(problem, "a1")
     if not problem.kind.is_two_term:
-        if b2 is None:
-            return AuxData(a1_mp.rank_used, a1_mp.pinv)
-        b2_mp = mp_oracle(b2)
-        x1 = _direct_lyap_like(problem, a1_mp.pinv, b2_mp.pinv)
-        return AuxData(a1_mp.rank_used, a1_mp.pinv, b2_mp.rank_used, b2_mp.pinv, like_x1=x1)
-    b1_mp, a2_mp, b2_mp = (_slot_oracle(problem, name) for name in ("b1", "a2", "b2"))
-    floor_a = DERIVED_RANK_FLOOR * a2.fro_norm()
-    floor_b = DERIVED_RANK_FLOOR * b2.fro_norm()
-    m_mat = (QMatrix.identity(a1.rows) - a1 @ a1_mp.pinv) @ a2
-    n_mat = b2 @ (QMatrix.identity(b1.cols) - b1_mp.pinv @ b1)
-    m_mp = mp_oracle(m_mat, rank_floor=floor_a)
-    n_mp = mp_oracle(n_mat, rank_floor=floor_b)
-    s_mat = a2 @ (QMatrix.identity(a2.cols) - m_mp.pinv @ m_mat)
-    s_mp = mp_oracle(s_mat, rank_floor=floor_a)
-    return AuxData(
-        r_a1=a1_mp.rank_used, r_b1=b1_mp.rank_used, r_a2=a2_mp.rank_used,
-        r_b2=b2_mp.rank_used, r_m=m_mp.rank_used, r_n=n_mp.rank_used, r_s=s_mp.rank_used,
-        a1_pinv=a1_mp.pinv, b1_pinv=b1_mp.pinv, a2_pinv=a2_mp.pinv, b2_pinv=b2_mp.pinv,
-        m_mat=m_mat, n_mat=n_mat, s_mat=s_mat,
-        m_pinv=m_mp.pinv, n_pinv=n_mp.pinv, s_pinv=s_mp.pinv,
-    )
+        if problem.b2 is None:
+            return AuxData(a1)
+        b2 = mp_oracle(problem.b2)
+        return AuxData(a1, b2, like_x1=_direct_lyap_like(problem, a1, b2))
+    b1, a2, b2 = (_slot_oracle(problem, name) for name in ("b1", "a2", "b2"))
+    floor_a = DERIVED_RANK_FLOOR * problem.a2.fro_norm()
+    floor_b = DERIVED_RANK_FLOOR * problem.b2.fro_norm()
+    m = mp_oracle(a1.proj_r() @ problem.a2, rank_floor=floor_a)
+    n = mp_oracle(problem.b2 @ b1.proj_l(), rank_floor=floor_b)
+    s = mp_oracle(problem.a2 @ m.proj_l(), rank_floor=floor_a)
+    return AuxData(a1, b2, b1, a2, m, n, s)
 
 
 # -- residuals -----------------------------------------------------------------
@@ -374,22 +355,14 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     aux = derive_aux(problem)
 
     if problem.kind.is_two_term:
-        a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
+        c = problem.c
         m_rows, s_cols = c.rows, c.cols
-        ident_m = QMatrix.identity(m_rows)
-        ident_s = QMatrix.identity(s_cols)
-        r_a1_proj = ident_m - a1 @ aux.a1_pinv
-        r_a2_proj = ident_m - a2 @ aux.a2_pinv
-        r_m_proj = ident_m - aux.m_mat @ aux.m_pinv
-        l_b1_proj = ident_s - aux.b1_pinv @ b1
-        l_b2_proj = ident_s - aux.b2_pinv @ b2
-        l_n_proj = ident_s - aux.n_pinv @ aux.n_mat
-
+        r_a1, l_b1 = aux.a1.proj_r(), aux.b1.proj_l()
         projector_residuals = (
-            ("r_m_r_a1_c", (r_m_proj @ r_a1_proj @ c).fro_norm()),
-            ("r_a1_c_l_b2", (r_a1_proj @ c @ l_b2_proj).fro_norm()),
-            ("c_l_b1_l_n", (c @ l_b1_proj @ l_n_proj).fro_norm()),
-            ("r_a2_c_l_b1", (r_a2_proj @ c @ l_b1_proj).fro_norm()),
+            ("r_m_r_a1_c", (aux.m.proj_r() @ r_a1 @ c).fro_norm()),
+            ("r_a1_c_l_b2", (r_a1 @ c @ aux.b2.proj_l()).fro_norm()),
+            ("c_l_b1_l_n", (c @ l_b1 @ aux.n.proj_l()).fro_norm()),
+            ("r_a2_c_l_b1", (aux.a2.proj_r() @ c @ l_b1).fro_norm()),
         )
         for name, res in projector_residuals:
             checks.append(CheckResult(name, res <= tol_c, res))
@@ -402,7 +375,8 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         # is then at least 1/2, far above the cutoff), and so do two identity
         # diagonal blocks; those ranks are read off the sizes.
         ident = problem.kind.identity_slots
-        a1, b1, a2, b2, c = (scale_pow2(x, pow2_exponent(x)) for x in (a1, b1, a2, b2, c))
+        slots = (problem.a1, problem.b1, problem.a2, problem.b2, c)
+        a1, b1, a2, b2, c = (scale_pow2(x, pow2_exponent(x)) for x in slots)
         if ident.isdisjoint(("a1", "a2")):
             cols = rank(hstack([a1, a2, c])), rank(hstack([a1, a2]))
         else:
@@ -420,8 +394,8 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         rank_pairs = (
             ("rank_cols", *cols),
             ("rank_rows", *rows),
-            ("rank_block_a1_b2", block("a1", "b2", a1, b2), aux.r_a1 + aux.r_b2),
-            ("rank_block_a2_b1", block("a2", "b1", a2, b1), aux.r_a2 + aux.r_b1),
+            ("rank_block_a1_b2", block("a1", "b2", a1, b2), aux.a1.rank_used + aux.b2.rank_used),
+            ("rank_block_a2_b1", block("a2", "b1", a2, b1), aux.a2.rank_used + aux.b1.rank_used),
         )
         ranks_ok = True
         for name, lhs, rhs in rank_pairs:
@@ -437,19 +411,16 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         sol = PairSolution(aux.like_x1)
         res0 = residual(problem, sol)
         checks.append(CheckResult("partial_solves", res0 <= tol_c, res0))
-        a, b = problem.a1, problem.b2
-        r_a_proj = QMatrix.identity(a.rows) - a @ aux.a1_pinv
-        l_b_proj = QMatrix.identity(b.cols) - aux.b2_pinv @ b
-        res_range = (r_a_proj @ problem.c @ l_b_proj).fro_norm()
+        res_range = (aux.a1.proj_r() @ problem.c @ aux.b2.proj_l()).fro_norm()
         checks.append(CheckResult("r_a_c_l_b_info", res_range <= tol_c, res_range))
         return SolveReport(res0 <= tol_c, tuple(checks), res0, "check")
 
     # conjugate-transpose kind with coefficient pair (a, ctranspose(a))
-    a, rhs = problem.a1, problem.c
+    rhs = problem.c
     herm_res = (rhs - rhs.H).fro_norm()
     herm_ok = herm_res <= tol_c
     checks.append(CheckResult("rhs_hermitian", herm_ok, herm_res))
-    r_a_proj = QMatrix.identity(a.rows) - a @ aux.a1_pinv
+    r_a_proj = aux.a1.proj_r()
     outer_res = (r_a_proj @ rhs @ r_a_proj).fro_norm()
     outer_ok = outer_res <= tol_c
     checks.append(CheckResult("r_a_rhs_r_a", outer_ok, outer_res))
@@ -462,31 +433,26 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
 
 def _direct_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatrix, QMatrix]:
     a2, b2, c = problem.a2, problem.b2, problem.c
-    a1p, b1p = aux.a1_pinv, aux.b1_pinv
-    a2p, b2p = aux.a2_pinv, aux.b2_pinv
-    mp_, np_, sp_ = aux.m_pinv, aux.n_pinv, aux.s_pinv
-    p_s = sp_ @ aux.s_mat
+    a1p, b1p = aux.a1.pinv, aux.b1.pinv
+    a2p, b2p = aux.a2.pinv, aux.b2.pinv
+    mp_, np_ = aux.m.pinv, aux.n.pinv
     x1 = (
         a1p @ c @ b1p
         - a1p @ a2 @ mp_ @ c @ b1p
-        - a1p @ aux.s_mat @ a2p @ c @ np_ @ b2 @ b1p
+        - a1p @ aux.s.a @ a2p @ c @ np_ @ b2 @ b1p
     )
-    x2 = mp_ @ c @ b2p + p_s @ a2p @ c @ np_
+    x2 = mp_ @ c @ b2p + aux.s.proj_p() @ a2p @ c @ np_
     return x1, x2
 
 
-def _direct_lyap_like(problem: GenSylvesterProblem, a_pinv: QMatrix, b_pinv: QMatrix) -> QMatrix:
-    a, b, c = problem.a1, problem.b2, problem.c
-    p_b = b_pinv @ b
-    half = QMatrix.identity(a.rows) - p_b * 0.5
-    return a_pinv @ c @ half
+def _direct_lyap_like(problem: GenSylvesterProblem, a: MpResult, b: MpResult) -> QMatrix:
+    half = QMatrix.identity(problem.a1.rows) - b.proj_p() * 0.5
+    return a.pinv @ problem.c @ half
 
 
 def _direct_lyap_star(problem: GenSylvesterProblem, aux: AuxData) -> QMatrix:
-    a, rhs = problem.a1, problem.c
-    q_a = a @ aux.a1_pinv
-    half = QMatrix.identity(a.rows) - q_a * 0.5
-    return aux.a1_pinv @ rhs @ half
+    half = QMatrix.identity(problem.a1.rows) - aux.a1.proj_q() * 0.5
+    return aux.a1.pinv @ problem.c @ half
 
 
 _DIRECT_PROVENANCE_TWO_TERM = (
@@ -604,10 +570,10 @@ def _partial_cramer(problem: GenSylvesterProblem) -> tuple[PairSolution, tuple[t
     # intermediate product grows with the square of the coefficients.
     a, c = problem.a1, problem.c
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        proj, formula = proj_p_cramer(problem.b2, aux.r_b2), "ax(a, c (i - proj_p(b)/2))"
+        proj, formula = proj_p_cramer(problem.b2, aux.b2.rank_used), "ax(a, c (i - proj_p(b)/2))"
     else:
-        proj, formula = proj_q_cramer(a, aux.r_a1), "ax(a, rhs (i - proj_q(a)/2))"
-    x = cramer_ax(a, c @ (QMatrix.identity(c.cols) - proj * 0.5), aux.r_a1)
+        proj, formula = proj_q_cramer(a, aux.a1.rank_used), "ax(a, rhs (i - proj_q(a)/2))"
+    x = cramer_ax(a, c @ (QMatrix.identity(c.cols) - proj * 0.5), aux.a1.rank_used)
     return PairSolution(x), (("x1", formula), ("route", "bordered minor sums"))
 
 
@@ -725,20 +691,14 @@ def solve_general(
         z = blocks["z"] or QMatrix.zeros(n_dim, r_dim)
         v = blocks["v"] or QMatrix.zeros(p_dim, q_dim)
         w = blocks["w"] or QMatrix.zeros(p_dim, q_dim)
-        l_a1 = QMatrix.identity(n_dim) - aux.a1_pinv @ problem.a1
-        r_b1 = QMatrix.identity(r_dim) - problem.b1 @ aux.b1_pinv
-        l_m = QMatrix.identity(p_dim) - aux.m_pinv @ aux.m_mat
-        p_s = aux.s_pinv @ aux.s_mat
-        q_n = aux.n_mat @ aux.n_pinv
-        r_n = QMatrix.identity(q_dim) - q_n
-        r_b2 = QMatrix.identity(q_dim) - problem.b2 @ aux.b2_pinv
         x1 = (
             x1
-            - aux.a1_pinv @ aux.s_mat @ v @ r_n @ problem.b2 @ aux.b1_pinv
-            + l_a1 @ u
-            + z @ r_b1
+            - aux.a1.pinv @ aux.s.a @ v @ aux.n.proj_r() @ problem.b2 @ aux.b1.pinv
+            + aux.a1.proj_l() @ u
+            + z @ aux.b1.proj_r()
         )
-        x2 = x2 + l_m @ (v - p_s @ v @ q_n) + w @ r_b2
+        x2 = (x2 + aux.m.proj_l() @ (v - aux.s.proj_p() @ v @ aux.n.proj_q())
+              + w @ aux.b2.proj_r())
         sol = PairSolution(x1, x2)
         prov = _DIRECT_PROVENANCE_TWO_TERM + (
             ("family", "x1 += -pinv(a1) s v (i - proj_q(n)) b2 pinv(b1) + (i - proj_p(a1)) u"
@@ -748,7 +708,6 @@ def solve_general(
         return _finish(problem, sol, base, "general", prov)
 
     a = problem.a1
-    n_dim = a.cols
     y = blocks["y"]
     zc = blocks["zc"]
     nonzero_free = any(
@@ -772,13 +731,11 @@ def solve_general(
             raise ConstraintViolated(
                 f"zc violates a (zc + ctranspose(zc)) ctranspose(a) = 0: norm {sym_norm:.3e}"
             )
-    l_a = QMatrix.identity(n_dim) - aux.a1_pinv @ a
-    p_a = aux.a1_pinv @ a
     x = x0
     if y is not None:
-        x = x + l_a @ y
+        x = x + aux.a1.proj_l() @ y
     if zc is not None:
-        x = x + p_a @ zc @ a.H
+        x = x + aux.a1.proj_p() @ zc @ a.H
     sol = PairSolution(x)
     prov = (
         ("x1", "partial + (i - proj_p(a)) y + proj_p(a) zc ctranspose(a)"),

@@ -10,6 +10,7 @@ individual tests fared.
 from __future__ import annotations
 
 from qsylv import QMatrix, Quaternion
+from qsylv.qmatrix import ctranspose, mmul
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
 
@@ -48,3 +49,17 @@ def assert_matrix_close(a: QMatrix, b: QMatrix, tol: float = 1e-12) -> None:
     assert a.shape == b.shape, f"shape {a.shape} != {b.shape}"
     diff = max_entry_diff(a, b)
     assert diff <= tol, f"max entry deviation {diff:.3e} > {tol:.1e}"
+
+
+def penrose_residuals(a: QMatrix, x: QMatrix) -> tuple[float, float, float, float]:
+    """Frobenius norms of the four Penrose identity residuals for ``x ~ pinv(a)``."""
+    axa = mmul(mmul(a, x), a)
+    xax = mmul(mmul(x, a), x)
+    ax = mmul(a, x)
+    xa = mmul(x, a)
+    return (
+        (axa - a).fro_norm(),
+        (xax - x).fro_norm(),
+        (ax - ctranspose(ax)).fro_norm(),
+        (xa - ctranspose(xa)).fro_norm(),
+    )

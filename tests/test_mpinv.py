@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import qsylv.mpinv as mpinv
 import qsylv.svd as svd_module
-from qsylv import QMatrix, mp_cramer, mp_oracle, proj_p, proj_q, rank
+from qsylv import (
+    EquationKind,
+    GenSylvesterProblem,
+    MpResult,
+    QMatrix,
+    derive_aux,
+    mp_cramer,
+    mp_oracle,
+    rank,
+)
 from qsylv.mpinv import (
     DetPinv,
     gram_left,
     gram_right,
     hermitize,
-    penrose_residuals,
     proj_p_cramer,
     proj_q_cramer,
 )
@@ -20,23 +29,34 @@ from qsylv.qmatrix import complex_embed, complex_unembed, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_matrix
 from qsylv.svd import pinv_from_svd, rank_cutoff
 
-from conftest import assert_matrix_close, max_entry_diff, q, qm
+from conftest import assert_matrix_close, max_entry_diff, penrose_residuals, q, qm
 
 TOL = 1e-9
+
+# The four projectors of an MpResult, P = pinv a, Q = a pinv, L = I - P, R = I - Q,
+# each with its complement.
+PROJECTORS = {"proj_p": "proj_l", "proj_q": "proj_r", "proj_l": "proj_p", "proj_r": "proj_q"}
 
 
 def _penrose_max(a: QMatrix, x: QMatrix) -> float:
     return max(penrose_residuals(a, x))
 
 
-def proj_l(a: QMatrix) -> QMatrix:
-    """``I - pinv(a) @ a``: the projector onto the null space of ``a``."""
-    return QMatrix.identity(a.cols) - proj_p(a)
+def _records(a: QMatrix) -> list[MpResult]:
+    """The pseudoinverse records of ``a`` from the oracle and from both Cramer sides."""
+    return [mp_oracle(a), mp_cramer(a, side="left"), mp_cramer(a, side="right")]
 
 
-def proj_r(a: QMatrix) -> QMatrix:
-    """``I - a @ pinv(a)``: the projector onto the left null space of ``a``."""
-    return QMatrix.identity(a.rows) - proj_q(a)
+def _identity_slot() -> MpResult:
+    """The record of an identity-filled slot: ``a1`` of a ``stein`` problem."""
+    rng = SplitMix64(52)
+    problem = GenSylvesterProblem.build(
+        EquationKind.STEIN, a2=random_matrix(rng, 3, 2), b2=random_matrix(rng, 2, 3),
+        c=random_matrix(rng, 3, 3),
+    )
+    record = derive_aux(problem).a1
+    assert record.method == "identity"
+    return record
 
 
 def test_penrose_properties_on_planted_ranks():
@@ -162,29 +182,34 @@ def test_tiny_and_huge_scalars_invert():
             assert abs(result.pinv[0, 0].w * value - 1.0) <= 1e-15
 
 
-def test_projectors_are_hermitian_idempotent():
+@pytest.mark.parametrize("name", PROJECTORS)
+def test_projectors_are_hermitian_idempotent(name):
     rng = SplitMix64(46)
+    records = [_identity_slot()]
     for _ in range(10):
-        a = planted_rank_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 1)
-        for maker in (proj_p, proj_q, proj_l, proj_r):
-            p = maker(a)
-            assert p.is_hermitian(1e-9)
-            assert_matrix_close(p @ p, p, 1e-9)
+        records += _records(planted_rank_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 1))
+    for record in records:
+        p = getattr(record, name)()
+        assert p.is_hermitian(1e-9), record.method
+        assert_matrix_close(p @ p, p, 1e-9)
 
 
-def test_projector_complements():
+@pytest.mark.parametrize("name", PROJECTORS)
+def test_projector_complements(name):
     a = planted_rank_matrix(SplitMix64(47), 3, 2, 1)
-    n, m = a.cols, a.rows
-    assert_matrix_close(proj_p(a) + proj_l(a), QMatrix.identity(n), 1e-12)
-    assert_matrix_close(proj_q(a) + proj_r(a), QMatrix.identity(m), 1e-12)
+    for record in [*_records(a), _identity_slot()]:
+        p = getattr(record, name)()
+        total = p + getattr(record, PROJECTORS[name])()
+        assert_matrix_close(total, QMatrix.identity(p.rows), 1e-12)
 
 
 def test_determinantal_projectors_match_oracle_route():
     rng = SplitMix64(48)
     for _ in range(10):
         a = planted_rank_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 1)
-        assert_matrix_close(proj_p_cramer(a), proj_p(a), 1e-9)
-        assert_matrix_close(proj_q_cramer(a), proj_q(a), 1e-9)
+        oracle = mp_oracle(a)
+        assert_matrix_close(proj_p_cramer(a), oracle.proj_p(), 1e-9)
+        assert_matrix_close(proj_q_cramer(a), oracle.proj_q(), 1e-9)
 
 
 def test_determinantal_projector_has_trace_rank():
@@ -199,10 +224,22 @@ def test_determinantal_projector_has_trace_rank():
             assert abs(trace.w - r) <= 1e-12 * r, (rows, cols, r, side)
 
 
-def test_projectors_annihilate_as_expected():
+# What vanishes for each projector of ``a``: L and R annihilate ``a`` from the
+# right and from the left, and P and Q fix it there.
+_ANNIHILATED = {
+    "proj_p": lambda a, p: a @ p - a,
+    "proj_q": lambda a, p: p @ a - a,
+    "proj_l": lambda a, p: a @ p,
+    "proj_r": lambda a, p: p @ a,
+}
+
+
+@pytest.mark.parametrize("name", PROJECTORS)
+def test_projectors_annihilate_as_expected(name):
     a = planted_rank_matrix(SplitMix64(49), 4, 3, 2)
-    assert (proj_r(a) @ a).fro_norm() <= 1e-9
-    assert (a @ proj_l(a)).fro_norm() <= 1e-9
+    for record in [*_records(a), _identity_slot()]:
+        p = getattr(record, name)()
+        assert _ANNIHILATED[name](record.a, p).fro_norm() <= 1e-9, record.method
 
 
 def test_grams_are_hermitian():

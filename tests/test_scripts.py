@@ -1,12 +1,14 @@
-"""The bundled scripts, run as a user runs them."""
+"""The bundled scripts, run as a user runs them, and the benchmark's tracer."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import qsylv.solvers as solvers_module
 from qsylv import EquationKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +81,14 @@ def test_cli_startup_times_every_tree_it_is_given():
         assert [line.split()[0] for line in lines[1:]] == [
             "check", "solve-direct", "qsylv", "PYTHONDONTWRITEBYTECODE='1'"]
         assert all("median" in line for line in lines[1:4])
+
+
+def test_benchmark_tracer_finds_every_function_its_metrics_rest_on(monkeypatch):
+    # a traced name that is gone turns up in ``absent`` and its per-layer
+    # metrics are dropped, so a rename must fail here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    assert tracer.absent == []
+    assert {f"mpinv.MpResult.proj_{x}" for x in "pqlr"} <= set(tracer.wrapped)
+    # the benchmark reads derive_aux misses off its cache
+    assert callable(solvers_module.derive_aux.cache_info)

@@ -499,11 +499,11 @@ def _records():
         (SolveReport(True, (CheckResult("r", False, 1.5),), 0.25, "check", (("x1", "f"),)),
          "SolveReport(consistent=True, checks=(CheckResult(name='r', passed=False, "
          "residual=1.5),), residual_norm=0.25, method='check', provenance=(('x1', 'f'),))"),
-        (AuxData(1, m),
-         "AuxData(r_a1=1, a1_pinv=QMatrix(1x2), r_b2=None, b2_pinv=None, r_b1=None, "
-         "r_a2=None, r_m=None, r_n=None, r_s=None, b1_pinv=None, a2_pinv=None, m_mat=None, "
-         "n_mat=None, s_mat=None, m_pinv=None, n_pinv=None, s_pinv=None, like_x1=None)"),
-        (MpResult(m, "oracle", 1), "MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1)"),
+        (AuxData(MpResult(m, "oracle", 1, m)),
+         "AuxData(a1=MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1, a=QMatrix(1x2)), "
+         "b2=None, b1=None, a2=None, m=None, n=None, s=None, like_x1=None)"),
+        (MpResult(m, "oracle", 1, m),
+         "MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1, a=QMatrix(1x2))"),
         (mpinv_module.DetPinv("left", -1, m, m, m, 2.0),
          "DetPinv(side='left', k=-1, scaled_h=QMatrix(1x2), gram=QMatrix(1x2), "
          "coeffs=QMatrix(1x2), denom=2.0)"),
@@ -513,12 +513,36 @@ def _records():
 
 @pytest.mark.parametrize("record, text", _records())
 def test_records_are_immutable_and_keep_their_repr(record, text):
-    # the repr texts are those of the frozen dataclasses the records once were
+    # the repr texts keep the form of the frozen dataclasses the records once
+    # were; AuxData and MpResult show their current fields
     assert repr(record) == text
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
     with pytest.raises(AttributeError):
         record.extra = None
+
+
+@pytest.mark.parametrize("kind", TWO_TERM_KINDS, ids=lambda k: k.cli_name)
+def test_derived_matrices_are_read_off_the_slot_records_bit_for_bit(kind):
+    for seed in range(5):
+        prob, _ = make_consistent_instance(SplitMix64(seed), kind, max_dim=4)
+        aux = derive_aux(prob)
+        for record, expected in (
+            (aux.m, aux.a1.proj_r() @ prob.a2),
+            (aux.n, prob.b2 @ aux.b1.proj_l()),
+            (aux.s, prob.a2 @ aux.m.proj_l()),
+        ):
+            assert record.a._pair.tobytes() == expected._pair.tobytes(), seed
+
+
+def test_lyapunov_kinds_rank_only_the_slots_they_have():
+    # ranks are (a1, b1, a2, b2, m, n, s); lyapunov-like has a and b, lyapunov-star a
+    for kind, present in ((EquationKind.LYAPUNOV_LIKE, {0, 3}), (EquationKind.LYAPUNOV_STAR, {0})):
+        prob, _ = make_consistent_instance(SplitMix64(7), kind, max_dim=4)
+        ranks = derive_aux(prob).ranks
+        assert len(ranks) == 7
+        for slot, r in enumerate(ranks):
+            assert (r is None) == (slot not in present), (kind, ranks)
 
 
 def test_equal_problems_hash_alike_and_share_one_derive_aux_entry():
