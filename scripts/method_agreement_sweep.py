@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from qsylv import EquationKind, fro_norm, solve_cramer, solve_direct
+from qsylv import EquationKind, fro_norm, solve
 from qsylv.golden import max_abs_diff
 from qsylv.sampling import SplitMix64, make_consistent_instance
 
@@ -27,8 +27,8 @@ def sweep_kind(kind: EquationKind, per_kind: int, max_dim: int, seed: int):
     for case in range(per_kind):
         rng = SplitMix64(seed + 1_000_003 * kind_index + case)
         prob, _ = make_consistent_instance(rng, kind, max_dim=max_dim)
-        sol_d, rep_d = solve_direct(prob)
-        sol_c, rep_c = solve_cramer(prob)
+        sol_d, rep_d = solve(prob, method="direct")
+        sol_c, rep_c = solve(prob, method="cramer")
         gap = max_abs_diff(sol_d.x1, sol_c.x1)
         if sol_d.x2 is not None:
             gap = max(gap, max_abs_diff(sol_d.x2, sol_c.x2))

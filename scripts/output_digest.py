@@ -10,7 +10,11 @@ generated instance:
 - ``mpinv`` on each matrix file.
 
 ``gen`` writes files, not stdout, so its family also covers each
-``instance.json``, which holds every generated matrix.
+``instance.json``, which holds every generated matrix.  The ``general``
+family covers :func:`qsylv.solve_general`, which no command reaches: its
+JSON, or the error it raised, on each generated instance with no free blocks
+and with ``random_free_params`` seeded by the instance's seed, each with and
+without ``force``.
 
 Every command runs in-process through :func:`qsylv.cli.main`.  A family's
 digest covers, per command and in order, its arguments (with the scratch
@@ -30,10 +34,20 @@ import io
 import os
 import tempfile
 
-from qsylv import EquationKind
+from qsylv import (
+    EquationKind,
+    FreeParams,
+    GenSylvesterProblem,
+    QMatrix,
+    QsylvError,
+    solve_general,
+)
+from qsylv.cli import _solution_doc
 from qsylv.cli import main as qsylv_main
+from qsylv.jsonio import dumps, read_json
+from qsylv.sampling import SplitMix64, random_free_params
 
-FAMILIES = ("gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv")
+FAMILIES = ("gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "general")
 
 
 class Digests:
@@ -80,6 +94,22 @@ def digest_instance(d: Digests, kind: EquationKind, seed: int, max_dim: int,
             d.run(f"solve-{method}", ["solve", *problem, "--method", method, *force])
     for name in [*slots, "c"]:
         d.run("mpinv", ["mpinv", "--in", os.path.join(where, f"{name}.json")])
+    digest_general(d, label, kind, seed, where)
+
+
+def digest_general(d: Digests, label: str, kind: EquationKind, seed: int, where: str) -> None:
+    """``solve_general`` on the instance ``qsylv gen`` wrote into ``where``."""
+    mats = {name: QMatrix.from_json(read_json(os.path.join(where, f"{name}.json")))
+            for name in kind.required_slots}
+    problem = GenSylvesterProblem.build(kind, **mats)
+    for blocks, free in (("none", FreeParams()),
+                         ("random", random_free_params(SplitMix64(seed), problem))):
+        for force in (False, True):
+            try:
+                text = dumps(_solution_doc(*solve_general(problem, free, force=force)))
+            except QsylvError as exc:
+                text = f"{type(exc).__name__}: {exc}"
+            d.record("general", [label, blocks, f"force={force}", text])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from qsylv import Quaternion, solve_cramer, solve_direct
+from qsylv import Quaternion, solve
 from qsylv.golden import example_pair, example_star, print_selftest
 
 
@@ -51,8 +51,8 @@ def main(argv: list[str] | None = None) -> int:
             force = not example.expected_consistent
             print(f"example {example.name!r} "
                   f"({'consistent' if example.expected_consistent else 'inconsistent by design'})")
-            sol_d, rep_d = solve_direct(example.problem, force=force)
-            sol_c, rep_c = solve_cramer(example.problem, force=force)
+            sol_d, rep_d = solve(example.problem, method="direct", force=force)
+            sol_c, rep_c = solve(example.problem, method="cramer", force=force)
             print_matrix("x1 (closed-form route)", sol_d.x1)
             print_matrix("x1 (entrywise route)  ", sol_c.x1)
             if sol_d.x2 is not None:

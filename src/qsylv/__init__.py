@@ -35,7 +35,7 @@ _EXPORTS = {
         "AuxData", "CheckResult", "DEFAULT_TOL", "EquationKind", "FreeParams",
         "GenSylvesterProblem", "PairSolution", "SolveReport", "apply_lhs",
         "check_consistency", "cramer_ax", "cramer_axb", "derive_aux", "free_param_shapes",
-        "residual", "solve", "solve_cramer", "solve_direct", "solve_general",
+        "residual", "solve", "solve_general",
     ),
 }
 

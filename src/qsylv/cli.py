@@ -11,8 +11,10 @@ Subcommands:
   solution, or perturbed to be inconsistent).
 
 Exit codes: 0 success (and, for solve/check, the instance is consistent);
-2 the instance failed its consistency criteria; 1 numeric failure;
-64 usage error; 66 unreadable or unparsable input file.
+2 the instance failed its consistency criteria; 3 (solve only) the instance
+is consistent but the solution it exhibits fails its own check,
+``solution_residual`` or ``methods_agree``; 1 numeric failure; 64 usage
+error; 66 unreadable or unparsable input file.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ from .solvers import DEFAULT_TOL, EquationKind, GenSylvesterProblem, check_consi
 
 _KIND_NAMES = tuple(kind.cli_name for kind in EquationKind)
 _SLOT_NAMES = ("a1", "b1", "a2", "b2")
+
+# The exit code of each error type; an error takes the entry of the nearest
+# class in its method resolution order.
+_EXIT_CODES = {ParseError: 66, DimensionMismatch: 64, InvalidSize: 64, Inconsistent: 2,
+               QsylvError: 1}
+
+# The checks a solve makes of the solution it exhibits: a consistent instance
+# whose solution fails one of them exits 3.
+_SOLUTION_CHECKS = ("solution_residual", "methods_agree")
 
 
 class _Exit(Exception):
@@ -160,7 +171,9 @@ def _cmd_solve(args) -> int:
             _emit(_solution_doc(None, exc.report), args.out)
             return 2
     _emit(_solution_doc(sol, report), args.out)
-    return 0 if report.consistent else 2
+    if not report.consistent:
+        return 2
+    return 3 if any(not c.passed for c in report.checks if c.name in _SOLUTION_CHECKS) else 0
 
 
 def _cmd_check(args) -> int:
@@ -304,21 +317,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Exit as exc:
+    except (_Exit, QsylvError) as exc:
         sys.stderr.write(f"qsylv: error: {exc}\n")
-        return exc.code
-    except ParseError as exc:
-        sys.stderr.write(f"qsylv: error: {exc}\n")
-        return 66
-    except (DimensionMismatch, InvalidSize) as exc:
-        sys.stderr.write(f"qsylv: error: {exc}\n")
-        return 64
-    except Inconsistent as exc:
-        sys.stderr.write(f"qsylv: error: {exc}\n")
-        return 2
-    except QsylvError as exc:
-        sys.stderr.write(f"qsylv: error: {exc}\n")
-        return 1
+        if isinstance(exc, _Exit):
+            return exc.code
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 def run() -> None:

@@ -26,8 +26,7 @@ from .solvers import (
     check_consistency,
     derive_aux,
     residual,
-    solve_cramer,
-    solve_direct,
+    solve,
 )
 
 GOLDEN_TOL = 1e-9
@@ -182,10 +181,9 @@ def selftest(tol: float = GOLDEN_TOL) -> list[tuple[str, bool, str]]:
             report.consistent == example.expected_consistent,
             "; ".join(f"{c.name}={c.residual:.1e}" for c in report.checks),
         ))
-        sol_d, _ = solve_direct(example.problem, force=force)
-        _check_solution(rows, f"{name}/direct", example, sol_d, tol)
-        sol_c, _ = solve_cramer(example.problem, force=force)
-        _check_solution(rows, f"{name}/cramer", example, sol_c, tol)
+        for method in ("direct", "cramer"):
+            sol, _ = solve(example.problem, method=method, force=force)
+            _check_solution(rows, f"{name}/{method}", example, sol, tol)
         rows.extend(_intermediate_rows(example, tol))
     return rows
 

@@ -255,12 +255,6 @@ class QMatrix:
         """Whether no entry is nonzero (``-0.0`` counts as zero)."""
         return not self._pair.any()
 
-    def rank(self, floor: float = 0.0) -> int:
-        return rank(self, floor=floor)
-
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        return is_hermitian(self, tol)
-
     def trace(self) -> Quaternion:
         """The sum of the diagonal entries."""
         return Quaternion(*np.trace(quat_array(self)).tolist())

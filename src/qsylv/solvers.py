@@ -6,20 +6,20 @@ fixing some coefficients to identities; two more variants couple ``x`` with its
 conjugate transpose (``a @ x + ctranspose(x) @ b = c`` and
 ``a @ x + ctranspose(x) @ ctranspose(a) = rhs``).
 
-Every kind is solved by two independent routes:
+Every kind is solved by two independent routes, both through :func:`solve`:
 
-- :func:`solve_direct` multiplies Moore-Penrose pseudoinverses (computed via
+- ``method="direct"`` multiplies Moore-Penrose pseudoinverses (computed via
   the complex embedding) into closed-form expressions;
-- :func:`solve_cramer` evaluates the same expressions through noncommutative
+- ``method="cramer"`` evaluates the same expressions through noncommutative
   bordered minor sums, all entries of one factor at once as a product with a
   coefficient matrix of a Gram matrix; it never forms a pseudoinverse on its
   main path (orthogonal projector factors are evaluated determinantally too).
 
 Both return the same canonical particular solution, so agreement between them
-cross-verifies each.  :func:`solve_general` adds the homogeneous family driven
-by free parameter blocks.  :func:`check_consistency` evaluates projector-based
-solvability criteria alongside independent rank-based criteria and flags any
-disagreement between the two families.
+(``method="both"``) cross-verifies each.  :func:`solve_general` adds the
+homogeneous family driven by free parameter blocks.  :func:`check_consistency`
+evaluates projector-based solvability criteria alongside independent
+rank-based criteria and flags any disagreement between the two families.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
         if problem.b2 is None:
             return AuxData(a1)
         b2 = mp_oracle(problem.b2)
-        return AuxData(a1, b2, like_x1=_direct_lyap_like(problem, a1, b2))
+        return AuxData(a1, b2, like_x1=_direct_lyap(a1, problem.c, b2.proj_p()))
     b1, a2, b2 = (_slot_oracle(problem, name) for name in ("b1", "a2", "b2"))
     floor_a = DERIVED_RANK_FLOOR * problem.a2.fro_norm()
     floor_b = DERIVED_RANK_FLOOR * problem.b2.fro_norm()
@@ -431,28 +431,10 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
 # -- direct (pseudoinverse-product) route ---------------------------------------
 
 
-def _direct_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatrix, QMatrix]:
-    a2, b2, c = problem.a2, problem.b2, problem.c
-    a1p, b1p = aux.a1.pinv, aux.b1.pinv
-    a2p, b2p = aux.a2.pinv, aux.b2.pinv
-    mp_, np_ = aux.m.pinv, aux.n.pinv
-    x1 = (
-        a1p @ c @ b1p
-        - a1p @ a2 @ mp_ @ c @ b1p
-        - a1p @ aux.s.a @ a2p @ c @ np_ @ b2 @ b1p
-    )
-    x2 = mp_ @ c @ b2p + aux.s.proj_p() @ a2p @ c @ np_
-    return x1, x2
-
-
-def _direct_lyap_like(problem: GenSylvesterProblem, a: MpResult, b: MpResult) -> QMatrix:
-    half = QMatrix.identity(problem.a1.rows) - b.proj_p() * 0.5
-    return a.pinv @ problem.c @ half
-
-
-def _direct_lyap_star(problem: GenSylvesterProblem, aux: AuxData) -> QMatrix:
-    half = QMatrix.identity(problem.a1.rows) - aux.a1.proj_q() * 0.5
-    return aux.a1.pinv @ problem.c @ half
+def _direct_lyap(a: MpResult, c: QMatrix, proj: QMatrix) -> QMatrix:
+    """``pinv(a) c (i - proj/2)``, the particular solution of both
+    conjugate-transpose kinds: ``proj`` is ``proj_p(b)`` or ``proj_q(a)``."""
+    return a.pinv @ c @ (QMatrix.identity(c.cols) - proj * 0.5)
 
 
 _DIRECT_PROVENANCE_TWO_TERM = (
@@ -468,11 +450,20 @@ _DIRECT_PROVENANCE_TWO_TERM = (
 def _partial_direct(problem: GenSylvesterProblem) -> tuple[PairSolution, tuple[tuple[str, str], ...]]:
     aux = derive_aux(problem)
     if problem.kind.is_two_term:
-        x1, x2 = _direct_two_term(problem, aux)
+        a2, b2, c = problem.a2, problem.b2, problem.c
+        a1p, b1p = aux.a1.pinv, aux.b1.pinv
+        a2p, b2p = aux.a2.pinv, aux.b2.pinv
+        mp_, np_ = aux.m.pinv, aux.n.pinv
+        x1 = (
+            a1p @ c @ b1p
+            - a1p @ a2 @ mp_ @ c @ b1p
+            - a1p @ aux.s.a @ a2p @ c @ np_ @ b2 @ b1p
+        )
+        x2 = mp_ @ c @ b2p + aux.s.proj_p() @ a2p @ c @ np_
         return PairSolution(x1, x2), _DIRECT_PROVENANCE_TWO_TERM
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
         return PairSolution(aux.like_x1), (("x1", "pinv(a) c (i - proj_p(b)/2)"),)
-    x = _direct_lyap_star(problem, aux)
+    x = _direct_lyap(aux.a1, problem.c, aux.a1.proj_q())
     return PairSolution(x), (("x1", "pinv(a) rhs (i - proj_q(a)/2)"),)
 
 
@@ -596,39 +587,21 @@ def _finish(
     base: SolveReport,
     method: str,
     provenance: tuple[tuple[str, str], ...],
+    tol: float,
     extra_checks: tuple[CheckResult, ...] = (),
 ) -> tuple[PairSolution, SolveReport]:
+    """The report of a solve: the gate's checks, then ``extra_checks``, then
+    ``solution_residual``, which passes when ``|lhs(sol) - c| <= tol * |c|``."""
     res = residual(problem, sol)
+    own = CheckResult("solution_residual", res <= tol * problem.c.fro_norm(), res)
     report = SolveReport(
         consistent=base.consistent,
-        checks=base.checks + extra_checks,
+        checks=base.checks + extra_checks + (own,),
         residual_norm=res,
         method=method,
         provenance=provenance,
     )
     return sol, report
-
-
-def solve_direct(
-    problem: GenSylvesterProblem,
-    tol: float = DEFAULT_TOL,
-    force: bool = False,
-) -> tuple[PairSolution, SolveReport]:
-    """Canonical particular solution via pseudoinverse products."""
-    base = _gate(problem, tol, force)
-    sol, prov = _partial_direct(problem)
-    return _finish(problem, sol, base, "direct", prov)
-
-
-def solve_cramer(
-    problem: GenSylvesterProblem,
-    tol: float = DEFAULT_TOL,
-    force: bool = False,
-) -> tuple[PairSolution, SolveReport]:
-    """The same canonical particular solution, evaluated determinantally."""
-    base = _gate(problem, tol, force)
-    sol, prov = _partial_cramer(problem)
-    return _finish(problem, sol, base, "cramer", prov)
 
 
 def free_param_shapes(problem: GenSylvesterProblem) -> dict[str, tuple[int, int]]:
@@ -646,9 +619,7 @@ def free_param_shapes(problem: GenSylvesterProblem) -> dict[str, tuple[int, int]
 
 def _check_free(problem: GenSylvesterProblem, free: FreeParams) -> dict[str, Optional[QMatrix]]:
     shapes = free_param_shapes(problem)
-    supplied = {
-        "u": free.u, "v": free.v, "z": free.z, "w": free.w, "y": free.y, "zc": free.zc,
-    }
+    supplied = free._asdict()
     for name, value in supplied.items():
         if value is None:
             continue
@@ -660,7 +631,7 @@ def _check_free(problem: GenSylvesterProblem, free: FreeParams) -> dict[str, Opt
             raise DimensionMismatch(
                 f"free parameter {name!r} has shape {value.shape}, expected {shapes[name]}"
             )
-    return {name: supplied.get(name) for name in shapes}
+    return {name: supplied[name] for name in shapes}
 
 
 def solve_general(
@@ -671,7 +642,8 @@ def solve_general(
 ) -> tuple[PairSolution, SolveReport]:
     """Particular solution plus the homogeneous family at the given free blocks.
 
-    With all free blocks absent this coincides with :func:`solve_direct`.
+    With all free blocks absent this coincides with
+    ``solve(problem, method="direct")``.
     Every choice of free blocks yields another exact solution of a consistent
     equation.  For the conjugate-transpose kinds the ``zc`` block must satisfy
     ``a (zc + ctranspose(zc)) ctranspose(a) = 0``; the pair-coefficient kind
@@ -683,8 +655,8 @@ def solve_general(
     base = _gate(problem, tol, force)
 
     aux = derive_aux(problem)
+    (x1, x2), prov = _partial_direct(problem)
     if problem.kind.is_two_term:
-        x1, x2 = _direct_two_term(problem, aux)
         n_dim, r_dim = problem.x1_shape
         p_dim, q_dim = problem.x2_shape
         u = blocks["u"] or QMatrix.zeros(n_dim, r_dim)
@@ -700,12 +672,12 @@ def solve_general(
         x2 = (x2 + aux.m.proj_l() @ (v - aux.s.proj_p() @ v @ aux.n.proj_q())
               + w @ aux.b2.proj_r())
         sol = PairSolution(x1, x2)
-        prov = _DIRECT_PROVENANCE_TWO_TERM + (
+        prov = prov + (
             ("family", "x1 += -pinv(a1) s v (i - proj_q(n)) b2 pinv(b1) + (i - proj_p(a1)) u"
                        " + z (i - proj_q(b1)); x2 += (i - proj_p(m)) (v - proj_p(s) v proj_q(n))"
                        " + w (i - proj_q(b2))"),
         )
-        return _finish(problem, sol, base, "general", prov)
+        return _finish(problem, sol, base, "general", prov, tol)
 
     a = problem.a1
     y = blocks["y"]
@@ -720,9 +692,6 @@ def solve_general(
                 "the homogeneous family for this kind requires b = ctranspose(a); "
                 f"mismatch norm {mismatch:.3e}"
             )
-        x0 = aux.like_x1
-    else:
-        x0 = _direct_lyap_star(problem, aux)
     if zc is not None:
         sym = a @ (zc + zc.H) @ a.H
         sym_norm = sym.fro_norm()
@@ -731,7 +700,7 @@ def solve_general(
             raise ConstraintViolated(
                 f"zc violates a (zc + ctranspose(zc)) ctranspose(a) = 0: norm {sym_norm:.3e}"
             )
-    x = x0
+    x = x1
     if y is not None:
         x = x + aux.a1.proj_l() @ y
     if zc is not None:
@@ -741,7 +710,7 @@ def solve_general(
         ("x1", "partial + (i - proj_p(a)) y + proj_p(a) zc ctranspose(a)"),
         ("constraint", "a (zc + ctranspose(zc)) ctranspose(a) = 0"),
     )
-    return _finish(problem, sol, base, "general", prov)
+    return _finish(problem, sol, base, "general", prov, tol)
 
 
 def solve(
@@ -750,19 +719,24 @@ def solve(
     tol: float = DEFAULT_TOL,
     force: bool = False,
 ) -> tuple[PairSolution, SolveReport]:
-    """Top-level solve: ``method`` is ``"direct"``, ``"cramer"`` or ``"both"``.
+    """The canonical particular solution, by one route or both.
 
-    ``"both"`` runs the two routes, records their agreement as an extra check
-    (``methods_agree``), and returns the determinantal result.
+    ``method="direct"`` multiplies pseudoinverses, ``"cramer"`` evaluates the
+    same solution determinantally, and ``"both"`` runs the two routes, records
+    their agreement as an extra check (``methods_agree``), and returns the
+    determinantal result.  ``method`` is checked before the consistency gate.
+    Every report ends with a ``solution_residual`` check of the returned
+    solution against ``tol * |c|``.
     """
-    if method == "direct":
-        return solve_direct(problem, tol, force)
-    if method == "cramer":
-        return solve_cramer(problem, tol, force)
-    if method != "both":
+    if method not in ("direct", "cramer", "both"):
         raise InvalidSize(f"method must be 'direct', 'cramer' or 'both', got {method!r}")
     base = _gate(problem, tol, force)
-    sol_d, _ = _partial_direct(problem)
+    if method == "cramer":
+        sol_c, prov = _partial_cramer(problem)
+        return _finish(problem, sol_c, base, "cramer", prov, tol)
+    sol_d, prov = _partial_direct(problem)
+    if method == "direct":
+        return _finish(problem, sol_d, base, "direct", prov, tol)
     sol_c, prov = _partial_cramer(problem)
     diff = (sol_c.x1 - sol_d.x1).fro_norm()
     scale = sol_d.x1.fro_norm()
@@ -771,4 +745,4 @@ def solve(
         scale += sol_d.x2.fro_norm()
     agree = diff <= tol * scale
     extra = (CheckResult("methods_agree", agree, diff),)
-    return _finish(problem, sol_c, base, "cramer", prov, extra)
+    return _finish(problem, sol_c, base, "cramer", prov, tol, extra)

@@ -21,8 +21,7 @@ from qsylv import (
     mp_cramer,
     mp_oracle,
     rdet,
-    solve_cramer,
-    solve_direct,
+    solve,
     solve_general,
 )
 from qsylv.golden import example_pair, example_star, max_abs_diff
@@ -67,8 +66,8 @@ def test_criterion_1_pair_example_both_routes():
     t0 = time.perf_counter()
     ex = example_pair()
     report = check_consistency(ex.problem)
-    sol_d, rep_d = solve_direct(ex.problem)
-    sol_c, rep_c = solve_cramer(ex.problem)
+    sol_d, rep_d = solve(ex.problem, method="direct")
+    sol_c, rep_c = solve(ex.problem, method="cramer")
     dev = max(
         max_abs_diff(sol_d.x1, ex.expected_x1),
         max_abs_diff(sol_d.x2, ex.expected_x2),
@@ -92,8 +91,8 @@ def test_criterion_2_star_example_both_routes_and_intermediates():
     # the instance is deliberately inconsistent (kernel-side projection of
     # the right-hand side is nonzero), so solving requires force; the
     # criterion pins the returned representative and the intermediates
-    sol_d, _ = solve_direct(ex.problem, force=True)
-    sol_c, _ = solve_cramer(ex.problem, force=True)
+    sol_d, _ = solve(ex.problem, method="direct", force=True)
+    sol_c, _ = solve(ex.problem, method="cramer", force=True)
     devs = [max_abs_diff(sol_d.x1, ex.expected_x1), max_abs_diff(sol_c.x1, ex.expected_x1)]
     expected = dict(ex.intermediates)
     pinv_devs = [
@@ -192,8 +191,8 @@ def test_criterion_5_method_equivalence_all_kinds():
         for case in range(30):
             rng = SplitMix64(500_000 + 1_000 * kind_index + case)
             prob, _ = make_consistent_instance(rng, kind, max_dim=max_dim)
-            sol_d, rep_d = solve_direct(prob)
-            sol_c, rep_c = solve_cramer(prob)
+            sol_d, rep_d = solve(prob, method="direct")
+            sol_c, rep_c = solve(prob, method="cramer")
             gap = max_abs_diff(sol_d.x1, sol_c.x1)
             if sol_d.x2 is not None:
                 gap = max(gap, max_abs_diff(sol_d.x2, sol_c.x2))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import qsylv
+import qsylv.cli as cli_module
+import qsylv.errors as errors_module
 import qsylv.svd as svd_module
 from qsylv import (
     EquationKind,
@@ -19,6 +22,7 @@ from qsylv import (
     OutOfRange,
     PairSolution,
     QMatrix,
+    Quaternion,
     apply_lhs,
 )
 from qsylv.cli import main
@@ -102,6 +106,32 @@ def test_dimension_clash_exits_64(capsys, tmp_path):
         ["solve", "--kind", "lyapunov-star", "--a1", str(a), "--c", str(c)], capsys
     )
     assert code == 64
+
+
+def _documented_exit_codes() -> set[int]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    return {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
+
+
+_ERRORS = [value for value in vars(errors_module).values()
+           if isinstance(value, type) and issubclass(value, errors_module.QsylvError)]
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_a_documented_code(error, capsys, monkeypatch):
+    def raising(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli_module, "_cmd_selftest", raising)
+    code, out, err = run_cli(["selftest"], capsys)
+    expected = {errors_module.ParseError: 66, errors_module.DimensionMismatch: 64,
+                errors_module.InvalidSize: 64, errors_module.Inconsistent: 2}
+    assert code == expected.get(error, 1)
+    documented = _documented_exit_codes()
+    assert documented == {0, 1, 2, 3, 64, 66}
+    assert code in documented
+    assert (out, err) == ("", "qsylv: error: boom\n")
 
 
 def test_numeric_error_exits_1(capsys, tmp_path):
@@ -263,6 +293,97 @@ def test_solve_method_selection(capsys, pair_files):
     x_direct = QMatrix.from_json(outputs["direct"]["x1"])
     x_cramer = QMatrix.from_json(outputs["cramer"]["x1"])
     assert (x_direct - x_cramer).fro_norm() <= 1e-8
+
+
+# -- exit code 3: a consistent instance whose solution fails its own check --------
+
+
+def _solve_argv(prob: GenSylvesterProblem, tmp_path, method: str) -> list[str]:
+    """``solve --method method`` on ``prob``, its matrices written into ``tmp_path``."""
+    argv = ["solve", "--kind", prob.kind.cli_name, "--method", method]
+    for name in prob.kind.required_slots:
+        path = str(tmp_path / f"{name}.json")
+        write_json(path, getattr(prob, name).to_json())
+        argv += [f"--{name}", path]
+    return argv
+
+
+def _spread(rng: SplitMix64, rows: int, exponent: float) -> QMatrix:
+    """``x @ diag(10^(-exponent*i/4), i = 0..4) @ y`` with ``x`` rows x 5 and ``y`` 5 x 5."""
+    x, y = random_matrix(rng, rows, 5), random_matrix(rng, 5, 5)
+    d = QMatrix.from_rows([[Quaternion(10.0 ** (-exponent * i / 4) if i == j else 0.0)
+                            for j in range(5)] for i in range(5)])
+    return x @ d @ y
+
+
+def _planted(kind: EquationKind, slots: dict, x1: QMatrix, x2: QMatrix) -> GenSylvesterProblem:
+    """The instance of ``kind`` with coefficients ``slots`` that ``(x1, x2)`` solves."""
+    zero_c = QMatrix.zeros(slots["a1"].rows, slots["b2"].cols)
+    template = GenSylvesterProblem.build(kind, c=zero_c, **slots)
+    return GenSylvesterProblem.build(kind, c=apply_lhs(template, PairSolution(x1, x2)), **slots)
+
+
+def _report_checks(out: str) -> dict:
+    return {c["name"]: c for c in loads(out)["report"]["checks"]}
+
+
+@pytest.mark.parametrize("seed, exponent", [(s, 6) for s in range(2000, 2010)] + [(2002, 8)])
+def test_sylvester_with_spread_a1_exits_3_on_its_residual(seed, exponent, capsys, tmp_path):
+    # the true m = (i - a1 pinv(a1)) is 0, but at a diagonal spread of 1e6
+    # the verdict is "consistent" while the direct solution misses c by about |c|
+    rng = SplitMix64(seed)
+    a1 = _spread(rng, 5, exponent)
+    b2 = random_matrix(rng, 5, 5)
+    prob = _planted(EquationKind.SYLVESTER, {"a1": a1, "b2": b2},
+                    random_matrix(rng, 5, 5), random_matrix(rng, 5, 5))
+    code, out, _ = run_cli(_solve_argv(prob, tmp_path, "direct"), capsys)
+    assert code == 3
+    doc = loads(out)
+    assert doc["report"]["consistent"] is True and doc["x1"] is not None
+    check = _report_checks(out)["solution_residual"]
+    assert check["passed"] is False
+    assert check["residual"] == doc["report"]["residual_norm"] > 0.5 * prob.c.fro_norm()
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_kappa_probe_solves_never_exit_0_on_a_failed_check(k, capsys, tmp_path):
+    # gen-sylvester with a1 of spread 10^k, kappa(a1) up to 5e8: the routes
+    # disagree on every instance the gate passes, and most direct solutions
+    # miss c by far more than tol * |c|
+    direct_codes = []
+    for seed in range(10):
+        rng = SplitMix64(1000 + seed)
+        a1 = _spread(rng, 6, k)
+        slots = {"a1": a1, "b1": random_matrix(rng, 5, 6), "a2": random_matrix(rng, 6, 4),
+                 "b2": random_matrix(rng, 4, 6)}
+        prob = _planted(EquationKind.GEN_SYLVESTER, slots,
+                        random_matrix(rng, 5, 5), random_matrix(rng, 4, 4))
+        code, _, _ = run_cli(_solve_argv(prob, tmp_path, "both"), capsys)
+        assert code in (2, 3), seed
+        code, out, _ = run_cli(_solve_argv(prob, tmp_path, "direct"), capsys)
+        if code != 2:
+            passed = _report_checks(out)["solution_residual"]["passed"]
+            assert code == (0 if passed else 3), seed
+            direct_codes.append(code)
+    assert 3 in direct_codes
+
+
+def test_no_consistent_generated_instance_exits_3(capsys, tmp_path):
+    codes = []
+    for kind in EquationKind:
+        for seed in range(10):
+            out_dir = tmp_path / f"{kind.cli_name}-{seed}"
+            code, _, _ = run_cli(["gen", "--kind", kind.cli_name, "--seed", str(seed),
+                                  "--max-dim", "3", "--out-dir", str(out_dir)], capsys)
+            assert code == 0
+            argv = ["solve", "--kind", kind.cli_name]
+            for name in kind.required_slots:
+                argv += [f"--{name}", str(out_dir / f"{name}.json")]
+            code, out, _ = run_cli(argv, capsys)
+            checks = _report_checks(out)
+            assert checks["solution_residual"]["passed"] and checks["methods_agree"]["passed"]
+            codes.append(code)
+    assert codes == [0] * 100
 
 
 # -- mpinv / det ------------------------------------------------------------------

@@ -7,7 +7,15 @@ import hashlib
 import pytest
 
 import qsylv.sampling as sampling_module
-from qsylv import EquationKind, InvalidSize, check_consistency, fro_norm, rank, residual
+from qsylv import (
+    EquationKind,
+    InvalidSize,
+    check_consistency,
+    fro_norm,
+    is_hermitian,
+    rank,
+    residual,
+)
 from qsylv.qmatrix import quat_array
 from qsylv.sampling import (
     SplitMix64,
@@ -68,7 +76,7 @@ def test_planted_rank_is_exact():
 def test_random_hermitian_is_hermitian():
     rng = SplitMix64(10)
     h = random_hermitian(rng, 4)
-    assert h.is_hermitian(1e-14)
+    assert is_hermitian(h, 1e-14)
 
 
 def test_consistent_instances_have_tiny_planted_residual():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qsylv.solvers as solvers_module
 from qsylv import EquationKind
@@ -59,7 +62,7 @@ def test_output_digest_does_not_depend_on_the_hash_seed_or_scratch_directory():
         outputs.append(proc.stdout)
     rows = [line.split() for line in outputs[0].splitlines()]
     assert [row[0] for row in rows] == [
-        "gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv"]
+        "gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "general"]
     assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
     assert outputs[0] == outputs[1]
 
@@ -92,3 +95,30 @@ def test_benchmark_tracer_finds_every_function_its_metrics_rest_on(monkeypatch):
     assert {f"mpinv.MpResult.proj_{x}" for x in "pqlr"} <= set(tracer.wrapped)
     # the benchmark reads derive_aux misses off its cache
     assert callable(solvers_module.derive_aux.cache_info)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite number {name} in a benchmark result")
+
+
+@pytest.mark.parametrize("workload", ["sweep", "dense", "cli-screen"])
+def test_traced_benchmark_run_ends_with_a_strict_json_result(workload):
+    # a traced run that exits 0 must still end with its result line, with
+    # every function it traces present and exactly the declared metrics
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "5", "--seconds", "1", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1], parse_constant=_refuse_constant)
+    assert result["correct"] is True and result["failed"] == 0
+    run = json.loads(next(line for line in lines if line.startswith("run "))[4:],
+                     parse_constant=_refuse_constant)
+    assert run["absent"] == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert len(declared) == 30
+    assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)

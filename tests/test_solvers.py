@@ -28,8 +28,6 @@ from qsylv import (
     fro_norm,
     residual,
     solve,
-    solve_cramer,
-    solve_direct,
     solve_general,
 )
 import qsylv.mpinv as mpinv_module
@@ -227,7 +225,7 @@ def test_verdict_holds_iff_the_forced_representative_solves():
             EquationKind.STEIN, c=apply_lhs(template, planted), **slots))
     verdicts = []
     for prob in cases:
-        _, report = solve_direct(prob, force=True)
+        _, report = solve(prob, method="direct", force=True)
         solves = report.residual_norm <= 1e-8 * prob.c.fro_norm()
         assert check_consistency(prob).consistent == solves, (prob.kind, report.residual_norm)
         verdicts.append(solves)
@@ -255,11 +253,11 @@ def test_solving_inconsistent_raises_with_report_attached():
     rng = SplitMix64(66)
     bad = make_inconsistent_instance(rng, EquationKind.GEN_SYLVESTER, max_dim=3)
     with pytest.raises(Inconsistent) as err:
-        solve_direct(bad)
+        solve(bad, method="direct")
     assert err.value.report is not None
     assert not err.value.report.consistent
     # force bypasses the gate but the report still says inconsistent
-    sol, report = solve_direct(bad, force=True)
+    sol, report = solve(bad, method="direct", force=True)
     assert not report.consistent
     assert report.residual_norm > 0.1
 
@@ -283,8 +281,8 @@ def test_routes_agree_on_every_kind():
         rng = SplitMix64(6800 + ALL_KINDS.index(kind))
         max_dim = 3 if kind is EquationKind.GEN_SYLVESTER else 4
         prob, _ = make_consistent_instance(rng, kind, max_dim=max_dim)
-        sol_d, rep_d = solve_direct(prob)
-        sol_c, rep_c = solve_cramer(prob)
+        sol_d, rep_d = solve(prob, method="direct")
+        sol_c, rep_c = solve(prob, method="cramer")
         assert max_entry_diff(sol_d.x1, sol_c.x1) <= 1e-8
         if sol_d.x2 is not None:
             assert max_entry_diff(sol_d.x2, sol_c.x2) <= 1e-8
@@ -301,6 +299,54 @@ def test_solve_both_adds_agreement_check():
     agree = report.check("methods_agree")
     assert agree is not None and agree.passed
     assert report.method == "cramer"
+
+
+def test_unknown_method_is_refused_before_any_svd(monkeypatch):
+    rng = SplitMix64(70)
+    prob, _ = make_consistent_instance(rng, EquationKind.GEN_SYLVESTER, max_dim=3)
+    calls = []
+    original = svd_module.svd
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    for module in (svd_module, mpinv_module):
+        monkeypatch.setattr(module, "svd", counting)
+    derive_aux.cache_clear()
+    with pytest.raises(InvalidSize, match="bogus"):
+        solve(prob, method="bogus")
+    assert calls == []
+    solve(prob, method="direct")
+    assert calls  # the counter does see the gate's SVDs
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda prob: solve(prob, method="direct"), id="direct"),
+    pytest.param(lambda prob: solve(prob, method="cramer"), id="cramer"),
+    pytest.param(lambda prob: solve(prob, method="both"), id="both"),
+    pytest.param(lambda prob: solve_general(prob), id="general"),
+])
+def test_every_solve_report_ends_with_its_solution_residual(run):
+    for kind in ALL_KINDS:
+        rng = SplitMix64(7000 + ALL_KINDS.index(kind))
+        prob, _ = make_consistent_instance(rng, kind, max_dim=3)
+        sol, report = run(prob)
+        last = report.checks[-1]
+        assert last.name == "solution_residual"
+        assert last.residual == report.residual_norm == residual(prob, sol)
+        assert last.passed, kind
+
+
+def test_solution_residual_fails_when_the_solution_does_not_solve():
+    # forced past the gate, the representative of an inconsistent instance
+    # misses c by far more than tol * |c|
+    rng = SplitMix64(66)
+    bad = make_inconsistent_instance(rng, EquationKind.GEN_SYLVESTER, max_dim=3)
+    _, report = solve(bad, method="direct", force=True)
+    check = report.check("solution_residual")
+    assert not check.passed
+    assert check.residual > 1e-8 * bad.c.fro_norm()
 
 
 def test_report_serializes_to_plain_json_types():
@@ -341,10 +387,10 @@ def test_planted_solution_is_recovered_at_full_rank():
     prob = GenSylvesterProblem.build(
         EquationKind.ONE_LEFT, a1=a, a2=QMatrix.zeros(2, 2), b2=QMatrix.zeros(2, 2), c=c
     )
-    sol, _ = solve_direct(prob)
+    sol, _ = solve(prob, method="direct")
     assert max_entry_diff(sol.x1, x_plant) <= 1e-8
     assert sol.x2.fro_norm() <= 1e-10
-    sol_c, _ = solve_cramer(prob)
+    sol_c, _ = solve(prob, method="cramer")
     assert max_entry_diff(sol_c.x1, x_plant) <= 1e-8
 
 
@@ -601,13 +647,13 @@ def test_lyapunov_like_direct_solution_is_formed_once_per_solve(run, monkeypatch
     # the gate's partial_solves check and the direct route share one solution
     prob, _ = make_consistent_instance(SplitMix64(77), EquationKind.LYAPUNOV_LIKE, max_dim=3)
     calls = []
-    original = solvers_module._direct_lyap_like
+    original = solvers_module._direct_lyap
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(solvers_module, "_direct_lyap_like", counting)
+    monkeypatch.setattr(solvers_module, "_direct_lyap", counting)
     derive_aux.cache_clear()
     run(prob)
     assert len(calls) == 1
@@ -630,7 +676,7 @@ def test_general_solution_with_zero_free_params_is_the_partial_solution():
         rng = SplitMix64(7600 + ALL_KINDS.index(kind))
         prob, _ = make_consistent_instance(rng, kind, max_dim=3)
         sol0, _ = solve_general(prob, FreeParams())
-        sol_d, _ = solve_direct(prob)
+        sol_d, _ = solve(prob, method="direct")
         assert max_entry_diff(sol0.x1, sol_d.x1) <= 1e-12
         if sol0.x2 is not None:
             assert max_entry_diff(sol0.x2, sol_d.x2) <= 1e-12
