@@ -27,7 +27,8 @@ of twice the size.  The embedding is a *-algebra homomorphism
 (``embed(A @ B) = embed(A) @ embed(B)``, ``embed(A*) = embed(A)^H``), each
 singular value of ``A`` appears twice in ``embed(A)``, and
 ``rank(A) = rank(embed(A)) / 2``.  Rank and the pseudoinverse oracle are
-computed through this carrier with the in-repo Jacobi SVD.
+computed through this carrier with the in-repo Jacobi SVD; :func:`ranks`
+decides the ranks of several matrices in one batched Jacobi pass.
 
 JSON form: ``{"rows": m, "cols": n, "data": [[[w,x,y,z], ...], ...]}`` with
 row-major data; parsing rejects ragged rows and non-finite numbers.
@@ -57,8 +58,11 @@ def _as_quaternion(value: object) -> Quaternion:
 def _pair_of(components: np.ndarray) -> np.ndarray:
     """The ``(2, m, n)`` complex pair of an ``m x n x 4`` component array."""
     m, n = components.shape[:2]
-    split = components.reshape(m, n, 2, 2).transpose(2, 0, 1, 3)
-    return np.ascontiguousarray(split, dtype=np.float64).view(np.complex128).reshape(2, m, n)
+    pair = np.empty((2, m, n), dtype=np.complex128)
+    pair.view(np.float64).reshape(2, m, n, 2)[...] = (
+        components.reshape(m, n, 2, 2).transpose(2, 0, 1, 3)
+    )
+    return pair
 
 
 def _set_pair(target: "QMatrix", pair: np.ndarray) -> None:
@@ -172,7 +176,7 @@ class QMatrix:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
         """Select rows/columns by 0-based index sequences."""
-        return QMatrix._of(self._pair[:, list(row_idx)][:, :, list(col_idx)])
+        return QMatrix._of(self._pair[np.ix_((0, 1), list(row_idx), list(col_idx))])
 
     # -- serialization ---------------------------------------------------------
 
@@ -240,7 +244,9 @@ class QMatrix:
     def _scaled(self, op: Callable, real: float) -> "QMatrix":
         # A real scalar commutes with every entry and acts on each real
         # component alone; complex arithmetic would not round the same.
-        return QMatrix._of(op(self._pair.view(np.float64), float(real)).view(np.complex128))
+        out = np.empty_like(self._pair)
+        op(self._pair.view(np.float64), float(real), out=out.view(np.float64))
+        return QMatrix._of(out)
 
     @property
     def H(self) -> "QMatrix":
@@ -409,18 +415,31 @@ def embedded_rank(s: np.ndarray, cut: float) -> int:
     return int(np.count_nonzero(s[::2] > cut))
 
 
+def ranks(mats: Sequence[QMatrix], floor: float = 0.0) -> list[int]:
+    """The :func:`rank` of each matrix, read off one batched Jacobi pass.
+
+    The batch prescales each member by its own power of two and keeps its
+    own cutoff, so no member's scale reaches another's decision.  A zero
+    matrix has rank 0 and takes no decomposition; a list of them takes no
+    pass.
+    """
+    out = [0] * len(mats)
+    embedded = {i: complex_embed(a) for i, a in enumerate(mats) if not a.is_zero()}
+    if embedded:
+        for (i, e), s in zip(embedded.items(), _svd.spectra(list(embedded.values()))):
+            out[i] = embedded_rank(s, _svd.rank_cutoff(e.shape, s, floor))
+    return out
+
+
 def rank(a: QMatrix, floor: float = 0.0) -> int:
-    """Numerical rank via paired singular values of the complex embedding.
+    """Numerical rank via paired singular values of the complex embedding:
+    the one-member case of :func:`ranks`.
 
     The SVD prescales its input by a power of two, so the decision does not
     change under power-of-two rescaling of ``a`` and ``floor`` together.  A
     zero matrix has rank 0 and takes no SVD.
     """
-    if a.is_zero():
-        return 0
-    e = complex_embed(a)
-    s = _svd.singular_values(e)
-    return embedded_rank(s, _svd.rank_cutoff(e.shape, s, floor))
+    return ranks([a], floor)[0]
 
 
 def _concat(blocks: Iterable[QMatrix], axis: int) -> QMatrix:

@@ -42,7 +42,7 @@ from .qmatrix import (
     ctranspose,
     hstack,
     pow2_exponent,
-    rank,
+    ranks,
     scale_pow2,
     vstack,
 )
@@ -346,7 +346,9 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     ``tol * |c|``, so rescaling the coefficients and ``c`` leaves the verdict;
     ``tol`` must be finite and non-negative.  Only pseudoinverse-route data
     is used, so no determinant is evaluated and the determinant cap never
-    applies here.
+    applies here.  The rank criteria read the sizes where identity slots
+    decide them; every other stack and block they need is decided by one
+    :func:`~qsylv.qmatrix.ranks` call, one batched Jacobi pass.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidSize(f"tolerance must be finite and >= 0, got {tol!r}")
@@ -373,29 +375,36 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         # hide another block under the rank cutoff.  An identity-filled slot
         # decides a stack it spans (every singular value of the scaled stack
         # is then at least 1/2, far above the cutoff), and so do two identity
-        # diagonal blocks; those ranks are read off the sizes.
+        # diagonal blocks; those ranks are read off the sizes.  The stacks and
+        # blocks left are decided together, by one batched Jacobi pass.
         ident = problem.kind.identity_slots
         slots = (problem.a1, problem.b1, problem.a2, problem.b2, c)
         a1, b1, a2, b2, c = (scale_pow2(x, pow2_exponent(x)) for x in slots)
         if ident.isdisjoint(("a1", "a2")):
-            cols = rank(hstack([a1, a2, c])), rank(hstack([a1, a2]))
+            cols = hstack([a1, a2, c]), hstack([a1, a2])
         else:
             cols = m_rows, m_rows
         if ident.isdisjoint(("b1", "b2")):
-            rows = rank(vstack([b1, b2, c])), rank(vstack([b1, b2]))
+            rows = vstack([b1, b2, c]), vstack([b1, b2])
         else:
             rows = s_cols, s_cols
 
-        def block(a_name: str, b_name: str, a: QMatrix, b: QMatrix) -> int:
+        def block(a_name: str, b_name: str, a: QMatrix, b: QMatrix) -> int | QMatrix:
             if ident.issuperset((a_name, b_name)):
                 return m_rows + s_cols
-            return rank(block2x2(a, c, QMatrix.zeros(b.rows, a.cols), b))
+            return block2x2(a, c, QMatrix.zeros(b.rows, a.cols), b)
 
         rank_pairs = (
             ("rank_cols", *cols),
             ("rank_rows", *rows),
             ("rank_block_a1_b2", block("a1", "b2", a1, b2), aux.a1.rank_used + aux.b2.rank_used),
             ("rank_block_a2_b1", block("a2", "b1", a2, b1), aux.a2.rank_used + aux.b1.rank_used),
+        )
+        pending = [x for _, *sides in rank_pairs for x in sides if isinstance(x, QMatrix)]
+        decided = iter(ranks(pending))
+        rank_pairs = tuple(
+            (name, *(next(decided) if isinstance(x, QMatrix) else x for x in sides))
+            for name, *sides in rank_pairs
         )
         ranks_ok = True
         for name, lhs, rhs in rank_pairs:

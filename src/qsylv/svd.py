@@ -1,4 +1,4 @@
-"""Small dense complex SVD via one-sided Jacobi rotations.
+"""Small dense complex SVDs via one-sided Jacobi rotations, in batches.
 
 Written for the small matrices this package works with (a few dozen rows
 at most).  The one-sided scheme repeatedly orthogonalizes column pairs of a
@@ -10,12 +10,32 @@ singular values are the column norms.  For a pair ``(p, q)`` with
 classical real Jacobi rotation.
 
 Pairs are visited in round-robin (Brent-Luk) order: each sweep visits every
-pair once, in rounds of disjoint pairs.  A round reads all its ``a``, ``b``,
-``c`` from one ``W^H W`` product, computes the rotations as vectors and
-applies them to ``W`` and ``V`` as one unitary ``J``.  The input is scaled by
-an exact power of two first (:func:`pow2_exponent`) and the singular values
-scaled back, so squared column norms neither overflow nor underflow.
+pair once, in rounds of disjoint pairs.  The rotations of a round are
+independent of each other, and so are those of different matrices, so one
+engine (:func:`_jacobi`) decomposes a whole batch at once:
 
+- A wide member is decomposed as its conjugate transpose.  Each member is
+  scaled by its own exact power of two (:func:`pow2_exponent`), so squared
+  column norms neither overflow nor underflow, and its singular values are
+  scaled back.  It also keeps its own threshold for negligible columns.
+- The members are zero-padded into one ``(b, rows, N)`` stack, ``N`` the
+  largest column count.  Each member follows its own ``_rounds(n)``
+  schedule and sits out the rounds its schedule does not have; padded
+  columns are never paired.
+- A round reads every member's ``a``, ``b``, ``c`` from one batched
+  ``W^H W`` product, computes all rotations as vectors, scatters them into
+  one stack of unitaries ``J`` through flat indices precomputed per tuple
+  of column counts (:func:`_plan`), and applies them with one batched
+  product.  A member with nothing to rotate in a round gets the identity,
+  which leaves its values as they are.  Padding adds only exact zeros, but
+  a padded product may round a member's entries in another order, so its
+  last bits can differ from those of a lone decomposition.
+- The batch sweeps until a sweep rotates nothing; the sweep limit
+  ``_MAX_SWEEPS`` binds the slowest member.
+
+:func:`svd` is the batch of one, with ``V`` stacked under ``W`` so one
+product rotates both.  :func:`spectra` runs a batch without ``V`` and
+returns singular values only.
 Only :func:`numpy` array plumbing is borrowed; the decomposition itself is
 implemented here.  Columns belonging to zero singular values are returned as
 zero columns of ``U`` (callers here only consume ``U`` where ``sigma > 0``).
@@ -25,6 +45,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +63,11 @@ def pow2_exponent(x: np.ndarray) -> int:
 
 
 def scale_pow2(x: np.ndarray, k: int) -> np.ndarray:
-    """``2**k * x`` for a contiguous complex array, exact within the normal range."""
-    return np.ldexp(x.view(np.float64), k).view(np.complex128)
+    """``2**k * x`` for a contiguous complex array, exact within the normal range,
+    as one fresh array."""
+    out = np.empty_like(x)
+    np.ldexp(x.view(np.float64), k, out=out.view(np.float64))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +90,31 @@ def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
+# bounded: a run over many shapes would otherwise keep a plan per column tuple
+@lru_cache(maxsize=64)
+def _plan(cols: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The batch schedule of members with these column counts.
+
+    Per round, one read-only ``(5, pairs)`` array: the flat indices of
+    ``(p, p)``, ``(q, p)``, ``(p, q)`` and ``(q, q)`` of every member's pairs
+    in a ``(b, N, N)`` stack, ``N = max(cols)``, and the member of each pair.
+    Member ``i`` takes its pairs from ``_rounds(cols[i])``.
+    """
+    size, schedules = max(cols), [_rounds(n) for n in cols]
+    plan = []
+    for t in range(max(map(len, schedules))):
+        member, p, q = (np.concatenate(side) for side in zip(*(
+            (np.full(len(rounds[t][0]), i, dtype=np.intp), *rounds[t])
+            for i, rounds in enumerate(schedules) if t < len(rounds)
+        )))
+        base = member * (size * size)
+        flat = np.stack((base + p * (size + 1), base + q * size + p,
+                         base + p * size + q, base + q * (size + 1), member))
+        flat.setflags(write=False)
+        plan.append(flat)
+    return tuple(plan)
+
+
 @lru_cache(maxsize=None)
 def _identity(n: int) -> np.ndarray:
     """The read-only complex ``n x n`` identity the Jacobi loop copies from."""
@@ -74,8 +123,93 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
+    """Decompose every matrix of ``mats`` in one batched Jacobi iteration.
+
+    Returns, per member, ``(U, s, Vh)`` as :func:`svd` describes when
+    ``vectors`` is true, else the singular values ``s`` alone, descending.
+    """
+    tall, wide = [], []
+    for a in mats:
+        a = np.ascontiguousarray(a, dtype=np.complex128)
+        if a.ndim != 2:
+            raise ValueError("svd expects a 2-D array")
+        wide.append(a.shape[0] < a.shape[1])
+        tall.append(np.ascontiguousarray(a.conj().T) if wide[-1] else a)
+    cols = tuple(a.shape[1] for a in tall)
+    rows, size = max(a.shape[0] for a in tall), max(cols)
+    # rows [:rows] hold each W, rows [rows:] each V, so one update rotates both
+    stack = np.zeros((len(tall), rows + size * vectors, size), dtype=np.complex128)
+    exponents, negligible = [], np.empty(len(tall))
+    for i, a in enumerate(tall):
+        exponents.append(pow2_exponent(a))
+        scaled = scale_pow2(a, exponents[-1])
+        stack[i, :a.shape[0], :a.shape[1]] = scaled
+        # A column whose squared norm falls to this level is rounding noise
+        # left by a rank deficiency.  Rotating it further only shrinks it
+        # toward underflow (where phases lose precision and rotations go
+        # wrong) without moving any singular value above the rank cutoff, so
+        # it is left alone.
+        negligible[i] = (np.finfo(np.float64).eps ** 2) * float(np.real(np.vdot(scaled, scaled)))
+    if vectors:
+        stack[:, rows:] = _identity(size)
+    eye = np.broadcast_to(_identity(size), (len(tall), size, size))
+    rounds = [(*flat[:4], negligible[flat[4]]) for flat in _plan(cols)]
+    work = stack[:, :rows]
+
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for pp, qp, pq, qq, neg in rounds:
+            gram = (work.conj().transpose(0, 2, 1) @ work).reshape(-1)
+            app, aqq, apq = gram[pp].real, gram[qq].real, gram[pq]
+            mag = np.abs(apq)
+            active = (app > neg) & (aqq > neg) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
+            if not active.any():
+                continue
+            rotated = True
+            if not active.all():
+                pp, qp, pq, qq, app, aqq, apq, mag = (
+                    x[active] for x in (pp, qp, pq, qq, app, aqq, apq, mag)
+                )
+            phase = np.conj(apq / mag)
+            tau = (aqq - app) / (2.0 * mag)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            s_rot = t * c
+            # columns transform by diag(1, conj(phase)) then the real rotation
+            rot = eye.copy()
+            flat = rot.reshape(-1)
+            flat[pp] = c
+            flat[qp] = -phase * s_rot
+            flat[pq] = s_rot
+            flat[qq] = phase * c
+            stack = stack @ rot
+            work = stack[:, :rows]
+        if not rotated:
+            break
+    else:
+        what = f"a {rows}x{size} matrix" if len(tall) == 1 else f"{len(tall)} matrices"
+        raise NotConverged(f"Jacobi SVD of {what} did not converge in {_MAX_SWEEPS} sweeps")
+
+    all_norms = np.sqrt(np.real(np.sum(work.conj() * work, axis=1)))
+    out = []
+    for a, is_wide, member, norms, k in zip(tall, wide, stack, all_norms, exponents):
+        m, n = a.shape
+        order = np.argsort(-norms[:n], kind="stable")
+        norms = norms[order]
+        s = np.ldexp(norms, -k)
+        if not vectors:
+            out.append(s)
+            continue
+        member = member[:, order]
+        u = member[:m] / np.where(norms > 0.0, norms, np.inf)
+        vh = member[rows:rows + n].conj().T
+        out.append((vh.conj().T, s, u.conj().T) if is_wide else (u, s, vh))
+    return out
+
+
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``a = U @ diag(s) @ Vh`` of a complex matrix.
+    """Thin SVD ``a = U @ diag(s) @ Vh`` of a complex matrix: the batch of one.
 
     Returns ``(U, s, Vh)`` with ``U`` of shape ``(m, k)``, ``s`` the
     ``k = min(m, n)`` singular values in descending order, and ``Vh`` of shape
@@ -83,68 +217,18 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A sweep limit of ``_MAX_SWEEPS`` reached with pairs still rotating raises
     :class:`~qsylv.errors.NotConverged`.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError("svd expects a 2-D array")
-    m, n = a.shape
-    if m < n:
-        u_t, s, vh_t = svd(a.conj().T)
-        return vh_t.conj().T, s, u_t.conj().T
+    return _jacobi([a], True)[0]
 
-    k = pow2_exponent(a)
-    # rows [:m] hold W, rows [m:] hold V, so one update rotates both
-    stacked = np.concatenate((scale_pow2(a, k), _identity(n)))
-    work = stacked[:m]
-    # A column whose squared norm falls to this level is rounding noise left
-    # by a rank deficiency.  Rotating it further only shrinks it toward
-    # underflow (where phases lose precision and rotations go wrong) without
-    # moving any singular value above the rank cutoff, so it is left alone.
-    negligible = (np.finfo(np.float64).eps ** 2) * float(np.real(np.vdot(work, work)))
 
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p, q in _rounds(n):
-            gram = work.conj().T @ work
-            norms = gram.diagonal().real
-            app, aqq, apq = norms[p], norms[q], gram[p, q]
-            mag = np.abs(apq)
-            active = (app > negligible) & (aqq > negligible) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
-            if not active.any():
-                continue
-            rotated = True
-            if not active.all():
-                p, q, app, aqq, apq, mag = (x[active] for x in (p, q, app, aqq, apq, mag))
-            phase = np.conj(apq / mag)
-            tau = (aqq - app) / (2.0 * mag)
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.hypot(1.0, t)
-            s_rot = t * c
-            # columns transform by diag(1, conj(phase)) then the real rotation
-            rot = _identity(n).copy()
-            rot[p, p] = c
-            rot[q, p] = -phase * s_rot
-            rot[p, q] = s_rot
-            rot[q, q] = phase * c
-            stacked = stacked @ rot
-            work = stacked[:m]
-        if not rotated:
-            break
-    else:
-        raise NotConverged(
-            f"Jacobi SVD of a {m}x{n} matrix did not converge in {_MAX_SWEEPS} sweeps"
-        )
-
-    norms = np.sqrt(np.real(np.sum(work.conj() * work, axis=0)))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    stacked = stacked[:, order]
-    u = stacked[:m] / np.where(norms > 0.0, norms, np.inf)
-    return u, np.ldexp(norms, -k), stacked[m:].conj().T
+def spectra(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The singular values of each matrix of ``mats``, descending: one batch
+    that forms no ``V``."""
+    return _jacobi(mats, False)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values of ``a`` in descending order."""
-    return svd(a)[1]
+    return spectra([a])[0]
 
 
 def default_threshold(a_shape: tuple[int, int], sigma_max: float) -> float:

@@ -551,6 +551,20 @@ def test_svd_non_convergence_exits_1(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(["mpinv", "--in", path, "--method", "oracle"], capsys)
     assert code == 1 and out == ""
     assert "did not converge" in err
+    # Diagonal coefficients embed to orthogonal columns, so their own SVDs
+    # converge in one sweep; the batch of rank-criteria stacks does not.
+    slots = {
+        "a1": qm([[q(2, 1, 0, 1), q(0)], [q(0), q(0, 3, 1, 0)], [q(0), q(0)]]),
+        "a2": qm([[q(0)], [q(0)], [q(1, 0, 2, 0)]]),
+        "c": random_matrix(SplitMix64(80), 3, 2),
+    }
+    argv = ["check", "--kind", "two-left"]
+    for name, mat in slots.items():
+        write_json(str(tmp_path / f"{name}.json"), mat.to_json())
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert "Jacobi SVD of 4 matrices did not converge" in err
 
 
 def test_mpinv_of_tiny_and_huge_scalars(capsys, tmp_path):

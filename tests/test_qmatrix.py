@@ -29,7 +29,7 @@ from qsylv import (
     rank,
     vstack,
 )
-from qsylv.qmatrix import pow2_exponent, scale_pow2
+from qsylv.qmatrix import pow2_exponent, quat_array, ranks, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_hermitian, random_matrix
 from qsylv.svd import (
     _rounds,
@@ -216,14 +216,41 @@ def test_kernel_overflow_raises_out_of_range_without_a_numpy_warning():
 def test_jacobi_identity_is_cached_read_only_and_left_intact():
     ident = svd_module._identity(4)
     assert svd_module._identity(4) is ident and not ident.flags.writeable
+    plan = svd_module._plan((4, 2, 4))
+    kept = [flat.copy() for flat in plan]
+    assert svd_module._plan((4, 2, 4)) is plan
+    assert all(not flat.flags.writeable for flat in plan)
     rng = SplitMix64(22)
     for rows in (2, 4, 6):
         svd(np.asarray(complex_embed(random_matrix(rng, rows, 2))))
         svd(np.asarray(complex_embed(planted_rank_matrix(rng, rows, 2, 1))))
+        ranks([random_matrix(rng, rows, 2), random_matrix(rng, rows, 1),
+               planted_rank_matrix(rng, rows, 2, 1)])
     assert svd_module._identity(4) is ident and not ident.flags.writeable
     assert ident.tobytes() == np.eye(4, dtype=np.complex128).tobytes()
     with pytest.raises(ValueError):
         ident[0, 1] = 1.0
+    assert svd_module._plan((4, 2, 4)) is plan
+    assert [flat.tobytes() for flat in plan] == [flat.tobytes() for flat in kept]
+    with pytest.raises(ValueError):
+        plan[0][0, 0] = 1
+
+
+def test_batch_plan_pairs_each_member_by_its_own_schedule():
+    cols = (4, 1, 3, 4)
+    size = max(cols)
+    plan = svd_module._plan(cols)
+    schedules = [svd_module._rounds(n) for n in cols]
+    assert len(plan) == max(map(len, schedules))
+    for t, (pp, qp, pq, qq, member) in enumerate(plan):
+        base = member * size * size
+        p, q = np.divmod(pq - base, size)
+        assert (pp == base + p * (size + 1)).all() and (qq == base + q * (size + 1)).all()
+        assert (qp == base + q * size + p).all()
+        for i, rounds in enumerate(schedules):
+            mine = member == i
+            want = [side.tolist() for side in rounds[t]] if t < len(rounds) else [[], []]
+            assert [p[mine].tolist(), q[mine].tolist()] == want
 
 
 def test_matmul_shape_mismatch():
@@ -298,6 +325,71 @@ def test_rank_floor_suppresses_noise():
     noise = qm([[q(1e-13), q(0)], [q(0), q(1e-14)]])
     assert rank(noise) == 2  # relative threshold keeps pure noise
     assert rank(noise, floor=1e-10) == 0  # absolute floor removes it
+
+
+def _criteria_corpus(rng: SplitMix64) -> list[QMatrix]:
+    """The stacks and blocks of the four rank criteria of one random
+    gen-sylvester shape, with a rank-deficient ``a2``."""
+    m, n, p, r, q_, s = (rng.randint(1, 4) for _ in range(6))
+    a1, b1, b2, c = (random_matrix(rng, *shape) for shape in ((m, n), (r, s), (q_, s), (m, s)))
+    a2 = planted_rank_matrix(rng, m, p, min(m, p) - 1)
+    return [
+        hstack([a1, a2, c]), hstack([a1, a2]), vstack([b1, b2, c]), vstack([b1, b2]),
+        block2x2(a1, c, QMatrix.zeros(q_, n), b2), block2x2(a2, c, QMatrix.zeros(r, p), b1),
+    ]
+
+
+def test_batched_ranks_equal_per_matrix_ranks():
+    rng = SplitMix64(31)
+    deficient = 0
+    for _ in range(50):
+        mats = _criteria_corpus(rng)
+        deficient += sum(rank(x) < min(x.shape) for x in mats)
+        one = random_matrix(rng, 1, 1)
+        # members 2**1200 apart in one batch: neither the prescale nor the
+        # negligible-column threshold of one member reaches another
+        mats += [QMatrix.zeros(3, 2), one, scale_pow2(mats[0], 600), scale_pow2(mats[4], -600),
+                 scale_pow2(one, -600)]
+        expected = [rank(x) for x in mats]
+        assert ranks(mats) == expected
+        # padding may round a member differently, within a few eps of sigma_max
+        embedded = [np.asarray(complex_embed(x)) for x in mats if not x.is_zero()]
+        for batched, e in zip(svd_module.spectra(embedded), embedded):
+            alone = singular_values(e)
+            assert np.abs(batched - alone).max() <= 64 * np.finfo(float).eps * alone[0]
+        assert expected[6:] == [0, 1, expected[0], expected[4], 1]
+        assert ranks(mats[:7], floor=0.5) == [rank(x, floor=0.5) for x in mats[:7]]
+    assert deficient >= 40  # 46 of the 300 stacks and blocks are rank-deficient
+    assert ranks([]) == [] and ranks([QMatrix.zeros(2, 2)]) == [0]
+
+
+def test_a_batch_of_zero_matrices_takes_no_jacobi_pass(monkeypatch):
+    def refuse(mats, vectors):
+        raise AssertionError("a zero matrix took a decomposition")
+
+    monkeypatch.setattr(svd_module, "_jacobi", refuse)
+    assert ranks([QMatrix.zeros(2, 3), QMatrix.zeros(1, 1)]) == [0, 0]
+    assert rank(QMatrix.zeros(4, 4)) == 0
+
+
+def test_every_matrix_owns_its_array():
+    m = qm([[q(1, 2, 3, -0.0), q(0.5)], [q(-0.0, 1), q(2, 0, 0, 1)]])
+    made = {
+        "from_rows": m,
+        "from_json": QMatrix.from_json(m.to_json()),
+        "from_array": QMatrix.from_array(np.arange(24.0).reshape(2, 3, 4)),
+        "* 0.5": m * 0.5,
+        "/ 2": m / 2,
+        "scale_pow2": scale_pow2(m, 3),
+        "submatrix": m.submatrix([1, 0], [1]),
+    }
+    for name, x in made.items():
+        assert x._pair.base is None, name
+    # the components, signed zeros included, are where they were
+    assert QMatrix.from_array(quat_array(m)) == m
+    assert np.signbit(quat_array(made["from_json"])).tolist() == np.signbit(quat_array(m)).tolist()
+    assert np.signbit(quat_array(made["* 0.5"])).tolist() == np.signbit(quat_array(m)).tolist()
+    assert made["submatrix"] == qm([[q(2, 0, 0, 1)], [q(0.5)]])
 
 
 def test_singular_values_match_numpy_oracle():

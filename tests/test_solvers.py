@@ -479,44 +479,46 @@ def test_identity_filled_kinds_match_their_general_form_bit_for_bit(kind):
                 assert _solve_doc(case, method) == _solve_doc(general, method), (seed, method)
 
 
-# SVD calls and coefficient passes of one solve(method="both") of the seed-3,
-# max_dim-4 instance: identity-filled slots take neither, and a derived matrix
-# that is exactly zero takes no SVD.
+# Decompositions, coefficient passes and batched Jacobi passes of one
+# solve(method="both") of the seed-3, max_dim-4 instance: identity-filled slots
+# take neither a decomposition nor a coefficient pass, a derived matrix that is
+# exactly zero takes no decomposition, and the rank criteria of the gate share
+# one Jacobi pass.
 WORK_PER_SOLVE = {
-    EquationKind.GEN_SYLVESTER: (13, 9),
-    EquationKind.ONE_LEFT: (9, 5),
-    EquationKind.ONE_RIGHT: (9, 5),
-    EquationKind.STEIN: (5, 3),
-    EquationKind.SYLVESTER: (5, 5),
-    EquationKind.SYLVESTER_MIRROR: (5, 5),
-    EquationKind.TWO_LEFT: (8, 4),
-    EquationKind.TWO_RIGHT: (8, 5),
-    EquationKind.LYAPUNOV_LIKE: (2, 2),
-    EquationKind.LYAPUNOV_STAR: (1, 2),
+    EquationKind.GEN_SYLVESTER: (13, 9, 8),
+    EquationKind.ONE_LEFT: (9, 5, 6),
+    EquationKind.ONE_RIGHT: (9, 5, 6),
+    EquationKind.STEIN: (5, 3, 4),
+    EquationKind.SYLVESTER: (5, 5, 5),
+    EquationKind.SYLVESTER_MIRROR: (5, 5, 5),
+    EquationKind.TWO_LEFT: (8, 4, 5),
+    EquationKind.TWO_RIGHT: (8, 5, 5),
+    EquationKind.LYAPUNOV_LIKE: (2, 2, 2),
+    EquationKind.LYAPUNOV_STAR: (1, 2, 1),
 }
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.cli_name)
 def test_identity_slots_take_no_svd_or_coefficient_pass(kind, monkeypatch):
     prob, _ = make_consistent_instance(SplitMix64(3), kind, max_dim=4)
-    counts = {"svd": 0, "pass": 0}
-    svd, engine = svd_module.svd, rcdet_module._local_coeffs
+    counts = {"svd": 0, "pass": 0, "jacobi": 0}
+    jacobi, engine = svd_module._jacobi, rcdet_module._local_coeffs
 
-    def counted_svd(a):
-        # a wide input recurses once on its transpose: count each decomposition once
-        counts["svd"] += a.shape[0] >= a.shape[1]
-        return svd(a)
+    def counted_jacobi(mats, vectors):
+        # one batched pass decomposes every member of its batch
+        counts["svd"] += len(mats)
+        counts["jacobi"] += 1
+        return jacobi(mats, vectors)
 
     def counted_pass(*args):
         counts["pass"] += 1
         return engine(*args)
 
-    for module in (svd_module, mpinv_module):
-        monkeypatch.setattr(module, "svd", counted_svd)
+    monkeypatch.setattr(svd_module, "_jacobi", counted_jacobi)
     monkeypatch.setattr(rcdet_module, "_local_coeffs", counted_pass)
     derive_aux.cache_clear()
     solve(prob, method="both", force=True)
-    assert (counts["svd"], counts["pass"]) == WORK_PER_SOLVE[kind]
+    assert (counts["svd"], counts["pass"], counts["jacobi"]) == WORK_PER_SOLVE[kind]
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
