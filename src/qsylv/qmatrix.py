@@ -176,7 +176,7 @@ class QMatrix:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
         """Select rows/columns by 0-based index sequences."""
-        return QMatrix._of(self._pair[np.ix_((0, 1), list(row_idx), list(col_idx))])
+        return QMatrix._of(self._pair[:, list(row_idx)][:, :, list(col_idx)])
 
     # -- serialization ---------------------------------------------------------
 

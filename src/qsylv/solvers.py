@@ -380,31 +380,28 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         ident = problem.kind.identity_slots
         slots = (problem.a1, problem.b1, problem.a2, problem.b2, c)
         a1, b1, a2, b2, c = (scale_pow2(x, pow2_exponent(x)) for x in slots)
+        # ranks read off the sizes, and the matrices the batch decides
+        sized: dict[str, int] = {}
+        pending: dict[str, QMatrix] = {}
         if ident.isdisjoint(("a1", "a2")):
-            cols = hstack([a1, a2, c]), hstack([a1, a2])
+            pending["cols_c"], pending["cols"] = hstack([a1, a2, c]), hstack([a1, a2])
         else:
-            cols = m_rows, m_rows
+            sized["cols_c"] = sized["cols"] = m_rows
         if ident.isdisjoint(("b1", "b2")):
-            rows = vstack([b1, b2, c]), vstack([b1, b2])
+            pending["rows_c"], pending["rows"] = vstack([b1, b2, c]), vstack([b1, b2])
         else:
-            rows = s_cols, s_cols
-
-        def block(a_name: str, b_name: str, a: QMatrix, b: QMatrix) -> int | QMatrix:
+            sized["rows_c"] = sized["rows"] = s_cols
+        for a_name, b_name, a, b in (("a1", "b2", a1, b2), ("a2", "b1", a2, b1)):
             if ident.issuperset((a_name, b_name)):
-                return m_rows + s_cols
-            return block2x2(a, c, QMatrix.zeros(b.rows, a.cols), b)
-
+                sized[f"{a_name}_{b_name}"] = m_rows + s_cols
+            else:
+                pending[f"{a_name}_{b_name}"] = block2x2(a, c, QMatrix.zeros(b.rows, a.cols), b)
+        r = sized | dict(zip(pending, ranks(list(pending.values()))))
         rank_pairs = (
-            ("rank_cols", *cols),
-            ("rank_rows", *rows),
-            ("rank_block_a1_b2", block("a1", "b2", a1, b2), aux.a1.rank_used + aux.b2.rank_used),
-            ("rank_block_a2_b1", block("a2", "b1", a2, b1), aux.a2.rank_used + aux.b1.rank_used),
-        )
-        pending = [x for _, *sides in rank_pairs for x in sides if isinstance(x, QMatrix)]
-        decided = iter(ranks(pending))
-        rank_pairs = tuple(
-            (name, *(next(decided) if isinstance(x, QMatrix) else x for x in sides))
-            for name, *sides in rank_pairs
+            ("rank_cols", r["cols_c"], r["cols"]),
+            ("rank_rows", r["rows_c"], r["rows"]),
+            ("rank_block_a1_b2", r["a1_b2"], aux.a1.rank_used + aux.b2.rank_used),
+            ("rank_block_a2_b1", r["a2_b1"], aux.a2.rank_used + aux.b1.rank_used),
         )
         ranks_ok = True
         for name, lhs, rhs in rank_pairs:

@@ -24,12 +24,14 @@ engine (:func:`_jacobi`) decomposes a whole batch at once:
   columns are never paired.
 - A round reads every member's ``a``, ``b``, ``c`` from one batched
   ``W^H W`` product, computes all rotations as vectors, scatters them into
-  one stack of unitaries ``J`` through flat indices precomputed per tuple
-  of column counts (:func:`_plan`), and applies them with one batched
-  product.  A member with nothing to rotate in a round gets the identity,
-  which leaves its values as they are.  Padding adds only exact zeros, but
-  a padded product may round a member's entries in another order, so its
-  last bits can differ from those of a lone decomposition.
+  one stack of unitaries ``J`` through flat indices, and applies them with
+  one batched product.  Each member's indices are cached per column count,
+  padded size and batch position (:func:`_member_rounds`), and a batch
+  joins them round by round.  A member with nothing to rotate in a round
+  gets the identity, which leaves its values as they are.  Padding adds
+  only exact zeros, but a padded product may round a member's entries in
+  another order, so its last bits can differ from those of a lone
+  decomposition.
 - The batch sweeps until a sweep rotates nothing; the sweep limit
   ``_MAX_SWEEPS`` binds the slowest member.
 
@@ -90,29 +92,26 @@ def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
-# bounded: a run over many shapes would otherwise keep a plan per column tuple
-@lru_cache(maxsize=64)
-def _plan(cols: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The batch schedule of members with these column counts.
+@lru_cache(maxsize=None)
+def _member_rounds(n: int, size: int, i: int) -> tuple[np.ndarray, ...]:
+    """The schedule of member ``i``, with ``n`` columns, of a batch padded to
+    ``size`` columns.
 
-    Per round, one read-only ``(5, pairs)`` array: the flat indices of
-    ``(p, p)``, ``(q, p)``, ``(p, q)`` and ``(q, q)`` of every member's pairs
-    in a ``(b, N, N)`` stack, ``N = max(cols)``, and the member of each pair.
-    Member ``i`` takes its pairs from ``_rounds(cols[i])``.
+    Per round of ``_rounds(n)``, one read-only ``(5, pairs)`` array: the flat
+    indices of ``(p, p)``, ``(q, p)``, ``(p, q)`` and ``(q, q)`` of its pairs
+    in a ``(b, size, size)`` stack, and ``i`` once per pair.  A key recurs
+    whenever a member of that column count sits at that position of a batch
+    of that size, whatever the other members are.
     """
-    size, schedules = max(cols), [_rounds(n) for n in cols]
-    plan = []
-    for t in range(max(map(len, schedules))):
-        member, p, q = (np.concatenate(side) for side in zip(*(
-            (np.full(len(rounds[t][0]), i, dtype=np.intp), *rounds[t])
-            for i, rounds in enumerate(schedules) if t < len(rounds)
-        )))
-        base = member * (size * size)
-        flat = np.stack((base + p * (size + 1), base + q * size + p,
-                         base + p * size + q, base + q * (size + 1), member))
-        flat.setflags(write=False)
-        plan.append(flat)
-    return tuple(plan)
+    rounds = _rounds(n)
+    if not rounds:
+        return ()
+    p, q = (np.concatenate(side) for side in zip(*rounds))
+    base = i * size * size
+    flat = np.stack((base + p * (size + 1), base + q * size + p, base + p * size + q,
+                     base + q * (size + 1), np.full_like(p, i)))
+    flat.setflags(write=False)
+    return tuple(np.split(flat, np.cumsum([len(r[0]) for r in rounds[:-1]]), axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +153,12 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
     if vectors:
         stack[:, rows:] = _identity(size)
     eye = np.broadcast_to(_identity(size), (len(tall), size, size))
-    rounds = [(*flat[:4], negligible[flat[4]]) for flat in _plan(cols)]
+    schedules = [_member_rounds(n, size, i) for i, n in enumerate(cols)]
+    rounds = []
+    for t in range(max(map(len, schedules))):
+        parts = [rounds_i[t] for rounds_i in schedules if t < len(rounds_i)]
+        flat = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        rounds.append((*flat[:4], negligible[flat[4]]))
     work = stack[:, :rows]
 
     for _ in range(_MAX_SWEEPS):
@@ -224,11 +228,6 @@ def spectra(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The singular values of each matrix of ``mats``, descending: one batch
     that forms no ``V``."""
     return _jacobi(mats, False)
-
-
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of ``a`` in descending order."""
-    return spectra([a])[0]
 
 
 def default_threshold(a_shape: tuple[int, int], sigma_max: float) -> float:

@@ -36,7 +36,7 @@ from qsylv.svd import (
     default_threshold,
     pinv_from_svd,
     rank_cutoff,
-    singular_values,
+    spectra,
     svd,
 )
 
@@ -216,9 +216,9 @@ def test_kernel_overflow_raises_out_of_range_without_a_numpy_warning():
 def test_jacobi_identity_is_cached_read_only_and_left_intact():
     ident = svd_module._identity(4)
     assert svd_module._identity(4) is ident and not ident.flags.writeable
-    plan = svd_module._plan((4, 2, 4))
+    plan = svd_module._member_rounds(2, 4, 1)
     kept = [flat.copy() for flat in plan]
-    assert svd_module._plan((4, 2, 4)) is plan
+    assert svd_module._member_rounds(2, 4, 1) is plan
     assert all(not flat.flags.writeable for flat in plan)
     rng = SplitMix64(22)
     for rows in (2, 4, 6):
@@ -230,27 +230,23 @@ def test_jacobi_identity_is_cached_read_only_and_left_intact():
     assert ident.tobytes() == np.eye(4, dtype=np.complex128).tobytes()
     with pytest.raises(ValueError):
         ident[0, 1] = 1.0
-    assert svd_module._plan((4, 2, 4)) is plan
+    assert svd_module._member_rounds(2, 4, 1) is plan
     assert [flat.tobytes() for flat in plan] == [flat.tobytes() for flat in kept]
     with pytest.raises(ValueError):
         plan[0][0, 0] = 1
 
 
-def test_batch_plan_pairs_each_member_by_its_own_schedule():
-    cols = (4, 1, 3, 4)
-    size = max(cols)
-    plan = svd_module._plan(cols)
-    schedules = [svd_module._rounds(n) for n in cols]
-    assert len(plan) == max(map(len, schedules))
-    for t, (pp, qp, pq, qq, member) in enumerate(plan):
-        base = member * size * size
-        p, q = np.divmod(pq - base, size)
-        assert (pp == base + p * (size + 1)).all() and (qq == base + q * (size + 1)).all()
-        assert (qp == base + q * size + p).all()
-        for i, rounds in enumerate(schedules):
-            mine = member == i
-            want = [side.tolist() for side in rounds[t]] if t < len(rounds) else [[], []]
-            assert [p[mine].tolist(), q[mine].tolist()] == want
+def test_batch_schedule_pairs_each_member_by_its_own_rounds():
+    size = 4
+    for i, n in enumerate((4, 1, 3, 4)):
+        rounds = _rounds(n)
+        mine = svd_module._member_rounds(n, size, i)
+        assert len(mine) == len(rounds)
+        for (pp, qp, pq, qq, member), (p, q) in zip(mine, rounds):
+            base = i * size * size
+            assert (member == i).all()
+            assert (pp == base + p * (size + 1)).all() and (qq == base + q * (size + 1)).all()
+            assert (qp == base + q * size + p).all() and (pq == base + p * size + q).all()
 
 
 def test_matmul_shape_mismatch():
@@ -354,8 +350,8 @@ def test_batched_ranks_equal_per_matrix_ranks():
         assert ranks(mats) == expected
         # padding may round a member differently, within a few eps of sigma_max
         embedded = [np.asarray(complex_embed(x)) for x in mats if not x.is_zero()]
-        for batched, e in zip(svd_module.spectra(embedded), embedded):
-            alone = singular_values(e)
+        for batched, e in zip(spectra(embedded), embedded):
+            alone = spectra([e])[0]
             assert np.abs(batched - alone).max() <= 64 * np.finfo(float).eps * alone[0]
         assert expected[6:] == [0, 1, expected[0], expected[4], 1]
         assert ranks(mats[:7], floor=0.5) == [rank(x, floor=0.5) for x in mats[:7]]
@@ -396,7 +392,7 @@ def test_singular_values_match_numpy_oracle():
     rng = SplitMix64(16)
     for rows, cols in [(1, 1), (2, 2), (3, 2), (2, 4), (4, 4)]:
         a = random_matrix(rng, rows, cols)
-        ours = singular_values(np.asarray(complex_embed(a)))
+        ours = spectra([np.asarray(complex_embed(a))])[0]
         oracle = np.linalg.svd(_np_embed(a), compute_uv=False)
         assert np.max(np.abs(np.sort(ours)[::-1] - oracle)) <= 1e-10 * (1 + oracle[0])
 
@@ -428,7 +424,7 @@ def test_svd_converges_on_rank_deficient_input():
     cases = [block2x2(a, c, QMatrix.zeros(2, 2), QMatrix.zeros(2, 2))]
     cases += [planted_rank_matrix(rng, 4, 4, r) for r in (1, 2, 3)]
     for m in cases:
-        ours = singular_values(np.asarray(complex_embed(m)))
+        ours = spectra([np.asarray(complex_embed(m))])[0]
         oracle = np.linalg.svd(_np_embed(m), compute_uv=False)
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * oracle[0]
 
