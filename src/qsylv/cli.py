@@ -185,7 +185,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_mpinv(args) -> int:
     from .mpinv import mp_cramer, mp_oracle
-    with _det_cap(args.max_det_dim):
+    with _det_cap(None if args.method == "oracle" else args.max_det_dim):
         mat = _load_matrix(getattr(args, "in"))
         result = mp_oracle(mat) if args.method == "oracle" else mp_cramer(mat, side=args.side)
         doc = {"pinv": result.pinv.to_json(), "rank": result.rank_used, "method": result.method}

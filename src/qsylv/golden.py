@@ -146,9 +146,9 @@ def max_abs_diff(a: QMatrix, b: QMatrix) -> float:
     return max(abs(entry) for row in delta.entries for entry in row)
 
 
-def _close(a: QMatrix, b: QMatrix, tol: float) -> tuple[bool, str]:
+def _close(a: QMatrix, b: QMatrix) -> tuple[bool, str]:
     diff = max_abs_diff(a, b)
-    return diff <= tol, f"max entry deviation {diff:.3e}"
+    return diff <= GOLDEN_TOL, f"max entry deviation {diff:.3e}"
 
 
 def _check_solution(
@@ -156,21 +156,21 @@ def _check_solution(
     label: str,
     example: WorkedExample,
     sol: PairSolution,
-    tol: float,
 ) -> None:
-    ok1, d1 = _close(sol.x1, example.expected_x1, tol)
+    ok1, d1 = _close(sol.x1, example.expected_x1)
     if example.expected_x2 is not None:
-        ok2, d2 = _close(sol.x2, example.expected_x2, tol)
+        ok2, d2 = _close(sol.x2, example.expected_x2)
         rows.append((label, ok1 and ok2, f"x1: {d1}; x2: {d2}"))
     else:
         rows.append((label, ok1, d1))
     res = residual(example.problem, sol)
-    res_ok = abs(res - example.expected_residual) <= tol
+    res_ok = abs(res - example.expected_residual) <= GOLDEN_TOL
     rows.append((f"{label}/residual", res_ok, f"residual {res:.3e}"))
 
 
-def selftest(tol: float = GOLDEN_TOL) -> list[tuple[str, bool, str]]:
-    """Run every golden check; each row is (name, passed, detail)."""
+def selftest() -> list[tuple[str, bool, str]]:
+    """Run every golden check, within :data:`GOLDEN_TOL`; each row is
+    (name, passed, detail)."""
     rows: list[tuple[str, bool, str]] = []
     for example in (example_pair(), example_star()):
         name = example.name
@@ -183,8 +183,8 @@ def selftest(tol: float = GOLDEN_TOL) -> list[tuple[str, bool, str]]:
         ))
         for method in ("direct", "cramer"):
             sol, _ = solve(example.problem, method=method, force=force)
-            _check_solution(rows, f"{name}/{method}", example, sol, tol)
-        rows.extend(_intermediate_rows(example, tol))
+            _check_solution(rows, f"{name}/{method}", example, sol)
+        rows.extend(_intermediate_rows(example))
     return rows
 
 
@@ -200,7 +200,7 @@ def print_selftest() -> int:
     return failures
 
 
-def _intermediate_rows(example: WorkedExample, tol: float) -> list[tuple[str, bool, str]]:
+def _intermediate_rows(example: WorkedExample) -> list[tuple[str, bool, str]]:
     rows: list[tuple[str, bool, str]] = []
     name = example.name
     expected = dict(example.intermediates)
@@ -216,7 +216,7 @@ def _intermediate_rows(example: WorkedExample, tol: float) -> list[tuple[str, bo
             ("pinv_b2", aux.b2.pinv),
         ):
             key = label.replace("_oracle", "")
-            ok, detail = _close(actual, expected[key], tol)
+            ok, detail = _close(actual, expected[key])
             rows.append((f"{name}/{label}", ok, detail))
         ranks_ok = aux.ranks == expected["ranks"]
         rows.append((f"{name}/ranks", ranks_ok, f"ranks {aux.ranks}"))
@@ -227,9 +227,9 @@ def _intermediate_rows(example: WorkedExample, tol: float) -> list[tuple[str, bo
             ("pinv_a_right", mp_cramer(a, side="right").pinv),
             ("pinv_a_oracle", mp_oracle(a).pinv),
         ):
-            ok, detail = _close(actual, expected["pinv_a"], tol)
+            ok, detail = _close(actual, expected["pinv_a"])
             rows.append((f"{name}/{label}", ok, detail))
-        ok, detail = _close(proj_q_cramer(a), expected["proj_q_a"], tol)
+        ok, detail = _close(proj_q_cramer(a), expected["proj_q_a"])
         rows.append((f"{name}/proj_q_a", ok, detail))
         det_value = hdet(gram_left(a), verify=True)
         det_ok = abs(det_value - expected["gram_det"]) <= 1e-10 * (1.0 + abs(expected["gram_det"]))

@@ -121,11 +121,15 @@ class DetPinv(NamedTuple):
 
         Raises :class:`ZeroDivisor` when the principal-minor sum is zero.
         The determinant engine is imported here, so the pseudoinverse route
-        never loads it.
+        never loads it.  An exact identity of full rank takes no pass: it is
+        its own Gram and coefficient matrix, and every product gives what the
+        pass would (each factor of that pass is a power of two).
         """
         from .rcdet import cdet_coeffs, rdet_coeffs
         if side not in ("left", "right"):
             raise InvalidSize(f"side must be 'left' or 'right', got {side!r}")
+        if r in (None, a.rows) and a.is_identity():
+            return DetPinv(side, 0, a, a, a, 1.0)
         r = rank(a) if r is None else r
         k = pow2_exponent(a)
         scaled = scale_pow2(a, k)
@@ -161,7 +165,7 @@ class DetPinv(NamedTuple):
         return self.gram @ self.coeffs / self.denom
 
 
-def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -> MpResult:
+def mp_cramer(a: QMatrix, side: Optional[str] = None) -> MpResult:
     """Determinantal Moore-Penrose inverse.
 
     ``side`` picks which Gram matrix the bordered sums run over: ``"left"``
@@ -173,7 +177,7 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, rank_floor: float = 0.0) -
     """
     if side is None:
         side = "left" if a.cols <= a.rows else "right"
-    r = rank(a, floor=rank_floor)
+    r = rank(a)
     return MpResult(DetPinv.of(a, side, r).pinv(), f"cramer_{side}", r, a)
 
 
@@ -181,12 +185,16 @@ def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
     """Moore-Penrose inverse through the complex embedding and one SVD.
 
     The rank and the pseudoinverse are read off the same decomposition of
-    the prescaled matrix; the absolute ``rank_floor`` is scaled with it.  A
-    zero matrix takes no SVD: its pseudoinverse is the zero matrix of rank 0,
-    which is what the SVD gives (an all-zero spectrum has an infinite cutoff).
+    the prescaled matrix; the absolute ``rank_floor`` is scaled with it.  Two
+    inputs take no SVD and get what it gives: a zero matrix the zero
+    pseudoinverse of rank 0 (an all-zero spectrum has an infinite cutoff), and
+    an exact identity, while ``rank_floor < 1``, itself of full rank (every
+    factor of its SVD is a power of two), as ``method="identity"``.
     """
     if a.is_zero():
         return MpResult(QMatrix.zeros(a.cols, a.rows), "oracle", 0, a)
+    if rank_floor < 1.0 and a.is_identity():
+        return MpResult(a, "identity", a.rows, a)
     k = pow2_exponent(a)
     embedded = complex_embed(scale_pow2(a, k))
     u, s, vh = svd(embedded)

@@ -261,6 +261,14 @@ class QMatrix:
         """Whether no entry is nonzero (``-0.0`` counts as zero)."""
         return not self._pair.any()
 
+    def is_identity(self) -> bool:
+        """Whether this is exactly :meth:`identity` of its size (``-0.0`` counts
+        as zero).  The first entry is read first, so most matrices are refused
+        without a full comparison."""
+        pair = self._pair
+        return (pair.shape[1] == pair.shape[2] and pair.item(0) == 1
+                and bool((pair == QMatrix.identity(pair.shape[1])._pair).all()))
+
     def trace(self) -> Quaternion:
         """The sum of the diagonal entries."""
         return Quaternion(*np.trace(quat_array(self)).tolist())
@@ -415,7 +423,7 @@ def embedded_rank(s: np.ndarray, cut: float) -> int:
     return int(np.count_nonzero(s[::2] > cut))
 
 
-def ranks(mats: Sequence[QMatrix], floor: float = 0.0) -> list[int]:
+def ranks(mats: Sequence[QMatrix]) -> list[int]:
     """The :func:`rank` of each matrix, read off one batched Jacobi pass.
 
     The batch prescales each member by its own power of two and keeps its
@@ -427,19 +435,20 @@ def ranks(mats: Sequence[QMatrix], floor: float = 0.0) -> list[int]:
     embedded = {i: complex_embed(a) for i, a in enumerate(mats) if not a.is_zero()}
     if embedded:
         for (i, e), s in zip(embedded.items(), _svd.spectra(list(embedded.values()))):
-            out[i] = embedded_rank(s, _svd.rank_cutoff(e.shape, s, floor))
+            out[i] = embedded_rank(s, _svd.rank_cutoff(e.shape, s))
     return out
 
 
-def rank(a: QMatrix, floor: float = 0.0) -> int:
+def rank(a: QMatrix) -> int:
     """Numerical rank via paired singular values of the complex embedding:
     the one-member case of :func:`ranks`.
 
     The SVD prescales its input by a power of two, so the decision does not
-    change under power-of-two rescaling of ``a`` and ``floor`` together.  A
-    zero matrix has rank 0 and takes no SVD.
+    change under power-of-two rescaling of ``a``.  A zero matrix has rank 0
+    and takes no SVD.  A rank with an absolute floor is read off
+    :func:`~qsylv.mpinv.mp_oracle`.
     """
-    return ranks([a], floor)[0]
+    return ranks([a])[0]
 
 
 def _concat(blocks: Iterable[QMatrix], axis: int) -> QMatrix:

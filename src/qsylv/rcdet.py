@@ -301,12 +301,12 @@ def cdet(a: QMatrix, j: int) -> Quaternion:
     return _det(a, j, "col")
 
 
-def _unit_hermitian(h: QMatrix, tol: float, what: str) -> tuple[int, QMatrix]:
+def _unit_hermitian(h: QMatrix, what: str) -> tuple[int, QMatrix]:
     """``(k, 2**k h)`` scaled to unit size (:func:`~qsylv.qmatrix.pow2_exponent`);
-    :class:`NotHermitian` unless that is Hermitian within ``tol``."""
+    :class:`NotHermitian` unless that is Hermitian within :data:`HDET_TOL`."""
     k = pow2_exponent(h)
     scaled = scale_pow2(h, k)
-    if not is_hermitian(scaled, tol):
+    if not is_hermitian(scaled, HDET_TOL):
         raise NotHermitian(f"{what} requires a Hermitian matrix")
     return k, scaled
 
@@ -319,19 +319,19 @@ def _scale_back(value: float, k: int, what: str) -> float:
         raise OutOfRange(f"{what} overflows the float range") from None
 
 
-def hdet(a: QMatrix, tol: float = HDET_TOL, verify: bool = False) -> float:
+def hdet(a: QMatrix, verify: bool = False) -> float:
     """The common real value of all anchored determinants of a Hermitian matrix.
 
-    ``rdet_1`` is read and checked to be real within ``tol * (1 + |det|)``;
+    ``rdet_1`` is read and checked to be real within ``HDET_TOL * (1 + |det|)``;
     with ``verify=True`` all ``2n`` anchored determinants are read off the
     row and column coefficient matrices and checked to agree within the same
     budget.  Every check runs on ``a`` scaled to unit size by ``2**k``, and
     the value is scaled back exactly by ``2**(-k n)``.
     """
-    k, scaled = _unit_hermitian(a, tol, "hdet")
+    k, scaled = _unit_hermitian(a, "hdet")
     rows = _anchored(scaled, "row")
     value = Quaternion(*rows[0].tolist())
-    budget = tol * (1.0 + abs(value.w))
+    budget = HDET_TOL * (1.0 + abs(value.w))
     if abs(value.x) > budget or abs(value.y) > budget or abs(value.z) > budget:
         raise InconsistentDeterminants(
             f"anchored determinant of a Hermitian matrix is not real: {value!r}"
@@ -346,7 +346,7 @@ def hdet(a: QMatrix, tol: float = HDET_TOL, verify: bool = False) -> float:
     return _scale_back(value.w, -k * a.rows, "determinant")
 
 
-def principal_minor_sum(h: QMatrix, r: int, tol: float = HDET_TOL) -> float:
+def principal_minor_sum(h: QMatrix, r: int) -> float:
     """Sum of all ``r x r`` principal minors (Hermitian determinants) of ``h``.
 
     Read as ``Re tr(C h) / r`` with ``C = cdet_coeffs(h, r)``: the trace sums
@@ -356,7 +356,7 @@ def principal_minor_sum(h: QMatrix, r: int, tol: float = HDET_TOL) -> float:
     convention used by callers that special-case rank-0 matrices away before
     dividing by this value).
     """
-    k, scaled = _unit_hermitian(h, tol, "principal_minor_sum")
+    k, scaled = _unit_hermitian(h, "principal_minor_sum")
     if r == 0:
         return 1.0
     value = (cdet_coeffs(scaled, r) @ scaled).trace().w / r

@@ -28,6 +28,9 @@ from .solvers import (
     free_param_shapes,
 )
 
+#: Most consistent draws :func:`make_inconsistent_instance` tries to perturb.
+MAX_DRAWS = 32
+
 
 class SplitMix64:
     """splitmix64 sequence generator (deterministic across platforms)."""
@@ -189,7 +192,6 @@ def make_inconsistent_instance(
     rng: SplitMix64,
     kind: EquationKind,
     max_dim: int = 3,
-    max_tries: int = 32,
 ) -> GenSylvesterProblem:
     """A random instance guaranteed inconsistent, by perturbing a consistent one.
 
@@ -204,13 +206,13 @@ def make_inconsistent_instance(
         raise InvalidSize(f"kind {kind.cli_name!r} cannot be perturbed: "
                           "no inconsistent right-hand side exists among its perturbations")
     reason = None
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         problem, _ = make_consistent_instance(rng, kind, max_dim)
         try:
             return perturb_inconsistent(rng, problem)
         except InvalidSize as exc:
             reason = exc
-    raise InvalidSize(f"no perturbable instance found in {max_tries} draws: {reason}")
+    raise InvalidSize(f"no perturbable instance found in {MAX_DRAWS} draws: {reason}")
 
 
 def random_free_params(

@@ -95,13 +95,6 @@ class EquationKind(Enum):
     def is_two_term(self) -> bool:
         return self not in (EquationKind.LYAPUNOV_LIKE, EquationKind.LYAPUNOV_STAR)
 
-    @property
-    def identity_slots(self) -> frozenset[str]:
-        """The coefficient slots a two-term kind omits, which hold identities."""
-        if not self.is_two_term:
-            return frozenset()
-        return frozenset(("a1", "b1", "a2", "b2")).difference(_SHAPES[self])
-
 
 # The slots of each kind and their shapes.  A shape is two dimension letters,
 # rows then columns; a letter names one size that every slot using it shares.
@@ -257,11 +250,11 @@ class AuxData(NamedTuple):
     the gate checks and the direct route returns.  Fields a kind has no use
     for are ``None``.
     Each rank is read off the same SVD as the matching pseudoinverse (an
-    identity-filled slot takes none: it is its own pseudoinverse, of full
-    rank) and is the only thing the determinantal route takes from here, so both routes
-    agree on every rank decision.  That route rebuilds ``m``, ``n`` and
-    ``s`` from determinantal projectors itself, so building this data
-    evaluates no determinant.
+    exact identity or zero matrix takes none, see
+    :func:`~qsylv.mpinv.mp_oracle`) and is the only thing the determinantal
+    route takes from here, so both routes agree on every rank decision.
+    That route rebuilds ``m``, ``n`` and ``s`` from determinantal projectors
+    itself, so building this data evaluates no determinant.
     """
 
     a1: MpResult
@@ -280,31 +273,25 @@ class AuxData(NamedTuple):
                      for mp in (self.a1, self.b1, self.a2, self.b2, self.m, self.n, self.s))
 
 
-def _slot_oracle(problem: GenSylvesterProblem, name: str) -> MpResult:
-    """``mp_oracle`` of coefficient slot ``name``.  An identity-filled slot is
-    its own pseudoinverse, of rank its size, so it takes no SVD (the SVD
-    gives exactly that: every factor of it is a power of two)."""
-    mat = getattr(problem, name)
-    if name in problem.kind.identity_slots:
-        return MpResult(mat, "identity", mat.rows, mat)
-    return mp_oracle(mat)
-
-
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     """Derived matrices, pseudoinverses and shared ranks of ``problem``.
 
     Cached so that the gate, both routes and the general solution of one
-    problem share one derivation.  An entry holds a few dozen kilobytes of
-    matrices for a 6x6 problem, so the cache keeps only the last 16 problems.
+    problem share one derivation.  Those calls come with no other problem in
+    between: every hit is of the problem derived last, in 20 s runs of the
+    benchmark's ``sweep`` and ``dense`` workloads (4344 and 842 hits), in the
+    CLI commands and :func:`solve_general` calls of
+    ``scripts/output_digest.py`` (4320) and in ``qsylv selftest`` (9).  So
+    the cache keeps that one problem.
     """
-    a1 = _slot_oracle(problem, "a1")
+    a1 = mp_oracle(problem.a1)
     if not problem.kind.is_two_term:
         if problem.b2 is None:
             return AuxData(a1)
         b2 = mp_oracle(problem.b2)
         return AuxData(a1, b2, like_x1=_direct_lyap(a1, problem.c, b2.proj_p()))
-    b1, a2, b2 = (_slot_oracle(problem, name) for name in ("b1", "a2", "b2"))
+    b1, a2, b2 = (mp_oracle(x) for x in (problem.b1, problem.a2, problem.b2))
     floor_a = DERIVED_RANK_FLOOR * problem.a2.fro_norm()
     floor_b = DERIVED_RANK_FLOOR * problem.b2.fro_norm()
     m = mp_oracle(a1.proj_r() @ problem.a2, rank_floor=floor_a)
@@ -346,9 +333,9 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     ``tol * |c|``, so rescaling the coefficients and ``c`` leaves the verdict;
     ``tol`` must be finite and non-negative.  Only pseudoinverse-route data
     is used, so no determinant is evaluated and the determinant cap never
-    applies here.  The rank criteria read the sizes where identity slots
-    decide them; every other stack and block they need is decided by one
-    :func:`~qsylv.qmatrix.ranks` call, one batched Jacobi pass.
+    applies here.  The rank criteria read the sizes where exact identity
+    coefficients decide them; every other stack and block they need is
+    decided by one :func:`~qsylv.qmatrix.ranks` call, one batched Jacobi pass.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidSize(f"tolerance must be finite and >= 0, got {tol!r}")
@@ -372,30 +359,31 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
 
         # Each block is first scaled to unit size by a power of two.  That is
         # exact and keeps every rank below, and it lets no coefficient's scale
-        # hide another block under the rank cutoff.  An identity-filled slot
+        # hide another block under the rank cutoff.  An identity coefficient
         # decides a stack it spans (every singular value of the scaled stack
         # is then at least 1/2, far above the cutoff), and so do two identity
         # diagonal blocks; those ranks are read off the sizes.  The stacks and
         # blocks left are decided together, by one batched Jacobi pass.
-        ident = problem.kind.identity_slots
         slots = (problem.a1, problem.b1, problem.a2, problem.b2, c)
+        i_a1, i_b1, i_a2, i_b2 = (x.is_identity() for x in slots[:4])
         a1, b1, a2, b2, c = (scale_pow2(x, pow2_exponent(x)) for x in slots)
         # ranks read off the sizes, and the matrices the batch decides
         sized: dict[str, int] = {}
         pending: dict[str, QMatrix] = {}
-        if ident.isdisjoint(("a1", "a2")):
-            pending["cols_c"], pending["cols"] = hstack([a1, a2, c]), hstack([a1, a2])
-        else:
+        if i_a1 or i_a2:
             sized["cols_c"] = sized["cols"] = m_rows
-        if ident.isdisjoint(("b1", "b2")):
-            pending["rows_c"], pending["rows"] = vstack([b1, b2, c]), vstack([b1, b2])
         else:
+            pending["cols_c"], pending["cols"] = hstack([a1, a2, c]), hstack([a1, a2])
+        if i_b1 or i_b2:
             sized["rows_c"] = sized["rows"] = s_cols
-        for a_name, b_name, a, b in (("a1", "b2", a1, b2), ("a2", "b1", a2, b1)):
-            if ident.issuperset((a_name, b_name)):
-                sized[f"{a_name}_{b_name}"] = m_rows + s_cols
+        else:
+            pending["rows_c"], pending["rows"] = vstack([b1, b2, c]), vstack([b1, b2])
+        for key, a, b, spanned in (("a1_b2", a1, b2, i_a1 and i_b2),
+                                   ("a2_b1", a2, b1, i_a2 and i_b1)):
+            if spanned:
+                sized[key] = m_rows + s_cols
             else:
-                pending[f"{a_name}_{b_name}"] = block2x2(a, c, QMatrix.zeros(b.rows, a.cols), b)
+                pending[key] = block2x2(a, c, QMatrix.zeros(b.rows, a.cols), b)
         r = sized | dict(zip(pending, ranks(list(pending.values()))))
         rank_pairs = (
             ("rank_cols", r["cols_c"], r["cols"]),
@@ -505,23 +493,12 @@ def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
     return DetPinv.of(a, "left", ra).apply(c)
 
 
-def _slot_factor(problem: GenSylvesterProblem, name: str, side: str, r: int) -> DetPinv:
-    """``DetPinv.of`` of coefficient slot ``name``.  An identity-filled slot is
-    its own Gram matrix, coefficient matrix and pseudoinverse, so it takes no
-    coefficient pass (the pass gives the same products: every factor of it
-    is a power of two)."""
-    mat = getattr(problem, name)
-    if name in problem.kind.identity_slots:
-        return DetPinv(side, 0, mat, mat, mat, 1.0)
-    return DetPinv.of(mat, side, r)
-
-
 def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatrix, QMatrix]:
     a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
     r1, rb1, r3, r4, r5, r6, r7 = aux.ranks
     # each (matrix, side, rank) factor is built once and shared by its products
-    a1_left, a1_right = (_slot_factor(problem, "a1", side, r1) for side in ("left", "right"))
-    b1_left, b1_right = (_slot_factor(problem, "b1", side, rb1) for side in ("left", "right"))
+    a1_left, a1_right = (DetPinv.of(a1, side, r1) for side in ("left", "right"))
+    b1_left, b1_right = (DetPinv.of(b1, side, rb1) for side in ("left", "right"))
 
     m_det = (QMatrix.identity(a1.rows) - a1_right.projector()) @ a2
     n_det = b2 @ (QMatrix.identity(b1.cols) - b1_left.projector())
@@ -535,12 +512,12 @@ def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatri
     inner12 = m_left.apply(c_b1)
     x12 = a1_left.apply(a2 @ inner12)
 
-    eta = _slot_factor(problem, "a2", "left", r3).apply(DetPinv.of(n_det, "right", r6).apply(c))
+    eta = DetPinv.of(a2, "left", r3).apply(DetPinv.of(n_det, "right", r6).apply(c))
     x13 = a1_left.apply(b1_right.apply(s_det @ eta @ b2))
 
     x1 = x11 - x12 - x13
 
-    x21 = m_left.apply(_slot_factor(problem, "b2", "right", r4).apply(c))
+    x21 = m_left.apply(DetPinv.of(b2, "right", r4).apply(c))
     x22 = DetPinv.of(s_det, "left", r7).projector() @ eta
     x2 = x21 + x22
     return x1, x2

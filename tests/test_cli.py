@@ -694,10 +694,15 @@ def _problem_argv(files: dict, tmp_path) -> list[str]:
     return argv
 
 
-@pytest.mark.parametrize("command", [["check"], ["solve", "--method", "direct"]],
-                         ids=["check", "solve-direct"])
+@pytest.mark.parametrize("command", [["check"], ["solve", "--method", "direct"],
+                                     ["mpinv", "--method", "oracle", "--max-det-dim", "3"]],
+                         ids=["check", "solve-direct", "mpinv-oracle"])
 def test_pseudoinverse_commands_load_no_determinant_engine(command, pair_files, tmp_path):
-    status, modules = _modules_loaded_by(command + _problem_argv(pair_files, tmp_path))
+    if command[0] == "mpinv":
+        argv = command + ["--in", pair_files["a1"], "--out", str(tmp_path / "out.json")]
+    else:
+        argv = command + _problem_argv(pair_files, tmp_path)
+    status, modules = _modules_loaded_by(argv)
     assert status == 0
     assert "qsylv.solvers" in modules
     assert modules.isdisjoint({"qsylv.rcdet", "qsylv.golden", "qsylv.sampling"})
@@ -787,6 +792,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "qsylv.cli", "selftest"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert "golden checks passed" in proc.stdout

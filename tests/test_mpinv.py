@@ -106,9 +106,46 @@ def test_zero_matrices_take_no_svd_and_match_the_svd_route(monkeypatch):
     monkeypatch.setattr(mpinv, "svd", no_svd)
     for a, expected in zip(zeros, by_svd):
         result = mp_oracle(a, rank_floor=1.0)
-        assert result.rank_used == 0 and rank(a) == 0 and rank(a, floor=1.0) == 0
+        assert result.rank_used == 0 and rank(a) == 0
         assert result.pinv.shape == (a.cols, a.rows)
         assert result.pinv._pair.tobytes() == expected._pair.tobytes()
+
+
+def _computed(monkeypatch, build):
+    """``build()`` with identities not recognised: the SVD and coefficient pass run."""
+    with monkeypatch.context() as patch:
+        patch.setattr(QMatrix, "is_identity", lambda self: False)
+        return build()
+
+
+def test_identities_take_no_svd_and_match_the_svd_route(monkeypatch):
+    for n in range(1, 6):
+        eye = QMatrix.from_rows(QMatrix.identity(n).entries)
+        for floor in (0.0, 1e-10 * n ** 0.5, 0.999):
+            computed = _computed(monkeypatch, lambda: mp_oracle(eye, rank_floor=floor))
+            shortcut = mp_oracle(eye, rank_floor=floor)
+            assert (computed.method, shortcut.method) == ("oracle", "identity")
+            assert shortcut.rank_used == computed.rank_used == n
+            assert shortcut.pinv._pair.tobytes() == computed.pinv._pair.tobytes()
+        # at a floor of 1 the prescaled singular values 1/2 fall under it
+        assert mp_oracle(eye, rank_floor=1.0) == (QMatrix.zeros(n, n), "oracle", 0, eye)
+
+
+def test_identity_factors_take_no_pass_and_match_its_products(monkeypatch):
+    rng = SplitMix64(52)
+    for n in range(1, 6):
+        eye = QMatrix.identity(n)
+        x = random_matrix(rng, n, n)
+        for side in ("left", "right"):
+            for r in (None, n):
+                computed = _computed(monkeypatch, lambda: DetPinv.of(eye, side, r))
+                shortcut = DetPinv.of(eye, side, r)
+                assert (computed.k, shortcut.k) == (-1, 0)
+                for product in (lambda f: f.pinv(), lambda f: f.projector(),
+                                lambda f: f.apply(x)):
+                    assert product(shortcut)._pair.tobytes() == product(computed)._pair.tobytes()
+        if n > 1:  # a rank override below the size reads the pass
+            assert DetPinv.of(eye, "left", n - 1).k == -1
 
 
 def test_rank_used_matches_planted_rank():
@@ -146,11 +183,12 @@ def test_oracle_rank_is_the_rank_decision():
     for case in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         a = planted_rank_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        # a floor far below every nonzero singular value leaves the decision
         for floor in (0.0, 1e-10):
-            assert mp_oracle(a, rank_floor=floor).rank_used == rank(a, floor), case
-    # a floor above the smaller singular value drops it from both decisions
+            assert mp_oracle(a, rank_floor=floor).rank_used == rank(a), case
+    # a floor above the smaller singular value drops it
     diag = qm([[q(2.0), q(0)], [q(0), q(1e-3)]])
-    assert mp_oracle(diag, rank_floor=1e-2).rank_used == rank(diag, 1e-2) == 1
+    assert mp_oracle(diag, rank_floor=1e-2).rank_used == 1
     assert mp_oracle(diag).rank_used == rank(diag) == 2
 
 
@@ -159,8 +197,8 @@ def test_pinv_scales_exactly_under_power_of_two_scaling():
     # inputs keep their rank and scale back bit for bit
     rng = SplitMix64(48)
     routes = {
-        "cramer-left": lambda m, floor: mp_cramer(m, side="left", rank_floor=floor),
-        "cramer-right": lambda m, floor: mp_cramer(m, side="right", rank_floor=floor),
+        "cramer-left": lambda m, floor: mp_cramer(m, side="left"),
+        "cramer-right": lambda m, floor: mp_cramer(m, side="right"),
         "oracle": lambda m, floor: mp_oracle(m, rank_floor=floor),
     }
     for case in range(6):

@@ -29,6 +29,7 @@ from qsylv import (
     rank,
     vstack,
 )
+from qsylv.mpinv import mp_oracle
 from qsylv.qmatrix import pow2_exponent, quat_array, ranks, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_hermitian, random_matrix
 from qsylv.svd import (
@@ -87,6 +88,25 @@ def test_identity_is_one_shared_read_only_matrix_per_size():
     assert not ident._pair.flags.writeable
     with pytest.raises(ValueError):
         ident._pair[0, 0, 1] = 1.0
+
+
+def test_is_identity_is_an_exact_comparison():
+    for n in (1, 2, 5):
+        assert QMatrix.identity(n).is_identity()
+        assert QMatrix.from_rows(QMatrix.identity(n).entries).is_identity()
+    # -0.0 counts as zero, as in is_zero
+    assert qm([[q(1, -0.0), q(-0.0)], [q(z=-0.0), q(1)]]).is_identity()
+    for other in (
+        QMatrix.identity(3) * 2.0,
+        QMatrix.identity(3) * (1.0 + 2.0 ** -52),
+        QMatrix.identity(2) + qm([[q(), q(1e-300)], [q(), q()]]),
+        qm([[q(1, x=1e-300)]]),
+        qm([[q(0.0)]]),
+        qm([[q(1), q(0)]]),
+        QMatrix.zeros(2, 2),
+        -QMatrix.identity(2),
+    ):
+        assert not other.is_identity()
 
 
 def test_add_sub_scalar_ops():
@@ -320,7 +340,7 @@ def test_rank_on_planted_matrices():
 def test_rank_floor_suppresses_noise():
     noise = qm([[q(1e-13), q(0)], [q(0), q(1e-14)]])
     assert rank(noise) == 2  # relative threshold keeps pure noise
-    assert rank(noise, floor=1e-10) == 0  # absolute floor removes it
+    assert mp_oracle(noise, rank_floor=1e-10).rank_used == 0  # absolute floor removes it
 
 
 def _criteria_corpus(rng: SplitMix64) -> list[QMatrix]:
@@ -354,7 +374,6 @@ def test_batched_ranks_equal_per_matrix_ranks():
             alone = spectra([e])[0]
             assert np.abs(batched - alone).max() <= 64 * np.finfo(float).eps * alone[0]
         assert expected[6:] == [0, 1, expected[0], expected[4], 1]
-        assert ranks(mats[:7], floor=0.5) == [rank(x, floor=0.5) for x in mats[:7]]
     assert deficient >= 40  # 46 of the 300 stacks and blocks are rank-deficient
     assert ranks([]) == [] and ranks([QMatrix.zeros(2, 2)]) == [0]
 
@@ -474,7 +493,7 @@ def test_rank_is_invariant_under_power_of_two_scaling():
             assert rank(scale_pow2(a, k)) == r
     diag = qm([[q(2.0), q(0)], [q(0), q(1e-3)]])
     for k in (-600, -300, 300, 600):
-        assert rank(scale_pow2(diag, k), floor=2.0 ** k * 1e-2) == 1
+        assert mp_oracle(scale_pow2(diag, k), rank_floor=2.0 ** k * 1e-2).rank_used == 1
     assert rank(qm([[q(1e-200)]])) == rank(qm([[q(1e200)]])) == 1
 
 

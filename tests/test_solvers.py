@@ -50,6 +50,8 @@ from conftest import assert_matrix_close, max_entry_diff, q, qm
 
 ALL_KINDS = list(EquationKind)
 TWO_TERM_KINDS = [k for k in ALL_KINDS if k.is_two_term]
+# the two-term kinds that omit a coefficient, which then holds an identity
+IDENTITY_KINDS = [k for k in TWO_TERM_KINDS if k is not EquationKind.GEN_SYLVESTER]
 
 
 # -- problem construction ---------------------------------------------------------
@@ -463,27 +465,37 @@ def _solve_doc(problem, method):
     return dumps([sol.x1.to_json(), sol.x2.to_json(), report.to_json_dict()])
 
 
-@pytest.mark.parametrize("kind", [k for k in TWO_TERM_KINDS if k.identity_slots],
-                         ids=lambda k: k.cli_name)
-def test_identity_filled_kinds_match_their_general_form_bit_for_bit(kind):
-    # the SVDs, coefficient passes and rank criteria an identity slot skips
-    # return exactly what the general path computes for an explicit identity
+@pytest.mark.parametrize("kind", IDENTITY_KINDS, ids=lambda k: k.cli_name)
+def test_identity_filled_kinds_match_their_general_form_bit_for_bit(kind, monkeypatch):
+    # A kind and its general form both take the identity shortcuts.  With
+    # identities not recognised, the general form computes the SVDs,
+    # coefficient passes and rank criteria they skip, and gives the same bytes.
+    methods = ("direct", "cramer", "both")
     for seed in range(10):
         cases = [make_consistent_instance(SplitMix64(seed), kind, max_dim=4)[0]]
         if kind is not EquationKind.STEIN:
             cases.append(make_inconsistent_instance(SplitMix64(seed), kind, max_dim=4))
         for case in cases:
             general = _as_gen_sylvester(case)
-            assert derive_aux(case).ranks == derive_aux(general).ranks, seed
-            for method in ("direct", "cramer", "both"):
-                assert _solve_doc(case, method) == _solve_doc(general, method), (seed, method)
+            ranks = derive_aux(case).ranks
+            docs = [_solve_doc(case, method) for method in methods]
+            assert derive_aux(general).ranks == ranks, seed
+            assert [_solve_doc(general, method) for method in methods] == docs, seed
+            with monkeypatch.context() as patch:
+                patch.setattr(QMatrix, "is_identity", lambda self: False)
+                derive_aux.cache_clear()
+                assert derive_aux(general).ranks == ranks, seed
+                assert [_solve_doc(general, method) for method in methods] == docs, seed
+            derive_aux.cache_clear()
 
 
 # Decompositions, coefficient passes and batched Jacobi passes of one
-# solve(method="both") of the seed-3, max_dim-4 instance: identity-filled slots
-# take neither a decomposition nor a coefficient pass, a derived matrix that is
-# exactly zero takes no decomposition, and the rank criteria of the gate share
-# one Jacobi pass.
+# solve(method="both") of the seed-3, max_dim-4 instance: an exact identity
+# (an identity-filled slot, or two-right's s = a2 L_m) takes neither a
+# decomposition nor a coefficient pass, a derived matrix that is exactly zero
+# takes no decomposition, and the rank criteria of the gate share one Jacobi
+# pass.  Posed as gen-sylvester with its identities written out, a kind does
+# the same work.
 WORK_PER_SOLVE = {
     EquationKind.GEN_SYLVESTER: (13, 9, 8),
     EquationKind.ONE_LEFT: (9, 5, 6),
@@ -492,15 +504,20 @@ WORK_PER_SOLVE = {
     EquationKind.SYLVESTER: (5, 5, 5),
     EquationKind.SYLVESTER_MIRROR: (5, 5, 5),
     EquationKind.TWO_LEFT: (8, 4, 5),
-    EquationKind.TWO_RIGHT: (8, 5, 5),
+    EquationKind.TWO_RIGHT: (7, 4, 4),
     EquationKind.LYAPUNOV_LIKE: (2, 2, 2),
     EquationKind.LYAPUNOV_STAR: (1, 2, 1),
 }
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.cli_name)
-def test_identity_slots_take_no_svd_or_coefficient_pass(kind, monkeypatch):
+@pytest.mark.parametrize("kind, general", [
+    *(pytest.param(kind, False, id=kind.cli_name) for kind in ALL_KINDS),
+    *(pytest.param(kind, True, id=f"{kind.cli_name}-as-gen-sylvester") for kind in IDENTITY_KINDS),
+])
+def test_identity_slots_take_no_svd_or_coefficient_pass(kind, general, monkeypatch):
     prob, _ = make_consistent_instance(SplitMix64(3), kind, max_dim=4)
+    if general:
+        prob = _as_gen_sylvester(prob)
     counts = {"svd": 0, "pass": 0, "jacobi": 0}
     jacobi, engine = svd_module._jacobi, rcdet_module._local_coeffs
 
