@@ -21,7 +21,7 @@ _EXPORTS = {
         "InconsistentDeterminants", "InvalidSize", "NotConverged", "NotHermitian",
         "NotSquare", "OutOfRange", "ParseError", "QsylvError", "ZeroDivisor",
     ),
-    "mpinv": ("MpResult", "mp_cramer", "mp_oracle"),
+    "mpinv": ("MpResult", "mp_cramer", "mp_oracle", "mp_oracles"),
     "qmatrix": (
         "QMatrix", "block2x2", "complex_embed", "complex_unembed", "ctranspose", "fro_norm",
         "hstack", "is_hermitian", "rank", "scalar_lmul", "scalar_rmul", "vstack",

@@ -8,7 +8,8 @@
   ``A* @ rdet_coeffs(AA*) / denom``, and ``denom`` is a trace read of the
   same coefficient matrix times the Gram matrix.
 - :func:`mp_oracle` works through the complex embedding and an SVD-based
-  complex pseudoinverse.
+  complex pseudoinverse; :func:`mp_oracles` inverts several matrices with
+  their SVDs decomposed together.
 
 Both prescale their input by an exact power of two (``pinv(2**k A) =
 2**-k pinv(A)``), so tiny and huge inputs neither underflow nor overflow.
@@ -27,7 +28,7 @@ path.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidSize, ZeroDivisor
 from .qmatrix import (
@@ -41,7 +42,7 @@ from .qmatrix import (
     rank,
     scale_pow2,
 )
-from .svd import pinv_from_svd, rank_cutoff, svd
+from .svd import pinv_from_svd, rank_cutoff, svds
 
 
 class MpResult(NamedTuple):
@@ -181,26 +182,44 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None) -> MpResult:
     return MpResult(DetPinv.of(a, side, r).pinv(), f"cramer_{side}", r, a)
 
 
-def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
-    """Moore-Penrose inverse through the complex embedding and one SVD.
+def mp_oracles(mats: Sequence[QMatrix],
+               rank_floors: Optional[Sequence[float]] = None) -> list[MpResult]:
+    """Moore-Penrose inverses through the complex embedding, one SVD per matrix.
 
-    The rank and the pseudoinverse are read off the same decomposition of
-    the prescaled matrix; the absolute ``rank_floor`` is scaled with it.  Two
-    inputs take no SVD and get what it gives: a zero matrix the zero
-    pseudoinverse of rank 0 (an all-zero spectrum has an infinite cutoff), and
-    an exact identity, while ``rank_floor < 1``, itself of full rank (every
-    factor of its SVD is a power of two), as ``method="identity"``.
+    Each matrix's rank and pseudoinverse are read off the same decomposition
+    of the prescaled matrix; its absolute rank floor (``rank_floors``, 0 by
+    default) is scaled with it.  Two inputs take no SVD and get what it
+    gives: a zero matrix the zero pseudoinverse of rank 0 (an all-zero
+    spectrum has an infinite cutoff), and an exact identity, while its floor
+    is below 1, itself of full rank (every factor of its SVD is a power of
+    two), as ``method="identity"``.  The other members are decomposed
+    together by :func:`~qsylv.svd.svds`, which gives each the bytes of its
+    lone SVD.
     """
-    if a.is_zero():
-        return MpResult(QMatrix.zeros(a.cols, a.rows), "oracle", 0, a)
-    if rank_floor < 1.0 and a.is_identity():
-        return MpResult(a, "identity", a.rows, a)
-    k = pow2_exponent(a)
-    embedded = complex_embed(scale_pow2(a, k))
-    u, s, vh = svd(embedded)
-    cut = rank_cutoff(embedded.shape, s, math.ldexp(rank_floor, k))
-    pinv = complex_unembed(pinv_from_svd(u, s, vh, cut), a.cols, a.rows)
-    return MpResult(scale_pow2(pinv, k), "oracle", embedded_rank(s, cut), a)
+    floors = [0.0] * len(mats) if rank_floors is None else rank_floors
+    out: list = [None] * len(mats)
+    pending = {}  # index -> (prescale exponent, embedded prescaled matrix)
+    for i, (a, floor) in enumerate(zip(mats, floors, strict=True)):
+        if a.is_zero():
+            out[i] = MpResult(QMatrix.zeros(a.cols, a.rows), "oracle", 0, a)
+        elif floor < 1.0 and a.is_identity():
+            out[i] = MpResult(a, "identity", a.rows, a)
+        else:
+            k = pow2_exponent(a)
+            pending[i] = k, complex_embed(scale_pow2(a, k))
+    factors = svds([embedded for _, embedded in pending.values()])
+    for (i, (k, embedded)), (u, s, vh) in zip(pending.items(), factors):
+        a = mats[i]
+        cut = rank_cutoff(embedded.shape, s, math.ldexp(floors[i], k))
+        pinv = complex_unembed(pinv_from_svd(u, s, vh, cut), a.cols, a.rows)
+        out[i] = MpResult(scale_pow2(pinv, k), "oracle", embedded_rank(s, cut), a)
+    return out
+
+
+def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
+    """Moore-Penrose inverse through the complex embedding and one SVD: the
+    one-member case of :func:`mp_oracles`."""
+    return mp_oracles([a], [rank_floor])[0]
 
 
 # -- determinantal projectors --------------------------------------------------

@@ -428,11 +428,12 @@ def ranks(mats: Sequence[QMatrix]) -> list[int]:
 
     The batch prescales each member by its own power of two and keeps its
     own cutoff, so no member's scale reaches another's decision.  A zero
-    matrix has rank 0 and takes no decomposition; a list of them takes no
-    pass.
+    matrix has rank 0 and an exact identity its size, which is what the
+    decomposition gives; neither takes one, and a list of them takes no pass.
     """
-    out = [0] * len(mats)
-    embedded = {i: complex_embed(a) for i, a in enumerate(mats) if not a.is_zero()}
+    out = [a.rows if a.is_identity() else 0 for a in mats]
+    embedded = {i: complex_embed(a) for i, a in enumerate(mats)
+                if not (out[i] or a.is_zero())}
     if embedded:
         for (i, e), s in zip(embedded.items(), _svd.spectra(list(embedded.values()))):
             out[i] = embedded_rank(s, _svd.rank_cutoff(e.shape, s))
@@ -444,8 +445,8 @@ def rank(a: QMatrix) -> int:
     the one-member case of :func:`ranks`.
 
     The SVD prescales its input by a power of two, so the decision does not
-    change under power-of-two rescaling of ``a``.  A zero matrix has rank 0
-    and takes no SVD.  A rank with an absolute floor is read off
+    change under power-of-two rescaling of ``a``.  A zero matrix or an exact
+    identity takes no SVD.  A rank with an absolute floor is read off
     :func:`~qsylv.mpinv.mp_oracle`.
     """
     return ranks([a])[0]

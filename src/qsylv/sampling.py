@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvalidSize
-from .mpinv import mp_oracle
+from .mpinv import mp_oracle, mp_oracles
 from .qmatrix import QMatrix, ctranspose, hstack, vstack
 from .quaternion import Quaternion
 from .solvers import (
@@ -169,13 +169,17 @@ def perturb_inconsistent(rng: SplitMix64, problem: GenSylvesterProblem) -> GenSy
         raise InvalidSize("inconsistent perturbations apply to two-term kinds")
     a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
     g = random_matrix(rng, c.rows, c.cols)
-    candidates = (
-        mp_oracle(hstack([a1, a2])).proj_r() @ g,
-        g @ mp_oracle(vstack([b1, b2])).proj_l(),
-        mp_oracle(a1).proj_r() @ g @ mp_oracle(b2).proj_l(),
-        mp_oracle(a2).proj_r() @ g @ mp_oracle(b1).proj_l(),
-    )
-    for e in candidates:
+
+    def candidates():
+        # built one at a time, so the pseudoinverses of a rejected direction
+        # are never formed
+        yield mp_oracle(hstack([a1, a2])).proj_r() @ g
+        yield g @ mp_oracle(vstack([b1, b2])).proj_l()
+        for a, b in ((a1, b2), (a2, b1)):
+            left, right = mp_oracles([a, b])
+            yield left.proj_r() @ g @ right.proj_l()
+
+    for e in candidates():
         norm = e.fro_norm()
         if norm > 1e-8:
             scaled = e * ((1.0 + c.fro_norm()) / norm)

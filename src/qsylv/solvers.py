@@ -35,7 +35,7 @@ from .errors import (
     Inconsistent,
     InvalidSize,
 )
-from .mpinv import DetPinv, MpResult, mp_oracle, proj_p_cramer, proj_q_cramer
+from .mpinv import DetPinv, MpResult, mp_oracle, mp_oracles, proj_p_cramer, proj_q_cramer
 from .qmatrix import (
     QMatrix,
     block2x2,
@@ -251,7 +251,7 @@ class AuxData(NamedTuple):
     for are ``None``.
     Each rank is read off the same SVD as the matching pseudoinverse (an
     exact identity or zero matrix takes none, see
-    :func:`~qsylv.mpinv.mp_oracle`) and is the only thing the determinantal
+    :func:`~qsylv.mpinv.mp_oracles`) and is the only thing the determinantal
     route takes from here, so both routes agree on every rank decision.
     That route rebuilds ``m``, ``n`` and ``s`` from determinantal projectors
     itself, so building this data evaluates no determinant.
@@ -284,18 +284,23 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     CLI commands and :func:`solve_general` calls of
     ``scripts/output_digest.py`` (4320) and in ``qsylv selftest`` (9).  So
     the cache keeps that one problem.
+
+    The pseudoinverses come in three levels, each one
+    :func:`~qsylv.mpinv.mp_oracles` call whose SVDs are decomposed together:
+    the coefficients ``a1, b1, a2, b2``, then ``m`` and ``n``, which need
+    the projectors of ``a1`` and ``b1``, then ``s``, which needs that of
+    ``m``.  The conjugate-transpose kinds take one call, for ``a1`` and
+    ``lyapunov-like``'s ``b2``.
     """
-    a1 = mp_oracle(problem.a1)
     if not problem.kind.is_two_term:
         if problem.b2 is None:
-            return AuxData(a1)
-        b2 = mp_oracle(problem.b2)
+            return AuxData(mp_oracle(problem.a1))
+        a1, b2 = mp_oracles([problem.a1, problem.b2])
         return AuxData(a1, b2, like_x1=_direct_lyap(a1, problem.c, b2.proj_p()))
-    b1, a2, b2 = (mp_oracle(x) for x in (problem.b1, problem.a2, problem.b2))
+    a1, b1, a2, b2 = mp_oracles([problem.a1, problem.b1, problem.a2, problem.b2])
     floor_a = DERIVED_RANK_FLOOR * problem.a2.fro_norm()
     floor_b = DERIVED_RANK_FLOOR * problem.b2.fro_norm()
-    m = mp_oracle(a1.proj_r() @ problem.a2, rank_floor=floor_a)
-    n = mp_oracle(problem.b2 @ b1.proj_l(), rank_floor=floor_b)
+    m, n = mp_oracles([a1.proj_r() @ problem.a2, problem.b2 @ b1.proj_l()], [floor_a, floor_b])
     s = mp_oracle(problem.a2 @ m.proj_l(), rank_floor=floor_a)
     return AuxData(a1, b2, b1, a2, m, n, s)
 

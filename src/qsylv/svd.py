@@ -28,16 +28,24 @@ engine (:func:`_jacobi`) decomposes a whole batch at once:
   one batched product.  Each member's indices are cached per column count,
   padded size and batch position (:func:`_member_rounds`), and a batch
   joins them round by round.  A member with nothing to rotate in a round
-  gets the identity, which leaves its values as they are.  Padding adds
-  only exact zeros, but a padded product may round a member's entries in
-  another order, so its last bits can differ from those of a lone
-  decomposition.
+  gets the identity, which leaves its values but may turn its ``-0.0``
+  entries into ``0.0``; a batch that forms ``V`` leaves such a member out
+  of that product instead, so its factors keep their signed zeros.
 - The batch sweeps until a sweep rotates nothing; the sweep limit
   ``_MAX_SWEEPS`` binds the slowest member.
 
-:func:`svd` is the batch of one, with ``V`` stacked under ``W`` so one
-product rotates both.  :func:`spectra` runs a batch without ``V`` and
-returns singular values only.
+Padding adds only exact zeros, but a padded product may round a member's
+entries in another order, so its last bits can differ from those of a lone
+decomposition.  So the two callers batch differently:
+
+- :func:`svds`, which forms ``U`` and ``V`` (``V`` stacked under ``W`` so one
+  product rotates both), groups its members by tall shape and never pads:
+  each group is one pass, every member has a pair in every round, and each
+  member gets the bytes of its lone decomposition.  :func:`svd` is its
+  one-member case.
+- :func:`spectra` returns singular values only, for rank decisions, and
+  pads all its members into one pass.
+
 Only :func:`numpy` array plumbing is borrowed; the decomposition itself is
 implemented here.  Columns belonging to zero singular values are returned as
 zero columns of ``U`` (callers here only consume ``U`` where ``sigma > 0``).
@@ -170,8 +178,8 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
             active = (app > neg) & (aqq > neg) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
             if not active.any():
                 continue
-            rotated = True
-            if not active.all():
+            rotated, full = True, active.all()
+            if not full:
                 pp, qp, pq, qq, app, aqq, apq, mag = (
                     x[active] for x in (pp, qp, pq, qq, app, aqq, apq, mag)
                 )
@@ -187,7 +195,14 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
             flat[qp] = -phase * s_rot
             flat[pq] = s_rot
             flat[qq] = phase * c
-            stack = stack @ rot
+            if vectors and not full and len(stack) > 1:
+                # a factor batch leaves out each member with no pair to rotate:
+                # a product with the identity would turn its -0.0 entries into
+                # 0.0, which no singular value sees but U and V would
+                moving = np.bincount(pp // (size * size), minlength=len(stack)) > 0
+                stack[moving] = stack[moving] @ rot[moving]
+            else:
+                stack = stack @ rot
             work = stack[:, :rows]
         if not rotated:
             break
@@ -212,8 +227,26 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
     return out
 
 
+def svds(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The thin SVD of each matrix of ``mats``, as :func:`svd` gives it.
+
+    The members are grouped by tall shape (a wide member joins the group of
+    its conjugate transpose) and each group is one batched pass, so no member
+    is padded and each gets the bytes of its lone decomposition.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, a in enumerate(mats):
+        groups.setdefault(tuple(sorted(np.shape(a), reverse=True)), []).append(i)
+    out: list = [None] * len(mats)
+    for members in groups.values():
+        for i, factors in zip(members, _jacobi([mats[i] for i in members], True)):
+            out[i] = factors
+    return out
+
+
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``a = U @ diag(s) @ Vh`` of a complex matrix: the batch of one.
+    """Thin SVD ``a = U @ diag(s) @ Vh`` of a complex matrix: the one-member
+    case of :func:`svds`.
 
     Returns ``(U, s, Vh)`` with ``U`` of shape ``(m, k)``, ``s`` the
     ``k = min(m, n)`` singular values in descending order, and ``Vh`` of shape
@@ -221,7 +254,7 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A sweep limit of ``_MAX_SWEEPS`` reached with pairs still rotating raises
     :class:`~qsylv.errors.NotConverged`.
     """
-    return _jacobi([a], True)[0]
+    return svds([a])[0]
 
 
 def spectra(mats: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -9,6 +9,10 @@ individual tests fared.
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
+import qsylv.svd as svd_module
 from qsylv import QMatrix, Quaternion
 from qsylv.qmatrix import ctranspose, mmul
 
@@ -27,6 +31,43 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, detail = ACCEPTANCE_RESULTS[number]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"CRITERION {number}: {verdict} - {detail}")
+
+
+# -- work counters ----------------------------------------------------------------
+
+
+class JacobiLog:
+    """The member shapes of every batched Jacobi pass, in call order."""
+
+    def __init__(self) -> None:
+        self.batches: list[list[tuple[int, int]]] = []
+
+    @property
+    def passes(self) -> int:
+        return len(self.batches)
+
+    @property
+    def members(self) -> int:
+        """Decompositions: one per member of each pass."""
+        return sum(map(len, self.batches))
+
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        return [shape for batch in self.batches for shape in batch]
+
+
+@pytest.fixture
+def jacobi_log(monkeypatch) -> JacobiLog:
+    """Records every call of ``svd._jacobi``, which every decomposition and
+    every rank batch goes through."""
+    log, jacobi = JacobiLog(), svd_module._jacobi
+
+    def counted(mats, vectors):
+        log.batches.append([np.shape(a) for a in mats])
+        return jacobi(mats, vectors)
+
+    monkeypatch.setattr(svd_module, "_jacobi", counted)
+    return log
 
 
 # -- assertion helpers shared across test modules --------------------------------

@@ -567,6 +567,19 @@ def test_svd_non_convergence_exits_1(capsys, tmp_path, monkeypatch):
     assert "Jacobi SVD of 4 matrices did not converge" in err
 
 
+def test_mpinv_cramer_of_an_identity_takes_no_jacobi_pass(capsys, tmp_path, monkeypatch,
+                                                          jacobi_log):
+    path = str(tmp_path / "eye.json")
+    write_json(path, QMatrix.identity(4).to_json())
+    argv = ["mpinv", "--in", path, "--method", "cramer"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err, jacobi_log.passes) == (0, "", 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(QMatrix, "is_identity", lambda self: False)
+        assert run_cli(argv, capsys) == (0, out, "")  # the computed route prints the same
+    assert jacobi_log.batches == [[(8, 8)]]
+
+
 def test_mpinv_of_tiny_and_huge_scalars(capsys, tmp_path):
     path = str(tmp_path / "a.json")
     for value in (1e-200, 1e200):

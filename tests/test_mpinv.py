@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import qsylv.mpinv as mpinv
 import qsylv.svd as svd_module
 from qsylv import (
     EquationKind,
@@ -16,6 +15,7 @@ from qsylv import (
     is_hermitian,
     mp_cramer,
     mp_oracle,
+    mp_oracles,
     rank,
 )
 from qsylv.mpinv import (
@@ -99,11 +99,10 @@ def test_zero_matrices_take_no_svd_and_match_the_svd_route(monkeypatch):
         by_svd.append(complex_unembed(pinv_from_svd(u, s, vh, rank_cutoff(e.shape, s)),
                                       a.cols, a.rows))
 
-    def no_svd(a):
+    def refuse(mats, vectors):
         raise AssertionError("a zero matrix reached the SVD")
 
-    monkeypatch.setattr(svd_module, "svd", no_svd)
-    monkeypatch.setattr(mpinv, "svd", no_svd)
+    monkeypatch.setattr(svd_module, "_jacobi", refuse)
     for a, expected in zip(zeros, by_svd):
         result = mp_oracle(a, rank_floor=1.0)
         assert result.rank_used == 0 and rank(a) == 0
@@ -163,19 +162,34 @@ def test_default_side_prefers_smaller_gram():
     assert mp_cramer(wide).method.endswith("right")
 
 
-def test_oracle_takes_one_svd(monkeypatch):
-    calls = []
-    real_svd = mpinv.svd
-
-    def counting_svd(a):
-        calls.append(a.shape)
-        return real_svd(a)
-
-    monkeypatch.setattr(mpinv, "svd", counting_svd)
+def test_oracle_takes_one_svd(jacobi_log):
     a = planted_rank_matrix(SplitMix64(45), 4, 2, 1)
     result = mp_oracle(a)
-    assert calls == [(8, 4)]
+    assert jacobi_log.batches == [[(8, 4)]]
     assert result.rank_used == 1
+
+
+def test_batched_oracles_equal_per_member_oracles(jacobi_log):
+    rng = SplitMix64(46)
+    a = random_matrix(rng, 3, 2)
+    mats = [a, random_matrix(rng, 2, 3), planted_rank_matrix(rng, 3, 2, 1), QMatrix.zeros(3, 2),
+            QMatrix.identity(2), QMatrix.identity(3), scale_pow2(a, -600), random_matrix(rng, 1, 1),
+            a @ planted_rank_matrix(rng, 2, 2, 1) + scale_pow2(random_matrix(rng, 3, 2), -40)]
+    floors = [0.0, 1e-10, 0.0, 1.0, 0.5, 1.0, 0.0, 2.0, 1e-10]
+    batch = mp_oracles(mats, floors)
+    # one pass per tall shape: the 3x2 and 2x3 members, the 3x3 identity (at a
+    # floor of 1 it is decomposed) and the 1x1 member
+    assert [sorted(b) for b in jacobi_log.batches] == [[(4, 6), (6, 4), (6, 4), (6, 4), (6, 4)],
+                                                        [(6, 6)], [(2, 2)]]
+    alone = [mp_oracle(m, rank_floor=f) for m, f in zip(mats, floors)]
+    assert [r.method for r in batch] == ["oracle"] * 4 + ["identity"] + ["oracle"] * 4
+    assert [r.rank_used for r in batch] == [2, 2, 1, 0, 2, 0, 2, 0, 1]
+    for got, want in zip(batch, alone):
+        assert (got.method, got.rank_used, got.a) == (want.method, want.rank_used, want.a)
+        assert got.pinv._pair.tobytes() == want.pinv._pair.tobytes()
+    assert mp_oracles(mats[:2]) == [mp_oracle(m) for m in mats[:2]]
+    with pytest.raises(ValueError):
+        mp_oracles(mats[:2], [0.0])
 
 
 def test_oracle_rank_is_the_rank_decision():

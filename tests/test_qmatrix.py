@@ -39,6 +39,7 @@ from qsylv.svd import (
     rank_cutoff,
     spectra,
     svd,
+    svds,
 )
 
 from conftest import assert_matrix_close, q, qm
@@ -473,6 +474,58 @@ def test_svd_matches_numpy_on_odd_wide_deficient_and_scaled_input():
         assert np.max(np.abs(s - oracle)) <= 1e-13 * oracle[0]
         assert np.max(np.abs((u * s) @ vh - a)) <= 1e-13 * oracle[0]
         assert np.max(np.abs(vh @ vh.conj().T - np.eye(vh.shape[0]))) <= 1e-13
+
+
+def _svd_batch_corpus():
+    """Members of one svds call: the first nine share the tall shape 6x4."""
+    rng = np.random.default_rng(23)
+
+    def draw(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    base, zero_rows = draw(6, 4), draw(6, 4)
+    zero_rows[[1, 4]] = 0.0
+    # a diagonal quaternion matrix embeds to orthogonal columns, with -0.0
+    # entries, so it converges in its first sweep while the others rotate on
+    diag = np.asarray(complex_embed(qm([[q(2, 1, 0, 1), q()], [q(), q(0, 3, 1, 0)], [q(), q()]])))
+    quat = np.asarray(complex_embed(planted_rank_matrix(SplitMix64(23), 3, 2, 1)))
+    tall = [base, draw(4, 6), zero_rows, draw(6, 2) @ draw(2, 4), diag, quat,
+            np.ldexp(base.real, 600) + 1j * np.ldexp(base.imag, 600),
+            np.ldexp(base.real, -600) + 1j * np.ldexp(base.imag, -600), np.ascontiguousarray(diag.T)]
+    return tall + [draw(1, 1), np.zeros((1, 1), dtype=complex), draw(1, 1) * 2.0 ** -600]
+
+
+def test_svds_gives_each_member_the_bytes_of_its_lone_svd(jacobi_log):
+    mats = _svd_batch_corpus()
+    batch = svds(mats)
+    # one pass per tall shape, none padded
+    assert jacobi_log.batches == [[a.shape for a in mats[:9]], [(1, 1)] * 3]
+    for a, factors in zip(mats, batch):
+        for got, alone in zip(factors, svd(a)):
+            assert got.shape == alone.shape
+            assert got.tobytes() == alone.tobytes()  # signed zeros included
+    assert svds([]) == [] and jacobi_log.passes == 2 + len(mats)
+
+
+def test_svds_raises_when_a_member_passes_the_sweep_limit(monkeypatch):
+    corpus = _svd_batch_corpus()
+    base, diag = corpus[0], corpus[4]
+    monkeypatch.setattr(svd_module, "_MAX_SWEEPS", 1)
+    ones = svds([diag, diag.conj().T])  # orthogonal columns converge in one sweep
+    assert [s.tolist() for _, s, _ in ones] == [svd(diag)[1].tolist()] * 2
+    with pytest.raises(NotConverged, match="2 matrices"):
+        svds([diag, base])
+
+
+def test_ranks_read_an_identity_off_its_size(monkeypatch, jacobi_log):
+    mats = [QMatrix.identity(3), QMatrix.from_rows(QMatrix.identity(2).entries),
+            QMatrix.zeros(2, 2), qm([[q(1), q(-0.0)], [q(z=-0.0), q(1)]])]
+    assert ranks(mats) == [3, 2, 0, 2] and rank(QMatrix.identity(5)) == 5
+    assert jacobi_log.passes == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(QMatrix, "is_identity", lambda self: False)
+        assert ranks(mats) == [3, 2, 0, 2] and rank(QMatrix.identity(5)) == 5
+    assert jacobi_log.passes == 2
 
 
 def test_equal_matrices_hash_alike():

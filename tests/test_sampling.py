@@ -9,6 +9,7 @@ import pytest
 import qsylv.sampling as sampling_module
 from qsylv import (
     EquationKind,
+    GenSylvesterProblem,
     InvalidSize,
     check_consistency,
     fro_norm,
@@ -21,6 +22,7 @@ from qsylv.sampling import (
     SplitMix64,
     make_consistent_instance,
     make_inconsistent_instance,
+    perturb_inconsistent,
     planted_rank_matrix,
     random_free_params,
     random_hermitian,
@@ -149,3 +151,18 @@ def test_generation_is_pinned_bit_for_bit():
                     digest.update(b"-" if mat is None
                                   else repr(mat.shape).encode() + quat_array(mat).tobytes())
     assert digest.hexdigest() == GENERATION_DIGEST
+
+
+@pytest.mark.parametrize("a_cols, decompositions", [(1, 1), (3, 2)],
+                         ids=["first-accepted", "second-accepted"])
+def test_perturbation_directions_are_built_one_at_a_time(a_cols, decompositions, jacobi_log):
+    # [a1 a2] spans all 3 rows only when a_cols is 3; [b1; b2] never spans the
+    # 3 columns, so the second direction is always accepted
+    rng = SplitMix64(91)
+    slots = {"a1": random_matrix(rng, 3, a_cols), "a2": random_matrix(rng, 3, a_cols),
+             "b1": random_matrix(rng, 1, 3), "b2": random_matrix(rng, 1, 3)}
+    prob = GenSylvesterProblem.build(EquationKind.GEN_SYLVESTER,
+                                     c=random_matrix(rng, 3, 3), **slots)
+    perturbed = perturb_inconsistent(SplitMix64(92), prob)
+    assert jacobi_log.members == decompositions
+    assert not check_consistency(perturbed).consistent

@@ -33,7 +33,6 @@ from qsylv import (
 import qsylv.mpinv as mpinv_module
 import qsylv.rcdet as rcdet_module
 import qsylv.solvers as solvers_module
-import qsylv.svd as svd_module
 from qsylv.jsonio import dumps
 from qsylv.qmatrix import scale_pow2
 from qsylv.sampling import (
@@ -303,24 +302,15 @@ def test_solve_both_adds_agreement_check():
     assert report.method == "cramer"
 
 
-def test_unknown_method_is_refused_before_any_svd(monkeypatch):
+def test_unknown_method_is_refused_before_any_svd(jacobi_log):
     rng = SplitMix64(70)
     prob, _ = make_consistent_instance(rng, EquationKind.GEN_SYLVESTER, max_dim=3)
-    calls = []
-    original = svd_module.svd
-
-    def counting(a):
-        calls.append(a.shape)
-        return original(a)
-
-    for module in (svd_module, mpinv_module):
-        monkeypatch.setattr(module, "svd", counting)
     derive_aux.cache_clear()
     with pytest.raises(InvalidSize, match="bogus"):
         solve(prob, method="bogus")
-    assert calls == []
+    assert jacobi_log.members == 0
     solve(prob, method="direct")
-    assert calls  # the counter does see the gate's SVDs
+    assert jacobi_log.members  # the counter does see the gate's SVDs
 
 
 @pytest.mark.parametrize("run", [
@@ -494,18 +484,19 @@ def test_identity_filled_kinds_match_their_general_form_bit_for_bit(kind, monkey
 # (an identity-filled slot, or two-right's s = a2 L_m) takes neither a
 # decomposition nor a coefficient pass, a derived matrix that is exactly zero
 # takes no decomposition, and the rank criteria of the gate share one Jacobi
-# pass.  Posed as gen-sylvester with its identities written out, a kind does
+# pass.  The pseudoinverses of one level of derive_aux share a pass per tall
+# shape.  Posed as gen-sylvester with its identities written out, a kind does
 # the same work.
 WORK_PER_SOLVE = {
     EquationKind.GEN_SYLVESTER: (13, 9, 8),
-    EquationKind.ONE_LEFT: (9, 5, 6),
+    EquationKind.ONE_LEFT: (9, 5, 5),
     EquationKind.ONE_RIGHT: (9, 5, 6),
     EquationKind.STEIN: (5, 3, 4),
     EquationKind.SYLVESTER: (5, 5, 5),
     EquationKind.SYLVESTER_MIRROR: (5, 5, 5),
-    EquationKind.TWO_LEFT: (8, 4, 5),
+    EquationKind.TWO_LEFT: (8, 4, 4),
     EquationKind.TWO_RIGHT: (7, 4, 4),
-    EquationKind.LYAPUNOV_LIKE: (2, 2, 2),
+    EquationKind.LYAPUNOV_LIKE: (2, 2, 1),
     EquationKind.LYAPUNOV_STAR: (1, 2, 1),
 }
 
@@ -514,28 +505,20 @@ WORK_PER_SOLVE = {
     *(pytest.param(kind, False, id=kind.cli_name) for kind in ALL_KINDS),
     *(pytest.param(kind, True, id=f"{kind.cli_name}-as-gen-sylvester") for kind in IDENTITY_KINDS),
 ])
-def test_identity_slots_take_no_svd_or_coefficient_pass(kind, general, monkeypatch):
+def test_identity_slots_take_no_svd_or_coefficient_pass(kind, general, monkeypatch, jacobi_log):
     prob, _ = make_consistent_instance(SplitMix64(3), kind, max_dim=4)
     if general:
         prob = _as_gen_sylvester(prob)
-    counts = {"svd": 0, "pass": 0, "jacobi": 0}
-    jacobi, engine = svd_module._jacobi, rcdet_module._local_coeffs
-
-    def counted_jacobi(mats, vectors):
-        # one batched pass decomposes every member of its batch
-        counts["svd"] += len(mats)
-        counts["jacobi"] += 1
-        return jacobi(mats, vectors)
+    passes, engine = [], rcdet_module._local_coeffs
 
     def counted_pass(*args):
-        counts["pass"] += 1
+        passes.append(args)
         return engine(*args)
 
-    monkeypatch.setattr(svd_module, "_jacobi", counted_jacobi)
     monkeypatch.setattr(rcdet_module, "_local_coeffs", counted_pass)
     derive_aux.cache_clear()
     solve(prob, method="both", force=True)
-    assert (counts["svd"], counts["pass"], counts["jacobi"]) == WORK_PER_SOLVE[kind]
+    assert (jacobi_log.members, len(passes), jacobi_log.passes) == WORK_PER_SOLVE[kind]
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
@@ -638,23 +621,15 @@ def test_derive_aux_is_cached_per_problem():
     (EquationKind.LYAPUNOV_LIKE, ("a1", "b2")),
     (EquationKind.LYAPUNOV_STAR, ("a1",)),
 ])
-def test_lyapunov_kinds_take_one_svd_per_coefficient(kind, slots, monkeypatch):
-    # gate, both routes and the shared ranks all read the one derive_aux entry
+def test_lyapunov_kinds_take_one_svd_per_coefficient(kind, slots, jacobi_log):
+    # gate, both routes and the shared ranks all read the one derive_aux entry,
+    # whose coefficients share one Jacobi pass
     rng = SplitMix64(76)
     mats = {name: random_matrix(rng, 3, 3) for name in slots}
     prob = GenSylvesterProblem.build(kind, c=random_matrix(rng, 3, 3), **mats)
-    calls = []
-    original = svd_module.svd
-
-    def counting(a):
-        calls.append(a.shape)
-        return original(a)
-
-    for module in (svd_module, mpinv_module):
-        monkeypatch.setattr(module, "svd", counting)
     derive_aux.cache_clear()
     solve(prob, method="both", force=True)
-    assert calls == [(6, 6)] * len(slots)
+    assert jacobi_log.batches == [[(6, 6)] * len(slots)]
 
 
 @pytest.mark.parametrize("run", [
