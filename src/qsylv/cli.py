@@ -187,10 +187,13 @@ def _cmd_mpinv(args) -> int:
     from .mpinv import mp_cramer, mp_oracle
     with _det_cap(None if args.method == "oracle" else args.max_det_dim):
         mat = _load_matrix(getattr(args, "in"))
-        result = mp_oracle(mat) if args.method == "oracle" else mp_cramer(mat, side=args.side)
+        # "both" decomposes once: the factor takes the oracle's rank decision
+        oracle = None if args.method == "cramer" else mp_oracle(mat)
+        r = None if oracle is None else oracle.rank_used
+        result = oracle if args.method == "oracle" else mp_cramer(mat, side=args.side, r=r)
         doc = {"pinv": result.pinv.to_json(), "rank": result.rank_used, "method": result.method}
         if args.method == "both":
-            doc["agreement"] = (result.pinv - mp_oracle(mat).pinv).fro_norm()
+            doc["agreement"] = (result.pinv - oracle.pinv).fro_norm()
     _emit(doc, args.out)
     return 0
 

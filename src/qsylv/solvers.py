@@ -6,14 +6,16 @@ fixing some coefficients to identities; two more variants couple ``x`` with its
 conjugate transpose (``a @ x + ctranspose(x) @ b = c`` and
 ``a @ x + ctranspose(x) @ ctranspose(a) = rhs``).
 
-Every kind is solved by two independent routes, both through :func:`solve`:
+Every kind is solved by two independent routes, both through :func:`solve`.
+Each solution formula is written once, over one factor record per matrix
+(:class:`AuxData`), and each route supplies its own records:
 
-- ``method="direct"`` multiplies Moore-Penrose pseudoinverses (computed via
-  the complex embedding) into closed-form expressions;
-- ``method="cramer"`` evaluates the same expressions through noncommutative
-  bordered minor sums, all entries of one factor at once as a product with a
-  coefficient matrix of a Gram matrix; it never forms a pseudoinverse on its
-  main path (orthogonal projector factors are evaluated determinantally too).
+- ``method="direct"`` multiplies the Moore-Penrose pseudoinverses of
+  :func:`derive_aux`, computed via the complex embedding;
+- ``method="cramer"`` applies determinantal factors, all bordered minor sums
+  of a Gram matrix at once as a product with one coefficient matrix.  It
+  builds its own derived matrices from its own projectors, never forms a
+  pseudoinverse on its main path and takes only ranks from the other route.
 
 Both return the same canonical particular solution, so agreement between them
 (``method="both"``) cross-verifies each.  :func:`solve_general` adds the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     ConstraintViolated,
@@ -35,7 +37,7 @@ from .errors import (
     Inconsistent,
     InvalidSize,
 )
-from .mpinv import DetPinv, MpResult, mp_oracle, mp_oracles, proj_p_cramer, proj_q_cramer
+from .mpinv import DetPinv, MpResult, mp_oracles
 from .qmatrix import (
     QMatrix,
     block2x2,
@@ -239,31 +241,29 @@ class SolveReport(NamedTuple):
 
 
 class AuxData(NamedTuple):
-    """Pseudoinverse-route data of one problem, and the shared ranks.
+    """One route's factor records of one problem, one per matrix.
 
-    One :class:`~qsylv.mpinv.MpResult` per matrix, so each projector is read
-    off the record of its matrix.  Every kind gets ``a1`` (the ``a`` of the
-    conjugate-transpose kinds), and every kind with a ``b2`` (the ``b`` of
-    ``lyapunov-like``) gets ``b2``.  The two-term kinds also get ``b1``,
-    ``a2``, ``m = R_a1 a2``, ``n = b2 L_b1`` and ``s = a2 L_m``.
-    ``lyapunov-like`` also gets its direct-route solution ``like_x1``, which
-    the gate checks and the direct route returns.  Fields a kind has no use
-    for are ``None``.
-    Each rank is read off the same SVD as the matching pseudoinverse (an
-    exact identity or zero matrix takes none, see
-    :func:`~qsylv.mpinv.mp_oracles`) and is the only thing the determinantal
-    route takes from here, so both routes agree on every rank decision.
-    That route rebuilds ``m``, ``n`` and ``s`` from determinantal projectors
-    itself, so building this data evaluates no determinant.
+    Each record answers ``pinv_mul``, ``mul_pinv`` and ``proj_p/q/l/r`` (see
+    :mod:`qsylv.mpinv`), so each solution formula is written once over these
+    fields.  Every kind gets ``a1`` (the ``a`` of the conjugate-transpose
+    kinds), and every kind with a ``b2`` (the ``b`` of ``lyapunov-like``)
+    gets ``b2``.  The two-term kinds also get ``b1``, ``a2``, ``m = R_a1 a2``,
+    ``n = b2 L_b1`` and ``s = a2 L_m``, built from the route's own
+    projectors.  Fields a kind has no use for are ``None``.
+
+    :func:`derive_aux` fills it with :class:`~qsylv.mpinv.MpResult` records
+    and ``lyapunov-like``'s direct solution ``like_x1``, which the gate
+    checks.  The Cramer route fills its own with :class:`~qsylv.mpinv.DetPinv`
+    records at those records' ranks, the only thing the routes share.
     """
 
-    a1: MpResult
-    b2: Optional[MpResult] = None
-    b1: Optional[MpResult] = None
-    a2: Optional[MpResult] = None
-    m: Optional[MpResult] = None
-    n: Optional[MpResult] = None
-    s: Optional[MpResult] = None
+    a1: MpResult | DetPinv
+    b2: Optional[MpResult | DetPinv] = None
+    b1: Optional[MpResult | DetPinv] = None
+    a2: Optional[MpResult | DetPinv] = None
+    m: Optional[MpResult | DetPinv] = None
+    n: Optional[MpResult | DetPinv] = None
+    s: Optional[MpResult | DetPinv] = None
     like_x1: Optional[QMatrix] = None
 
     @property
@@ -271,6 +271,24 @@ class AuxData(NamedTuple):
         """The two-term ranks ``(a1, b1, a2, b2, m, n, s)``; ``None`` where absent."""
         return tuple(None if mp is None else mp.rank_used
                      for mp in (self.a1, self.b1, self.a2, self.b2, self.m, self.n, self.s))
+
+
+def _records(problem: GenSylvesterProblem, factors: Callable[[dict], list]) -> AuxData:
+    """The factor records of ``problem``, built level by level.
+
+    ``factors`` maps ``{slot: matrix}`` to one record per matrix, in order.
+    The two-term kinds take three levels: the coefficients, then ``m`` and
+    ``n``, which need the projectors of ``a1`` and ``b1``, then ``s``, which
+    needs that of ``m``.
+    """
+    if not problem.kind.is_two_term:
+        slots = {"a1": problem.a1} if problem.b2 is None else {"a1": problem.a1, "b2": problem.b2}
+        return AuxData(*factors(slots))
+    a1, b1, a2, b2 = factors({"a1": problem.a1, "b1": problem.b1,
+                              "a2": problem.a2, "b2": problem.b2})
+    m, n = factors({"m": a1.proj_r() @ problem.a2, "n": problem.b2 @ b1.proj_l()})
+    (s,) = factors({"s": problem.a2 @ m.proj_l()})
+    return AuxData(a1, b2, b1, a2, m, n, s)
 
 
 @lru_cache(maxsize=1)
@@ -285,24 +303,19 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     ``scripts/output_digest.py`` (4320) and in ``qsylv selftest`` (9).  So
     the cache keeps that one problem.
 
-    The pseudoinverses come in three levels, each one
-    :func:`~qsylv.mpinv.mp_oracles` call whose SVDs are decomposed together:
-    the coefficients ``a1, b1, a2, b2``, then ``m`` and ``n``, which need
-    the projectors of ``a1`` and ``b1``, then ``s``, which needs that of
-    ``m``.  The conjugate-transpose kinds take one call, for ``a1`` and
-    ``lyapunov-like``'s ``b2``.
+    Each level of :func:`_records` is one :func:`~qsylv.mpinv.mp_oracles`
+    call, whose SVDs are decomposed together; ``m``, ``n`` and ``s`` are
+    ranked against ``DERIVED_RANK_FLOOR`` times their coefficient's norm.
     """
-    if not problem.kind.is_two_term:
-        if problem.b2 is None:
-            return AuxData(mp_oracle(problem.a1))
-        a1, b2 = mp_oracles([problem.a1, problem.b2])
-        return AuxData(a1, b2, like_x1=_direct_lyap(a1, problem.c, b2.proj_p()))
-    a1, b1, a2, b2 = mp_oracles([problem.a1, problem.b1, problem.a2, problem.b2])
-    floor_a = DERIVED_RANK_FLOOR * problem.a2.fro_norm()
-    floor_b = DERIVED_RANK_FLOOR * problem.b2.fro_norm()
-    m, n = mp_oracles([a1.proj_r() @ problem.a2, problem.b2 @ b1.proj_l()], [floor_a, floor_b])
-    s = mp_oracle(problem.a2 @ m.proj_l(), rank_floor=floor_a)
-    return AuxData(a1, b2, b1, a2, m, n, s)
+    floors = {}
+    if problem.kind.is_two_term:
+        floor_a = DERIVED_RANK_FLOOR * problem.a2.fro_norm()
+        floors = {"m": floor_a, "n": DERIVED_RANK_FLOOR * problem.b2.fro_norm(), "s": floor_a}
+    aux = _records(problem, lambda mats: mp_oracles(
+        list(mats.values()), [floors.get(slot, 0.0) for slot in mats]))
+    if problem.kind is EquationKind.LYAPUNOV_LIKE:
+        return aux._replace(like_x1=_lyap(aux.a1, problem.c, aux.b2.proj_p()))
+    return aux
 
 
 # -- residuals -----------------------------------------------------------------
@@ -427,133 +440,74 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     return SolveReport(consistent, tuple(checks), max(herm_res, outer_res), "check")
 
 
-# -- direct (pseudoinverse-product) route ---------------------------------------
+# -- the solution formulas, on either route's records -----------------------------
 
 
-def _direct_lyap(a: MpResult, c: QMatrix, proj: QMatrix) -> QMatrix:
-    """``pinv(a) c (i - proj/2)``, the particular solution of both
-    conjugate-transpose kinds: ``proj`` is ``proj_p(b)`` or ``proj_q(a)``."""
-    return a.pinv @ c @ (QMatrix.identity(c.cols) - proj * 0.5)
+def _pair(problem: GenSylvesterProblem, f: AuxData) -> PairSolution:
+    """The paper's two-term solution on the records ``f``, with ``eta =
+    pinv(a2) c pinv(n)``: ``x1 = pinv(a1) (c - a2 pinv(m) c - s eta b2)
+    pinv(b1)``, which applies ``a1`` and ``b1`` once each, and ``x2 =
+    pinv(m) c pinv(b2) + P_s eta``.  Every right factor is applied first."""
+    a2, b2, c = problem.a2, problem.b2, problem.c
+    eta = f.a2.pinv_mul(f.n.mul_pinv(c))
+    inner = c - a2 @ f.m.pinv_mul(c) - f.s.a @ eta @ b2
+    x1 = f.a1.pinv_mul(f.b1.mul_pinv(inner))
+    x2 = f.m.pinv_mul(f.b2.mul_pinv(c)) + f.s.proj_p() @ eta
+    return PairSolution(x1, x2)
 
 
-_DIRECT_PROVENANCE_TWO_TERM = (
-    ("x1", "pinv(a1) c pinv(b1) - pinv(a1) a2 pinv(m) c pinv(b1)"
-           " - pinv(a1) s pinv(a2) c pinv(n) b2 pinv(b1)"),
-    ("x2", "pinv(m) c pinv(b2) + proj_p(s) pinv(a2) c pinv(n)"),
-    ("m", "(i - a1 pinv(a1)) a2"),
-    ("n", "b2 (i - pinv(b1) b1)"),
-    ("s", "a2 (i - pinv(m) m)"),
-)
+def _lyap(a: MpResult | DetPinv, c: QMatrix, proj: QMatrix) -> QMatrix:
+    """``pinv(a) c (i - proj/2)`` on the record ``a``, the particular solution
+    of both conjugate-transpose kinds: ``proj`` is ``P_b`` or ``Q_a``."""
+    return a.pinv_mul(c) @ (QMatrix.identity(c.cols) - proj * 0.5)
 
 
-def _partial_direct(problem: GenSylvesterProblem) -> tuple[PairSolution, tuple[tuple[str, str], ...]]:
+_FORMULAS = {
+    "two-term": (
+        ("x1", "pinv(a1) (c - a2 pinv(m) c - s eta b2) pinv(b1)"),
+        ("x2", "pinv(m) c pinv(b2) + proj_p(s) eta"),
+        ("eta", "pinv(a2) c pinv(n)"),
+        ("m", "(i - proj_q(a1)) a2"),
+        ("n", "b2 (i - proj_p(b1))"),
+        ("s", "a2 (i - proj_p(m))"),
+    ),
+    EquationKind.LYAPUNOV_LIKE: (("x1", "pinv(a) c (i - proj_p(b)/2)"),),
+    EquationKind.LYAPUNOV_STAR: (("x1", "pinv(a) rhs (i - proj_q(a)/2)"),),
+}
+
+
+def _partial(problem: GenSylvesterProblem,
+             method: str) -> tuple[PairSolution, tuple[tuple[str, str], ...]]:
+    """The particular solution by ``method``, ``"direct"`` or ``"cramer"``: the
+    latter builds one :class:`~qsylv.mpinv.DetPinv` per matrix, at its rank."""
     aux = derive_aux(problem)
+    if method == "direct":
+        f, route = aux, ()
+    else:
+        f = _records(problem, lambda mats: [DetPinv.of(x, r=getattr(aux, slot).rank_used)
+                                            for slot, x in mats.items()])
+        route = (("route", "bordered minor sums; projectors evaluated determinantally"),)
     if problem.kind.is_two_term:
-        a2, b2, c = problem.a2, problem.b2, problem.c
-        a1p, b1p = aux.a1.pinv, aux.b1.pinv
-        a2p, b2p = aux.a2.pinv, aux.b2.pinv
-        mp_, np_ = aux.m.pinv, aux.n.pinv
-        x1 = (
-            a1p @ c @ b1p
-            - a1p @ a2 @ mp_ @ c @ b1p
-            - a1p @ aux.s.a @ a2p @ c @ np_ @ b2 @ b1p
-        )
-        x2 = mp_ @ c @ b2p + aux.s.proj_p() @ a2p @ c @ np_
-        return PairSolution(x1, x2), _DIRECT_PROVENANCE_TWO_TERM
+        return _pair(problem, f), _FORMULAS["two-term"] + route
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        return PairSolution(aux.like_x1), (("x1", "pinv(a) c (i - proj_p(b)/2)"),)
-    x = _direct_lyap(aux.a1, problem.c, aux.a1.proj_q())
-    return PairSolution(x), (("x1", "pinv(a) rhs (i - proj_q(a)/2)"),)
+        x = aux.like_x1 if method == "direct" else _lyap(f.a1, problem.c, f.b2.proj_p())
+    else:
+        x = _lyap(f.a1, problem.c, f.a1.proj_q())
+    return PairSolution(x), _FORMULAS[problem.kind] + route
 
 
-# -- Cramer (determinantal) route ------------------------------------------------
+# -- determinantal products off the solve path ----------------------------------
 
 
-def cramer_axb(
-    a: QMatrix,
-    c: QMatrix,
-    b: QMatrix,
-    ra: Optional[int] = None,
-    rb: Optional[int] = None,
-) -> QMatrix:
-    """Determinantal evaluation of ``pinv(a) @ c @ pinv(b)``.
-
-    With ``C = cdet_coeffs(a* a, ra)`` and ``R = rdet_coeffs(b b*, rb)`` it
-    is ``C @ (a* @ ((c @ b*) @ R))``: the right factor first (bordered row
-    sums over the Gram matrix of ``b``), then the left one (bordered column
-    sums over that of ``a``), each divided by its principal-minor sum.
-    """
-    if a.rows != c.rows:
-        raise DimensionMismatch(f"a has {a.rows} rows but c has {c.rows}")
-    if b.cols != c.cols:
-        raise DimensionMismatch(f"b has {b.cols} columns but c has {c.cols}")
-    return DetPinv.of(a, "left", ra).apply(DetPinv.of(b, "right", rb).apply(c))
+def cramer_axb(a: QMatrix, c: QMatrix, b: QMatrix,
+               ra: Optional[int] = None, rb: Optional[int] = None) -> QMatrix:
+    """Determinantal ``pinv(a) @ c @ pinv(b)``, the right factor first."""
+    return DetPinv.of(a, "left", ra).pinv_mul(DetPinv.of(b, "right", rb).mul_pinv(c))
 
 
 def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
-    """Determinantal evaluation of ``pinv(a) @ c``: ``C @ (a* c) / denom``
-    with ``C = cdet_coeffs(a* a, ra)``."""
-    if a.rows != c.rows:
-        raise DimensionMismatch(f"a has {a.rows} rows but c has {c.rows}")
-    return DetPinv.of(a, "left", ra).apply(c)
-
-
-def _cramer_two_term(problem: GenSylvesterProblem, aux: AuxData) -> tuple[QMatrix, QMatrix]:
-    a1, b1, a2, b2, c = problem.a1, problem.b1, problem.a2, problem.b2, problem.c
-    r1, rb1, r3, r4, r5, r6, r7 = aux.ranks
-    # each (matrix, side, rank) factor is built once and shared by its products
-    a1_left, a1_right = (DetPinv.of(a1, side, r1) for side in ("left", "right"))
-    b1_left, b1_right = (DetPinv.of(b1, side, rb1) for side in ("left", "right"))
-
-    m_det = (QMatrix.identity(a1.rows) - a1_right.projector()) @ a2
-    n_det = b2 @ (QMatrix.identity(b1.cols) - b1_left.projector())
-    m_left = DetPinv.of(m_det, "left", r5)
-    s_det = a2 @ (QMatrix.identity(a2.cols) - m_left.projector())
-
-    # pinv(a) @ c @ pinv(b) is left.apply(right.apply(c)): the right factor first
-    c_b1 = b1_right.apply(c)
-    x11 = a1_left.apply(c_b1)
-
-    inner12 = m_left.apply(c_b1)
-    x12 = a1_left.apply(a2 @ inner12)
-
-    eta = DetPinv.of(a2, "left", r3).apply(DetPinv.of(n_det, "right", r6).apply(c))
-    x13 = a1_left.apply(b1_right.apply(s_det @ eta @ b2))
-
-    x1 = x11 - x12 - x13
-
-    x21 = m_left.apply(DetPinv.of(b2, "right", r4).apply(c))
-    x22 = DetPinv.of(s_det, "left", r7).projector() @ eta
-    x2 = x21 + x22
-    return x1, x2
-
-
-_CRAMER_PROVENANCE_TWO_TERM = (
-    ("x1", "axb(a1, c, b1) - ax(a1, a2 axb(m, c, b1))"
-           " - axb(a1, s axb(a2, c, n) b2, b1)"),
-    ("x2", "axb(m, c, b2) + proj_p(s) axb(a2, c, n)"),
-    ("m", "(i - proj_q(a1)) a2"),
-    ("n", "b2 (i - proj_p(b1))"),
-    ("s", "a2 (i - proj_p(m))"),
-    ("route", "bordered minor sums; projectors evaluated determinantally"),
-)
-
-
-def _partial_cramer(problem: GenSylvesterProblem) -> tuple[PairSolution, tuple[tuple[str, str], ...]]:
-    aux = derive_aux(problem)
-    if problem.kind.is_two_term:
-        x1, x2 = _cramer_two_term(problem, aux)
-        return PairSolution(x1, x2), _CRAMER_PROVENANCE_TWO_TERM
-    # The direct route's halved terms c proj_p(b) and rhs proj_q(a), with the
-    # projectors evaluated determinantally: they are scale-free, so no
-    # intermediate product grows with the square of the coefficients.
-    a, c = problem.a1, problem.c
-    if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        proj, formula = proj_p_cramer(problem.b2, aux.b2.rank_used), "ax(a, c (i - proj_p(b)/2))"
-    else:
-        proj, formula = proj_q_cramer(a, aux.a1.rank_used), "ax(a, rhs (i - proj_q(a)/2))"
-    x = cramer_ax(a, c @ (QMatrix.identity(c.cols) - proj * 0.5), aux.a1.rank_used)
-    return PairSolution(x), (("x1", formula), ("route", "bordered minor sums"))
+    """Determinantal ``pinv(a) @ c``."""
+    return DetPinv.of(a, "left", ra).pinv_mul(c)
 
 
 # -- public solver entry points ---------------------------------------------------
@@ -643,7 +597,7 @@ def solve_general(
     base = _gate(problem, tol, force)
 
     aux = derive_aux(problem)
-    (x1, x2), prov = _partial_direct(problem)
+    (x1, x2), prov = _partial(problem, "direct")
     if problem.kind.is_two_term:
         n_dim, r_dim = problem.x1_shape
         p_dim, q_dim = problem.x2_shape
@@ -719,13 +673,11 @@ def solve(
     if method not in ("direct", "cramer", "both"):
         raise InvalidSize(f"method must be 'direct', 'cramer' or 'both', got {method!r}")
     base = _gate(problem, tol, force)
-    if method == "cramer":
-        sol_c, prov = _partial_cramer(problem)
-        return _finish(problem, sol_c, base, "cramer", prov, tol)
-    sol_d, prov = _partial_direct(problem)
-    if method == "direct":
-        return _finish(problem, sol_d, base, "direct", prov, tol)
-    sol_c, prov = _partial_cramer(problem)
+    if method != "both":
+        sol, prov = _partial(problem, method)
+        return _finish(problem, sol, base, method, prov, tol)
+    sol_d, _ = _partial(problem, "direct")
+    sol_c, prov = _partial(problem, "cramer")
     diff = (sol_c.x1 - sol_d.x1).fro_norm()
     scale = sol_d.x1.fro_norm()
     if sol_d.x2 is not None:

@@ -580,6 +580,15 @@ def test_mpinv_cramer_of_an_identity_takes_no_jacobi_pass(capsys, tmp_path, monk
     assert jacobi_log.batches == [[(8, 8)]]
 
 
+def test_mpinv_both_decomposes_its_input_once(capsys, tmp_path, jacobi_log):
+    # the determinantal factor takes the rank the oracle's factor pass decided
+    path = str(tmp_path / "a.json")
+    write_json(path, random_matrix(SplitMix64(90), 4, 3).to_json())
+    code, out, err = run_cli(["mpinv", "--in", path], capsys)
+    assert (code, err, loads(out)["rank"]) == (0, "", 3)
+    assert jacobi_log.batches == [[(8, 6)]]
+
+
 def test_mpinv_of_tiny_and_huge_scalars(capsys, tmp_path):
     path = str(tmp_path / "a.json")
     for value in (1e-200, 1e200):

@@ -130,19 +130,29 @@ def test_identities_take_no_svd_and_match_the_svd_route(monkeypatch):
         assert mp_oracle(eye, rank_floor=1.0) == (QMatrix.zeros(n, n), "oracle", 0, eye)
 
 
+# What a factor record answers, given a probe ``x`` with ``a.rows`` rows and a
+# probe ``y`` with ``a.cols`` columns: both MpResult and DetPinv answer each.
+ANSWERS = {
+    "pinv_mul": lambda f, x, y: f.pinv_mul(x),
+    "mul_pinv": lambda f, x, y: f.mul_pinv(y),
+    **{name: (lambda f, x, y, name=name: getattr(f, name)()) for name in PROJECTORS},
+}
+
+
 def test_identity_factors_take_no_pass_and_match_its_products(monkeypatch):
     rng = SplitMix64(52)
     for n in range(1, 6):
         eye = QMatrix.identity(n)
         x = random_matrix(rng, n, n)
-        for side in ("left", "right"):
+        for side in ("left", "right", None):
             for r in (None, n):
                 computed = _computed(monkeypatch, lambda: DetPinv.of(eye, side, r))
                 shortcut = DetPinv.of(eye, side, r)
                 assert (computed.k, shortcut.k) == (-1, 0)
-                for product in (lambda f: f.pinv(), lambda f: f.projector(),
-                                lambda f: f.apply(x)):
-                    assert product(shortcut)._pair.tobytes() == product(computed)._pair.tobytes()
+                assert shortcut.side == computed.side == (side or "left")
+                for answer in (lambda f, x, y: f.pinv(), *ANSWERS.values()):
+                    shortcut_bytes = answer(shortcut, x, x)._pair.tobytes()
+                    assert shortcut_bytes == answer(computed, x, x)._pair.tobytes()
         if n > 1:  # a rank override below the size reads the pass
             assert DetPinv.of(eye, "left", n - 1).k == -1
 
@@ -265,6 +275,32 @@ def test_determinantal_projectors_match_oracle_route():
         assert_matrix_close(proj_q_cramer(a), oracle.proj_q(), 1e-9)
 
 
+def _interface_inputs() -> list:
+    rng = SplitMix64(53)
+    return [
+        pytest.param(planted_rank_matrix(rng, 4, 2, 2), "left", id="tall"),
+        pytest.param(planted_rank_matrix(rng, 2, 4, 2), "right", id="wide"),
+        pytest.param(random_matrix(rng, 3, 3), "left", id="square"),
+        pytest.param(planted_rank_matrix(rng, 3, 4, 2), "right", id="rank-deficient"),
+        pytest.param(QMatrix.zeros(3, 2), "left", id="zero"),
+        pytest.param(QMatrix.identity(3), "left", id="identity"),
+    ]
+
+
+@pytest.mark.parametrize("a, default_side", _interface_inputs())
+def test_determinantal_factors_answer_what_the_oracle_answers(a, default_side):
+    # one factor on either side, or on the smaller Gram (ties go left), gives
+    # every product and projector the SVD route gives
+    rng = SplitMix64(54)
+    x, y = random_matrix(rng, a.rows, 2), random_matrix(rng, 2, a.cols)
+    oracle = mp_oracle(a)
+    assert DetPinv.of(a).side == default_side
+    for side in ("left", "right", None):
+        factor = DetPinv.of(a, side)
+        for name, answer in ANSWERS.items():
+            assert_matrix_close(answer(factor, x, y), answer(oracle, x, y), 1e-9)
+
+
 def test_determinantal_projector_has_trace_rank():
     # denom is read off the coefficients the projector uses, so tr P = r up to rounding
     rng = SplitMix64(51)
@@ -273,8 +309,9 @@ def test_determinantal_projector_has_trace_rank():
         r = rng.randint(1, min(rows, cols))
         a = planted_rank_matrix(rng, rows, cols, r)
         for side in ("left", "right"):
-            trace = DetPinv.of(a, side, r).projector().trace()
-            assert abs(trace.w - r) <= 1e-12 * r, (rows, cols, r, side)
+            factor = DetPinv.of(a, side, r)
+            for projector in (factor.proj_p(), factor.proj_q()):
+                assert abs(projector.trace().w - r) <= 1e-12 * r, (rows, cols, r, side)
 
 
 # What vanishes for each projector of ``a``: L and R annihilate ``a`` from the

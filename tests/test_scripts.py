@@ -67,6 +67,22 @@ def test_output_digest_does_not_depend_on_the_hash_seed_or_scratch_directory():
     assert outputs[0] == outputs[1]
 
 
+def test_kappa_probe_prints_one_row_per_spread():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kappa_probe.py"), "--seeds", "2", "--ks", "0", "2"],
+        capture_output=True,
+        text=True,
+        env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, rule, *rows = proc.stdout.splitlines()
+    assert header.startswith("| k | `r_m` seen |") and rule.count("|") == 7
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    assert [row[:4] for row in cells] == [["0", "1", "0/2", "2/2"], ["2", "1", "0/2", "0/2"]]
+    # at k = 0 both routes solve the well-conditioned probe to near eps
+    assert max(float(cells[0][4]), float(cells[0][5])) <= 1e-10
+
+
 def test_cli_startup_times_every_tree_it_is_given():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "cli_startup.py"), "--rounds", "2",

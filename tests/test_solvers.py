@@ -485,19 +485,19 @@ def test_identity_filled_kinds_match_their_general_form_bit_for_bit(kind, monkey
 # decomposition nor a coefficient pass, a derived matrix that is exactly zero
 # takes no decomposition, and the rank criteria of the gate share one Jacobi
 # pass.  The pseudoinverses of one level of derive_aux share a pass per tall
-# shape.  Posed as gen-sylvester with its identities written out, a kind does
-# the same work.
+# shape, and the Cramer route builds one factor per matrix.  Posed as
+# gen-sylvester with its identities written out, a kind does the same work.
 WORK_PER_SOLVE = {
-    EquationKind.GEN_SYLVESTER: (13, 9, 8),
-    EquationKind.ONE_LEFT: (9, 5, 5),
-    EquationKind.ONE_RIGHT: (9, 5, 6),
+    EquationKind.GEN_SYLVESTER: (13, 7, 8),
+    EquationKind.ONE_LEFT: (9, 4, 5),
+    EquationKind.ONE_RIGHT: (9, 4, 6),
     EquationKind.STEIN: (5, 3, 4),
-    EquationKind.SYLVESTER: (5, 5, 5),
-    EquationKind.SYLVESTER_MIRROR: (5, 5, 5),
-    EquationKind.TWO_LEFT: (8, 4, 4),
-    EquationKind.TWO_RIGHT: (7, 4, 4),
+    EquationKind.SYLVESTER: (5, 4, 5),
+    EquationKind.SYLVESTER_MIRROR: (5, 4, 5),
+    EquationKind.TWO_LEFT: (8, 3, 4),
+    EquationKind.TWO_RIGHT: (7, 3, 4),
     EquationKind.LYAPUNOV_LIKE: (2, 2, 1),
-    EquationKind.LYAPUNOV_STAR: (1, 2, 1),
+    EquationKind.LYAPUNOV_STAR: (1, 1, 1),
 }
 
 
@@ -552,9 +552,9 @@ def _records():
          "b2=None, b1=None, a2=None, m=None, n=None, s=None, like_x1=None)"),
         (MpResult(m, "oracle", 1, m),
          "MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1, a=QMatrix(1x2))"),
-        (mpinv_module.DetPinv("left", -1, m, m, m, 2.0),
+        (mpinv_module.DetPinv("left", -1, m, m, m, 2.0, m),
          "DetPinv(side='left', k=-1, scaled_h=QMatrix(1x2), gram=QMatrix(1x2), "
-         "coeffs=QMatrix(1x2), denom=2.0)"),
+         "coeffs=QMatrix(1x2), denom=2.0, a=QMatrix(1x2))"),
     ]
     return [pytest.param(record, text, id=type(record).__name__) for record, text in pairs]
 
@@ -562,7 +562,7 @@ def _records():
 @pytest.mark.parametrize("record, text", _records())
 def test_records_are_immutable_and_keep_their_repr(record, text):
     # the repr texts keep the form of the frozen dataclasses the records once
-    # were; AuxData and MpResult show their current fields
+    # were; AuxData, MpResult and DetPinv show their current fields
     assert repr(record) == text
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
@@ -638,19 +638,20 @@ def test_lyapunov_kinds_take_one_svd_per_coefficient(kind, slots, jacobi_log):
     pytest.param(lambda prob: solve_general(prob), id="general"),
 ])
 def test_lyapunov_like_direct_solution_is_formed_once_per_solve(run, monkeypatch):
-    # the gate's partial_solves check and the direct route share one solution
+    # the gate's partial_solves check and the direct route share one solution;
+    # the Cramer route evaluates the same formula on its own factor record
     prob, _ = make_consistent_instance(SplitMix64(77), EquationKind.LYAPUNOV_LIKE, max_dim=3)
     calls = []
-    original = solvers_module._direct_lyap
+    original = solvers_module._lyap
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(solvers_module, "_direct_lyap", counting)
+    monkeypatch.setattr(solvers_module, "_lyap", counting)
     derive_aux.cache_clear()
     run(prob)
-    assert len(calls) == 1
+    assert sum(isinstance(record, MpResult) for record, *_ in calls) == 1
 
 
 def test_residual_matches_definition():
