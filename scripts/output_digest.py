@@ -14,7 +14,10 @@ generated instance:
 family covers :func:`qsylv.solve_general`, which no command reaches: its
 JSON, or the error it raised, on each generated instance with no free blocks
 and with ``random_free_params`` seeded by the instance's seed, each with and
-without ``force``.
+without ``force``.  The ``verdicts`` family covers every ``check`` and
+``solve`` command again, by its arguments, its exit code, its report's
+``consistent`` and each check's name and pass flag, with no float: a change
+that moves outputs only by rounding leaves it as it was.
 
 Every command runs in-process through :func:`qsylv.cli.main`.  A family's
 digest covers, per command and in order, its arguments (with the scratch
@@ -44,10 +47,11 @@ from qsylv import (
 )
 from qsylv.cli import _solution_doc
 from qsylv.cli import main as qsylv_main
-from qsylv.jsonio import dumps, read_json
+from qsylv.jsonio import dumps, loads, read_json
 from qsylv.sampling import SplitMix64, random_free_params
 
-FAMILIES = ("gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "general")
+FAMILIES = ("gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "general",
+            "verdicts")
 
 
 class Digests:
@@ -66,12 +70,24 @@ class Digests:
             except SystemExit as exc:  # argparse refusals
                 code = exc.code
         self.record(family, [*argv, str(code), out.getvalue(), err.getvalue()])
+        if family == "check" or family.startswith("solve-"):
+            self.record("verdicts", [*argv, str(code), *verdicts(out.getvalue())])
         return code
 
     def record(self, family: str, texts: list[str]) -> None:
         record = "\0".join(texts).replace(self.scratch, "")
         self.hashes[family].update(record.encode() + b"\1")
         self.counts[family] += 1
+
+
+def verdicts(stdout: str) -> list[str]:
+    """The verdict and each check's name and pass flag of the report a
+    ``check`` or ``solve`` command printed; nothing when it printed none."""
+    if not stdout:
+        return []
+    report = loads(stdout)["report"]
+    return [f"consistent={report['consistent']}",
+            *(f"{check['name']}={check['passed']}" for check in report["checks"])]
 
 
 def digest_instance(d: Digests, kind: EquationKind, seed: int, max_dim: int,

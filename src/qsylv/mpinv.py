@@ -16,13 +16,11 @@ Both prescale their input by an exact power of two (``pinv(2**k A) =
 Both satisfy the four Penrose identities; tests cross-verify them against
 each other.
 
-Each route has one factor record per matrix, and both records answer
-``pinv_mul(x) = pinv(A) @ x``, ``mul_pinv(x) = x @ pinv(A)`` and the paper's
-four orthogonal projectors ``P_A = A⁺A``, ``Q_A = AA⁺``, ``L_A = I - P_A``
-and ``R_A = I - Q_A`` (``proj_p/q/l/r``), so a solution formula is written
-once for both.  :class:`MpResult` multiplies the SVD route's pseudoinverse;
-:class:`DetPinv` reads every answer off one coefficient pass, so the Cramer
-route never forms a pseudoinverse on its main path.
+Both return an :class:`MpResult`, which keeps the inverted matrix next to its
+pseudoinverse and forms the paper's four orthogonal projectors ``P_A = A⁺A``,
+``Q_A = AA⁺``, ``L_A = I - P_A`` and ``R_A = I - Q_A`` (``proj_p/q/l/r``).
+Its ``method`` names the route, so a solution formula is written once over
+either route's records.
 """
 
 from __future__ import annotations
@@ -45,36 +43,17 @@ from .qmatrix import (
 from .svd import pinv_from_svd, rank_cutoff, svds
 
 
-def _proj_l(self) -> QMatrix:
-    """``L_A = I - P_A``: projector onto the null space of ``a``."""
-    return QMatrix.identity(self.a.cols) - self.proj_p()
-
-
-def _proj_r(self) -> QMatrix:
-    """``R_A = I - Q_A``: projector onto the left null space of ``a``."""
-    return QMatrix.identity(self.a.rows) - self.proj_q()
-
-
 class MpResult(NamedTuple):
-    """The pseudoinverse ``pinv`` of ``a``, how it was obtained, and its rank.
+    """The pseudoinverse ``pinv`` of ``a``, the route that formed it, and its rank.
 
-    Products with the pseudoinverse and the four orthogonal projectors are
-    read off the pair, so every projector of the pseudoinverse route is
-    formed here and nowhere else.
+    The four orthogonal projectors are read off the pair, so every projector
+    of either route is formed here and nowhere else.
     """
 
     pinv: QMatrix
     method: str  # "cramer_left" | "cramer_right" | "oracle" | "identity"
     rank_used: int
     a: QMatrix
-
-    def pinv_mul(self, x: QMatrix) -> QMatrix:
-        """``pinv(a) @ x``."""
-        return self.pinv @ x
-
-    def mul_pinv(self, x: QMatrix) -> QMatrix:
-        """``x @ pinv(a)``."""
-        return x @ self.pinv
 
     def proj_p(self) -> QMatrix:
         """``P_A = pinv(a) @ a``: projector onto the row space (cols x cols)."""
@@ -84,8 +63,13 @@ class MpResult(NamedTuple):
         """``Q_A = a @ pinv(a)``: projector onto the column space (rows x rows)."""
         return self.a @ self.pinv
 
-    proj_l = _proj_l
-    proj_r = _proj_r
+    def proj_l(self) -> QMatrix:
+        """``L_A = I - P_A``: projector onto the null space of ``a``."""
+        return QMatrix.identity(self.a.cols) - self.proj_p()
+
+    def proj_r(self) -> QMatrix:
+        """``R_A = I - Q_A``: projector onto the left null space of ``a``."""
+        return QMatrix.identity(self.a.rows) - self.proj_q()
 
 
 def hermitize(g: QMatrix) -> QMatrix:
@@ -108,8 +92,8 @@ def gram_right(a: QMatrix) -> QMatrix:
     return hermitize(mmul(a, ctranspose(a)))
 
 
-class DetPinv(NamedTuple):
-    """The determinantal pseudoinverse of one matrix ``a`` in factored form.
+def mp_cramer(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -> MpResult:
+    """Determinantal Moore-Penrose inverse, from one coefficient pass.
 
     ``a`` is prescaled to ``a_s = 2**k a`` (:func:`~qsylv.qmatrix.pow2_exponent`)
     so that its Gram matrix neither overflows nor underflows.  On the
@@ -119,103 +103,41 @@ class DetPinv(NamedTuple):
     ``pinv(a) = 2**k a_s* @ coeffs / denom``.  ``denom``, the sum of the
     ``r x r`` principal minors of ``gram``, is read off the same coefficients
     as ``Re tr(coeffs @ gram) / r`` (left) or ``Re tr(gram @ coeffs) / r``
-    (right), so the projector of that side has trace ``r`` up to rounding.
-    Building one costs one coefficient pass; it then answers what
-    :class:`MpResult` answers by matrix products, the other side's projector
-    too: ``Q_A = a_s coeffs a_s* / denom`` on the left and
-    ``P_A = a_s* coeffs a_s / denom`` on the right.
+    (right).  The default side is the one with the smaller Gram matrix,
+    ``"left"`` on a tie; ``method`` names the side.  ``r`` is a rank already
+    decided for ``a``, such as an SVD's ``rank_used``; by default it is
+    decided here.
+
+    Raises :class:`ZeroDivisor` when the principal-minor sum is zero.  The
+    determinant engine is imported here, so the pseudoinverse route never
+    loads it.  An exact identity of full rank takes no pass: it is its own
+    pseudoinverse, which is what the pass gives (each factor of that pass is
+    a power of two).
     """
-
-    side: str
-    k: int
-    scaled_h: QMatrix
-    gram: QMatrix
-    coeffs: QMatrix
-    denom: float
-    a: QMatrix
-
-    @staticmethod
-    def of(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -> "DetPinv":
-        """Factor ``pinv(a)`` on ``side``; ``r`` overrides the rank decision.
-
-        The default side is the one with the smaller Gram matrix, ``"left"``
-        on a tie.  Raises :class:`ZeroDivisor` when the principal-minor sum is
-        zero.  The determinant engine is imported here, so the pseudoinverse
-        route never loads it.  An exact identity of full rank takes no pass:
-        it is its own Gram and coefficient matrix, and every product gives
-        what the pass would (each factor of that pass is a power of two).
-        """
-        from .rcdet import cdet_coeffs, rdet_coeffs
-        if side is None:
-            side = "left" if a.cols <= a.rows else "right"
-        elif side not in ("left", "right"):
-            raise InvalidSize(f"side must be 'left' or 'right', got {side!r}")
-        if r in (None, a.rows) and a.is_identity():
-            return DetPinv(side, 0, a, a, a, 1.0, a)
-        r = rank(a) if r is None else r
-        k = pow2_exponent(a)
-        scaled = scale_pow2(a, k)
-        if side == "left":
-            gram = gram_left(scaled)
-            coeffs = cdet_coeffs(gram, r)
-            product = coeffs @ gram
-        else:
-            gram = gram_right(scaled)
-            coeffs = rdet_coeffs(gram, r)
-            product = gram @ coeffs
-        denom = product.trace().w / r if r else 1.0
-        if denom == 0.0:
-            raise ZeroDivisor(f"the rank-{r} principal-minor sum of a Gram matrix is zero")
-        return DetPinv(side, k, ctranspose(scaled), gram, coeffs, denom, a)
-
-    def pinv(self) -> QMatrix:
-        """The pseudoinverse itself."""
-        if self.side == "left":
-            return scale_pow2(self.coeffs @ self.scaled_h / self.denom, self.k)
-        return scale_pow2(self.scaled_h @ self.coeffs / self.denom, self.k)
-
-    def pinv_mul(self, x: QMatrix) -> QMatrix:
-        """``pinv(a) @ x``."""
-        if self.side == "left":
-            return scale_pow2(self.coeffs @ (self.scaled_h @ x) / self.denom, self.k)
-        return scale_pow2(self.scaled_h @ (self.coeffs @ x) / self.denom, self.k)
-
-    def mul_pinv(self, x: QMatrix) -> QMatrix:
-        """``x @ pinv(a)``."""
-        if self.side == "left":
-            return scale_pow2((x @ self.coeffs) @ self.scaled_h / self.denom, self.k)
-        return scale_pow2((x @ self.scaled_h) @ self.coeffs / self.denom, self.k)
-
-    def proj_p(self) -> QMatrix:
-        """``P_A = pinv(a) @ a``: projector onto the row space (cols x cols)."""
-        if self.side == "left":
-            return self.coeffs @ self.gram / self.denom
-        return self.scaled_h @ self.coeffs @ self.scaled_h.H / self.denom
-
-    def proj_q(self) -> QMatrix:
-        """``Q_A = a @ pinv(a)``: projector onto the column space (rows x rows)."""
-        if self.side == "left":
-            return self.scaled_h.H @ self.coeffs @ self.scaled_h / self.denom
-        return self.gram @ self.coeffs / self.denom
-
-    proj_l = _proj_l
-    proj_r = _proj_r
-
-
-def mp_cramer(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -> MpResult:
-    """Determinantal Moore-Penrose inverse.
-
-    ``side`` picks which Gram matrix the bordered sums run over: ``"left"``
-    uses ``ctranspose(a) @ a`` and column-determinant sums, ``"right"`` uses
-    ``a @ ctranspose(a)`` and row-determinant sums.  Both give the same
-    inverse; by default the smaller Gram matrix is chosen.  The Gram matrix
-    is formed from ``2**k * a`` (see :class:`DetPinv`) and the result scaled
-    back by ``2**k``.  ``r`` is a rank already decided for ``a``, such as an
-    SVD's ``rank_used``; by default it is decided here.
-    """
+    from .rcdet import cdet_coeffs, rdet_coeffs
+    if side is None:
+        side = "left" if a.cols <= a.rows else "right"
+    elif side not in ("left", "right"):
+        raise InvalidSize(f"side must be 'left' or 'right', got {side!r}")
+    method = f"cramer_{side}"
+    if r in (None, a.rows) and a.is_identity():
+        return MpResult(a, method, a.rows, a)
     r = rank(a) if r is None else r
-    factor = DetPinv.of(a, side, r)
-    return MpResult(factor.pinv(), f"cramer_{factor.side}", r, a)
+    k = pow2_exponent(a)
+    scaled = scale_pow2(a, k)
+    scaled_h = ctranspose(scaled)
+    if side == "left":
+        gram = gram_left(scaled)
+        coeffs = cdet_coeffs(gram, r)
+        product, pinv = coeffs @ gram, coeffs @ scaled_h
+    else:
+        gram = gram_right(scaled)
+        coeffs = rdet_coeffs(gram, r)
+        product, pinv = gram @ coeffs, scaled_h @ coeffs
+    denom = product.trace().w / r if r else 1.0
+    if denom == 0.0:
+        raise ZeroDivisor(f"the rank-{r} principal-minor sum of a Gram matrix is zero")
+    return MpResult(scale_pow2(pinv / denom, k), method, r, a)
 
 
 def mp_oracles(mats: Sequence[QMatrix],
@@ -263,9 +185,9 @@ def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
 
 def proj_p_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
     """Determinantal ``pinv(a) @ a`` on the left Gram matrix ``a* a``."""
-    return DetPinv.of(a, "left", r).proj_p()
+    return mp_cramer(a, "left", r).proj_p()
 
 
 def proj_q_cramer(a: QMatrix, r: Optional[int] = None) -> QMatrix:
     """Determinantal ``a @ pinv(a)`` on the right Gram matrix ``a a*``."""
-    return DetPinv.of(a, "right", r).proj_q()
+    return mp_cramer(a, "right", r).proj_q()

@@ -7,15 +7,17 @@ conjugate transpose (``a @ x + ctranspose(x) @ b = c`` and
 ``a @ x + ctranspose(x) @ ctranspose(a) = rhs``).
 
 Every kind is solved by two independent routes, both through :func:`solve`.
-Each solution formula is written once, over one factor record per matrix
-(:class:`AuxData`), and each route supplies its own records:
+Each solution formula is written once, over one
+:class:`~qsylv.mpinv.MpResult` per matrix (:class:`AuxData`), and each route
+supplies its own records:
 
 - ``method="direct"`` multiplies the Moore-Penrose pseudoinverses of
   :func:`derive_aux`, computed via the complex embedding;
-- ``method="cramer"`` applies determinantal factors, all bordered minor sums
-  of a Gram matrix at once as a product with one coefficient matrix.  It
-  builds its own derived matrices from its own projectors, never forms a
-  pseudoinverse on its main path and takes only ranks from the other route.
+- ``method="cramer"`` forms each pseudoinverse determinantally with
+  :func:`~qsylv.mpinv.mp_cramer`, all bordered minor sums of a Gram matrix at
+  once as a product with one coefficient matrix.  It builds its own derived
+  matrices from its own projectors, forms no SVD pseudoinverse and takes only
+  ranks from the other route.
 
 Both return the same canonical particular solution, so agreement between them
 (``method="both"``) cross-verifies each.  :func:`solve_general` adds the
@@ -36,8 +38,9 @@ from .errors import (
     DimensionMismatch,
     Inconsistent,
     InvalidSize,
+    OutOfRange,
 )
-from .mpinv import DetPinv, MpResult, mp_oracles
+from .mpinv import MpResult, mp_cramer, mp_oracles
 from .qmatrix import (
     QMatrix,
     block2x2,
@@ -241,29 +244,29 @@ class SolveReport(NamedTuple):
 
 
 class AuxData(NamedTuple):
-    """One route's factor records of one problem, one per matrix.
+    """One route's pseudoinverse records of one problem, one per matrix.
 
-    Each record answers ``pinv_mul``, ``mul_pinv`` and ``proj_p/q/l/r`` (see
-    :mod:`qsylv.mpinv`), so each solution formula is written once over these
-    fields.  Every kind gets ``a1`` (the ``a`` of the conjugate-transpose
+    Each record is an :class:`~qsylv.mpinv.MpResult`, whose ``method`` names
+    the route that made it, so each solution formula is written once over
+    these fields.  Every kind gets ``a1`` (the ``a`` of the conjugate-transpose
     kinds), and every kind with a ``b2`` (the ``b`` of ``lyapunov-like``)
     gets ``b2``.  The two-term kinds also get ``b1``, ``a2``, ``m = R_a1 a2``,
     ``n = b2 L_b1`` and ``s = a2 L_m``, built from the route's own
     projectors.  Fields a kind has no use for are ``None``.
 
-    :func:`derive_aux` fills it with :class:`~qsylv.mpinv.MpResult` records
+    :func:`derive_aux` fills it with :func:`~qsylv.mpinv.mp_oracles` records
     and ``lyapunov-like``'s direct solution ``like_x1``, which the gate
-    checks.  The Cramer route fills its own with :class:`~qsylv.mpinv.DetPinv`
+    checks.  The Cramer route fills its own with :func:`~qsylv.mpinv.mp_cramer`
     records at those records' ranks, the only thing the routes share.
     """
 
-    a1: MpResult | DetPinv
-    b2: Optional[MpResult | DetPinv] = None
-    b1: Optional[MpResult | DetPinv] = None
-    a2: Optional[MpResult | DetPinv] = None
-    m: Optional[MpResult | DetPinv] = None
-    n: Optional[MpResult | DetPinv] = None
-    s: Optional[MpResult | DetPinv] = None
+    a1: MpResult
+    b2: Optional[MpResult] = None
+    b1: Optional[MpResult] = None
+    a2: Optional[MpResult] = None
+    m: Optional[MpResult] = None
+    n: Optional[MpResult] = None
+    s: Optional[MpResult] = None
     like_x1: Optional[QMatrix] = None
 
     @property
@@ -337,6 +340,14 @@ def residual(problem: GenSylvesterProblem, sol: PairSolution) -> float:
     return (apply_lhs(problem, sol) - problem.c).fro_norm()
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, a norm or residual that a check compares; :class:`OutOfRange`
+    when it overflowed, since a comparison with infinity tests nothing."""
+    if not math.isfinite(value):
+        raise OutOfRange(f"{what} overflows the float range")
+    return value
+
+
 # -- consistency ---------------------------------------------------------------
 
 
@@ -349,15 +360,16 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     whether the two families concur.  The conjugate-transpose kinds check
     their own compatibility conditions.  Residuals are compared with
     ``tol * |c|``, so rescaling the coefficients and ``c`` leaves the verdict;
-    ``tol`` must be finite and non-negative.  Only pseudoinverse-route data
-    is used, so no determinant is evaluated and the determinant cap never
-    applies here.  The rank criteria read the sizes where exact identity
+    ``tol`` must be finite and non-negative, and :class:`OutOfRange` is raised
+    when ``|c|`` or a residual overflows the float range.  Only
+    pseudoinverse-route data is used, so no determinant is evaluated and the
+    determinant cap never applies here.  The rank criteria read the sizes where exact identity
     coefficients decide them; every other stack and block they need is
     decided by one :func:`~qsylv.qmatrix.ranks` call, one batched Jacobi pass.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidSize(f"tolerance must be finite and >= 0, got {tol!r}")
-    tol_c = tol * problem.c.fro_norm()
+    tol_c = tol * _finite(problem.c.fro_norm(), "|c|")
     checks: list[CheckResult] = []
     aux = derive_aux(problem)
 
@@ -372,7 +384,7 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
             ("r_a2_c_l_b1", (aux.a2.proj_r() @ c @ l_b1).fro_norm()),
         )
         for name, res in projector_residuals:
-            checks.append(CheckResult(name, res <= tol_c, res))
+            checks.append(CheckResult(name, _finite(res, name) <= tol_c, res))
         consistent = all(res <= tol_c for _, res in projector_residuals)
 
         # Each block is first scaled to unit size by a power of two.  That is
@@ -421,19 +433,20 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
 
     if problem.kind is EquationKind.LYAPUNOV_LIKE:
         sol = PairSolution(aux.like_x1)
-        res0 = residual(problem, sol)
+        res0 = _finite(residual(problem, sol), "partial_solves")
         checks.append(CheckResult("partial_solves", res0 <= tol_c, res0))
-        res_range = (aux.a1.proj_r() @ problem.c @ aux.b2.proj_l()).fro_norm()
+        res_range = _finite((aux.a1.proj_r() @ problem.c @ aux.b2.proj_l()).fro_norm(),
+                            "r_a_c_l_b_info")
         checks.append(CheckResult("r_a_c_l_b_info", res_range <= tol_c, res_range))
         return SolveReport(res0 <= tol_c, tuple(checks), res0, "check")
 
     # conjugate-transpose kind with coefficient pair (a, ctranspose(a))
     rhs = problem.c
-    herm_res = (rhs - rhs.H).fro_norm()
+    herm_res = _finite((rhs - rhs.H).fro_norm(), "rhs_hermitian")
     herm_ok = herm_res <= tol_c
     checks.append(CheckResult("rhs_hermitian", herm_ok, herm_res))
     r_a_proj = aux.a1.proj_r()
-    outer_res = (r_a_proj @ rhs @ r_a_proj).fro_norm()
+    outer_res = _finite((r_a_proj @ rhs @ r_a_proj).fro_norm(), "r_a_rhs_r_a")
     outer_ok = outer_res <= tol_c
     checks.append(CheckResult("r_a_rhs_r_a", outer_ok, outer_res))
     consistent = herm_ok and outer_ok
@@ -449,17 +462,17 @@ def _pair(problem: GenSylvesterProblem, f: AuxData) -> PairSolution:
     pinv(b1)``, which applies ``a1`` and ``b1`` once each, and ``x2 =
     pinv(m) c pinv(b2) + P_s eta``.  Every right factor is applied first."""
     a2, b2, c = problem.a2, problem.b2, problem.c
-    eta = f.a2.pinv_mul(f.n.mul_pinv(c))
-    inner = c - a2 @ f.m.pinv_mul(c) - f.s.a @ eta @ b2
-    x1 = f.a1.pinv_mul(f.b1.mul_pinv(inner))
-    x2 = f.m.pinv_mul(f.b2.mul_pinv(c)) + f.s.proj_p() @ eta
+    eta = f.a2.pinv @ (c @ f.n.pinv)
+    inner = c - a2 @ (f.m.pinv @ c) - f.s.a @ eta @ b2
+    x1 = f.a1.pinv @ (inner @ f.b1.pinv)
+    x2 = f.m.pinv @ (c @ f.b2.pinv) + f.s.proj_p() @ eta
     return PairSolution(x1, x2)
 
 
-def _lyap(a: MpResult | DetPinv, c: QMatrix, proj: QMatrix) -> QMatrix:
+def _lyap(a: MpResult, c: QMatrix, proj: QMatrix) -> QMatrix:
     """``pinv(a) c (i - proj/2)`` on the record ``a``, the particular solution
     of both conjugate-transpose kinds: ``proj`` is ``P_b`` or ``Q_a``."""
-    return a.pinv_mul(c) @ (QMatrix.identity(c.cols) - proj * 0.5)
+    return (a.pinv @ c) @ (QMatrix.identity(c.cols) - proj * 0.5)
 
 
 _FORMULAS = {
@@ -479,12 +492,13 @@ _FORMULAS = {
 def _partial(problem: GenSylvesterProblem,
              method: str) -> tuple[PairSolution, tuple[tuple[str, str], ...]]:
     """The particular solution by ``method``, ``"direct"`` or ``"cramer"``: the
-    latter builds one :class:`~qsylv.mpinv.DetPinv` per matrix, at its rank."""
+    latter forms each pseudoinverse with :func:`~qsylv.mpinv.mp_cramer`, at the
+    rank :func:`derive_aux` decided for it."""
     aux = derive_aux(problem)
     if method == "direct":
         f, route = aux, ()
     else:
-        f = _records(problem, lambda mats: [DetPinv.of(x, r=getattr(aux, slot).rank_used)
+        f = _records(problem, lambda mats: [mp_cramer(x, r=getattr(aux, slot).rank_used)
                                             for slot, x in mats.items()])
         route = (("route", "bordered minor sums; projectors evaluated determinantally"),)
     if problem.kind.is_two_term:
@@ -502,12 +516,12 @@ def _partial(problem: GenSylvesterProblem,
 def cramer_axb(a: QMatrix, c: QMatrix, b: QMatrix,
                ra: Optional[int] = None, rb: Optional[int] = None) -> QMatrix:
     """Determinantal ``pinv(a) @ c @ pinv(b)``, the right factor first."""
-    return DetPinv.of(a, "left", ra).pinv_mul(DetPinv.of(b, "right", rb).mul_pinv(c))
+    return mp_cramer(a, "left", ra).pinv @ (c @ mp_cramer(b, "right", rb).pinv)
 
 
 def cramer_ax(a: QMatrix, c: QMatrix, ra: Optional[int] = None) -> QMatrix:
     """Determinantal ``pinv(a) @ c``."""
-    return DetPinv.of(a, "left", ra).pinv_mul(c)
+    return mp_cramer(a, "left", ra).pinv @ c
 
 
 # -- public solver entry points ---------------------------------------------------
@@ -534,7 +548,7 @@ def _finish(
 ) -> tuple[PairSolution, SolveReport]:
     """The report of a solve: the gate's checks, then ``extra_checks``, then
     ``solution_residual``, which passes when ``|lhs(sol) - c| <= tol * |c|``."""
-    res = residual(problem, sol)
+    res = _finite(residual(problem, sol), "solution_residual")
     own = CheckResult("solution_residual", res <= tol * problem.c.fro_norm(), res)
     report = SolveReport(
         consistent=base.consistent,
@@ -668,7 +682,8 @@ def solve(
     their agreement as an extra check (``methods_agree``), and returns the
     determinantal result.  ``method`` is checked before the consistency gate.
     Every report ends with a ``solution_residual`` check of the returned
-    solution against ``tol * |c|``.
+    solution against ``tol * |c|``.  A residual, or the ``methods_agree``
+    scale ``|x|``, that overflows the float range raises :class:`OutOfRange`.
     """
     if method not in ("direct", "cramer", "both"):
         raise InvalidSize(f"method must be 'direct', 'cramer' or 'both', got {method!r}")
@@ -683,6 +698,6 @@ def solve(
     if sol_d.x2 is not None:
         diff = max(diff, (sol_c.x2 - sol_d.x2).fro_norm())
         scale += sol_d.x2.fro_norm()
-    agree = diff <= tol * scale
+    agree = _finite(diff, "methods_agree") <= tol * _finite(scale, "|x|")
     extra = (CheckResult("methods_agree", agree, diff),)
     return _finish(problem, sol_c, base, "cramer", prov, tol, extra)

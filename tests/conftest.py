@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qsylv.rcdet as rcdet_module
 import qsylv.svd as svd_module
 from qsylv import QMatrix, Quaternion
 from qsylv.qmatrix import ctranspose, mmul
@@ -68,6 +69,20 @@ def jacobi_log(monkeypatch) -> JacobiLog:
 
     monkeypatch.setattr(svd_module, "_jacobi", counted)
     return log
+
+
+@pytest.fixture
+def coeff_passes(monkeypatch) -> list:
+    """Records the arguments of every call of ``rcdet._local_coeffs``, the one
+    coefficient pass every determinant quantity goes through."""
+    calls, engine = [], rcdet_module._local_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(rcdet_module, "_local_coeffs", counted)
+    return calls
 
 
 # -- assertion helpers shared across test modules --------------------------------

@@ -208,6 +208,23 @@ def test_tolerance_must_be_finite_and_non_negative(command, tol, capsys, tmp_pat
     assert "tolerance must be finite and >= 0" in err
 
 
+@pytest.mark.parametrize("tol", ["1e-8", "0"])
+@pytest.mark.parametrize("command", [["check"], ["solve", "--method", "direct"],
+                                     ["solve", "--method", "both", "--force"]],
+                         ids=["check", "solve-direct", "solve-both"])
+def test_an_overflowing_norm_of_c_exits_1(command, tol, capsys, tmp_path):
+    # every entry of c is finite, but |c| is not: no check can be made against it
+    big = q(1e308, 1e308, 1e308, 1e308)
+    argv = command + ["--kind", "two-left", "--tol", tol]
+    for slot, value in (("a1", qm([[q(1)], [q(0)]])), ("a2", qm([[q(1)], [q(0)]])),
+                        ("c", qm([[big], [big]]))):
+        path = str(tmp_path / f"{slot}.json")
+        write_json(path, value.to_json())
+        argv += [f"--{slot}", path]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", "qsylv: error: |c| overflows the float range\n")
+
+
 # -- solve / check ----------------------------------------------------------------
 
 

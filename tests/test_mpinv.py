@@ -19,7 +19,6 @@ from qsylv import (
     rank,
 )
 from qsylv.mpinv import (
-    DetPinv,
     gram_left,
     gram_right,
     hermitize,
@@ -130,31 +129,37 @@ def test_identities_take_no_svd_and_match_the_svd_route(monkeypatch):
         assert mp_oracle(eye, rank_floor=1.0) == (QMatrix.zeros(n, n), "oracle", 0, eye)
 
 
-# What a factor record answers, given a probe ``x`` with ``a.rows`` rows and a
-# probe ``y`` with ``a.cols`` columns: both MpResult and DetPinv answer each.
+# What a pseudoinverse record answers, given a probe ``x`` with ``a.rows`` rows
+# and a probe ``y`` with ``a.cols`` columns: products and the four projectors.
 ANSWERS = {
-    "pinv_mul": lambda f, x, y: f.pinv_mul(x),
-    "mul_pinv": lambda f, x, y: f.mul_pinv(y),
+    "pinv": lambda f, x, y: f.pinv,
+    "pinv @ x": lambda f, x, y: f.pinv @ x,
+    "y @ pinv": lambda f, x, y: y @ f.pinv,
     **{name: (lambda f, x, y, name=name: getattr(f, name)()) for name in PROJECTORS},
 }
 
 
-def test_identity_factors_take_no_pass_and_match_its_products(monkeypatch):
+def test_identity_factors_take_no_pass_and_match_its_products(monkeypatch, coeff_passes):
     rng = SplitMix64(52)
     for n in range(1, 6):
         eye = QMatrix.identity(n)
         x = random_matrix(rng, n, n)
         for side in ("left", "right", None):
             for r in (None, n):
-                computed = _computed(monkeypatch, lambda: DetPinv.of(eye, side, r))
-                shortcut = DetPinv.of(eye, side, r)
-                assert (computed.k, shortcut.k) == (-1, 0)
-                assert shortcut.side == computed.side == (side or "left")
-                for answer in (lambda f, x, y: f.pinv(), *ANSWERS.values()):
+                coeff_passes.clear()
+                computed = _computed(monkeypatch, lambda: mp_cramer(eye, side, r))
+                assert len(coeff_passes) == 1
+                shortcut = mp_cramer(eye, side, r)
+                assert len(coeff_passes) == 1  # the shortcut took none
+                assert shortcut.method == computed.method == f"cramer_{side or 'left'}"
+                assert shortcut.rank_used == computed.rank_used == n
+                for answer in ANSWERS.values():
                     shortcut_bytes = answer(shortcut, x, x)._pair.tobytes()
                     assert shortcut_bytes == answer(computed, x, x)._pair.tobytes()
         if n > 1:  # a rank override below the size reads the pass
-            assert DetPinv.of(eye, "left", n - 1).k == -1
+            coeff_passes.clear()
+            mp_cramer(eye, "left", n - 1)
+            assert len(coeff_passes) == 1
 
 
 def test_rank_used_matches_planted_rank():
@@ -289,28 +294,28 @@ def _interface_inputs() -> list:
 
 @pytest.mark.parametrize("a, default_side", _interface_inputs())
 def test_determinantal_factors_answer_what_the_oracle_answers(a, default_side):
-    # one factor on either side, or on the smaller Gram (ties go left), gives
-    # every product and projector the SVD route gives
+    # the determinantal inverse on either side, or on the smaller Gram (ties go
+    # left), gives every product and projector the SVD route gives
     rng = SplitMix64(54)
     x, y = random_matrix(rng, a.rows, 2), random_matrix(rng, 2, a.cols)
     oracle = mp_oracle(a)
-    assert DetPinv.of(a).side == default_side
+    assert mp_cramer(a).method == f"cramer_{default_side}"
     for side in ("left", "right", None):
-        factor = DetPinv.of(a, side)
+        record = mp_cramer(a, side)
         for name, answer in ANSWERS.items():
-            assert_matrix_close(answer(factor, x, y), answer(oracle, x, y), 1e-9)
+            assert_matrix_close(answer(record, x, y), answer(oracle, x, y), 1e-9)
 
 
 def test_determinantal_projector_has_trace_rank():
-    # denom is read off the coefficients the projector uses, so tr P = r up to rounding
+    # denom is read off the coefficients that form the inverse, so tr P = r up to rounding
     rng = SplitMix64(51)
     for _ in range(12):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         r = rng.randint(1, min(rows, cols))
         a = planted_rank_matrix(rng, rows, cols, r)
         for side in ("left", "right"):
-            factor = DetPinv.of(a, side, r)
-            for projector in (factor.proj_p(), factor.proj_q()):
+            record = mp_cramer(a, side, r)
+            for projector in (record.proj_p(), record.proj_q()):
                 assert abs(projector.trace().w - r) <= 1e-12 * r, (rows, cols, r, side)
 
 

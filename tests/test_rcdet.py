@@ -27,7 +27,7 @@ from qsylv import (
     principal_minor_sum,
     rdet,
 )
-from qsylv.mpinv import DetPinv, gram_left
+from qsylv.mpinv import gram_left, mp_cramer
 from qsylv.qmatrix import complex_embed, scale_pow2
 from qsylv.rcdet import bordered_cdet_sum, bordered_rdet_sum, cdet_coeffs, rdet_coeffs
 from qsylv.sampling import SplitMix64, random_hermitian, random_matrix, random_quaternion
@@ -144,24 +144,16 @@ def test_hermitian_checks_and_values_are_scale_free(exponent):
         (lambda a, h: hdet(h), 1),
         (lambda a, h: hdet(h, verify=True), 2),
         (lambda a, h: principal_minor_sum(h, 2), 1),
-        (lambda a, h: DetPinv.of(a, "left", 3), 1),
-        (lambda a, h: DetPinv.of(a, "right", 3), 1),
+        (lambda a, h: mp_cramer(a, "left", 3), 1),
+        (lambda a, h: mp_cramer(a, "right", 3), 1),
     ],
-    ids=["rdet", "cdet", "hdet", "hdet-verify", "minor-sum", "detpinv-left", "detpinv-right"],
+    ids=["rdet", "cdet", "hdet", "hdet-verify", "minor-sum", "mp-cramer-left", "mp-cramer-right"],
 )
-def test_every_determinant_quantity_is_one_coefficient_pass(monkeypatch, call, passes):
+def test_every_determinant_quantity_is_one_coefficient_pass(coeff_passes, call, passes):
     rng = SplitMix64(37)
     a, h = _rand_square(rng, 4), random_hermitian(rng, 4)
-    calls = []
-    engine = rcdet_module._local_coeffs
-
-    def counted(*args):
-        calls.append(args)
-        return engine(*args)
-
-    monkeypatch.setattr(rcdet_module, "_local_coeffs", counted)
     call(a, h)
-    assert len(calls) == passes
+    assert len(coeff_passes) == passes
 
 
 def test_determinants_require_square_input():

@@ -8,6 +8,7 @@ from qsylv import (
     AuxData,
     CheckResult,
     ConstraintViolated,
+    DEFAULT_TOL,
     DimensionMismatch,
     EquationKind,
     FreeParams,
@@ -15,6 +16,7 @@ from qsylv import (
     Inconsistent,
     InvalidSize,
     MpResult,
+    OutOfRange,
     PairSolution,
     QMatrix,
     QsylvError,
@@ -30,8 +32,6 @@ from qsylv import (
     solve,
     solve_general,
 )
-import qsylv.mpinv as mpinv_module
-import qsylv.rcdet as rcdet_module
 import qsylv.solvers as solvers_module
 from qsylv.jsonio import dumps
 from qsylv.qmatrix import scale_pow2
@@ -505,20 +505,13 @@ WORK_PER_SOLVE = {
     *(pytest.param(kind, False, id=kind.cli_name) for kind in ALL_KINDS),
     *(pytest.param(kind, True, id=f"{kind.cli_name}-as-gen-sylvester") for kind in IDENTITY_KINDS),
 ])
-def test_identity_slots_take_no_svd_or_coefficient_pass(kind, general, monkeypatch, jacobi_log):
+def test_identity_slots_take_no_svd_or_coefficient_pass(kind, general, coeff_passes, jacobi_log):
     prob, _ = make_consistent_instance(SplitMix64(3), kind, max_dim=4)
     if general:
         prob = _as_gen_sylvester(prob)
-    passes, engine = [], rcdet_module._local_coeffs
-
-    def counted_pass(*args):
-        passes.append(args)
-        return engine(*args)
-
-    monkeypatch.setattr(rcdet_module, "_local_coeffs", counted_pass)
     derive_aux.cache_clear()
     solve(prob, method="both", force=True)
-    assert (jacobi_log.members, len(passes), jacobi_log.passes) == WORK_PER_SOLVE[kind]
+    assert (jacobi_log.members, len(coeff_passes), jacobi_log.passes) == WORK_PER_SOLVE[kind]
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
@@ -552,9 +545,6 @@ def _records():
          "b2=None, b1=None, a2=None, m=None, n=None, s=None, like_x1=None)"),
         (MpResult(m, "oracle", 1, m),
          "MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1, a=QMatrix(1x2))"),
-        (mpinv_module.DetPinv("left", -1, m, m, m, 2.0, m),
-         "DetPinv(side='left', k=-1, scaled_h=QMatrix(1x2), gram=QMatrix(1x2), "
-         "coeffs=QMatrix(1x2), denom=2.0, a=QMatrix(1x2))"),
     ]
     return [pytest.param(record, text, id=type(record).__name__) for record, text in pairs]
 
@@ -562,7 +552,7 @@ def _records():
 @pytest.mark.parametrize("record, text", _records())
 def test_records_are_immutable_and_keep_their_repr(record, text):
     # the repr texts keep the form of the frozen dataclasses the records once
-    # were; AuxData, MpResult and DetPinv show their current fields
+    # were; AuxData and MpResult show their current fields
     assert repr(record) == text
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
@@ -639,7 +629,7 @@ def test_lyapunov_kinds_take_one_svd_per_coefficient(kind, slots, jacobi_log):
 ])
 def test_lyapunov_like_direct_solution_is_formed_once_per_solve(run, monkeypatch):
     # the gate's partial_solves check and the direct route share one solution;
-    # the Cramer route evaluates the same formula on its own factor record
+    # the Cramer route evaluates the same formula on its own mp_cramer record
     prob, _ = make_consistent_instance(SplitMix64(77), EquationKind.LYAPUNOV_LIKE, max_dim=3)
     calls = []
     original = solvers_module._lyap
@@ -651,7 +641,66 @@ def test_lyapunov_like_direct_solution_is_formed_once_per_solve(run, monkeypatch
     monkeypatch.setattr(solvers_module, "_lyap", counting)
     derive_aux.cache_clear()
     run(prob)
-    assert sum(isinstance(record, MpResult) for record, *_ in calls) == 1
+    assert sum(not record.method.startswith("cramer_") for record, *_ in calls) == 1
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.cli_name)
+def test_cramer_route_takes_only_ranks_from_derive_aux(kind, monkeypatch, jacobi_log):
+    # with derive_aux cached the Cramer route decomposes nothing: every record
+    # it builds is a determinantal inverse at the rank derive_aux decided
+    prob, _ = make_consistent_instance(SplitMix64(3), kind, max_dim=4)
+    derive_aux.cache_clear()
+    aux = derive_aux(prob)
+    built, records = [], solvers_module._records
+    monkeypatch.setattr(solvers_module, "_records",
+                        lambda *args: built.append(records(*args)) or built[-1])
+    jacobi_log.batches.clear()
+    solvers_module._partial(prob, "cramer")
+    assert jacobi_log.passes == 0
+    (cramer,) = built
+    for slot in AuxData._fields[:-1]:  # like_x1 is a solution, not a record
+        record, decided = getattr(cramer, slot), getattr(aux, slot)
+        assert (record is None) == (decided is None), slot
+        if record is not None:
+            assert isinstance(record, MpResult), slot
+            assert record.method in ("cramer_left", "cramer_right"), slot
+            assert record.rank_used == decided.rank_used, slot
+
+
+def _overflowing_c() -> GenSylvesterProblem:
+    """A two-left instance whose finite ``c`` has an infinite norm."""
+    big = q(1e308, 1e308, 1e308, 1e308)
+    a = qm([[q(1)], [q(0)]])
+    return GenSylvesterProblem.build(EquationKind.TWO_LEFT, a1=a, a2=a, c=qm([[big], [big]]))
+
+
+def _overflowing_x() -> GenSylvesterProblem:
+    """A two-left instance with a finite ``|c|`` whose solution ``x1 = 2 c`` has
+    an infinite norm; its residual is 0."""
+    half = QMatrix.identity(2) * 0.5
+    c = QMatrix.from_rows([[0.6e308, 0.6e308], [0.6e308, 0.6e308]])
+    return GenSylvesterProblem.build(EquationKind.TWO_LEFT, a1=half, a2=half, c=c)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+def test_an_overflowing_norm_raises_rather_than_passing_every_check(tol):
+    # every entry is finite, but a comparison with tol * inf (or with
+    # 0 * inf = nan) tests nothing
+    prob = _overflowing_c()
+    with pytest.raises(OutOfRange, match=r"\|c\| overflows"):
+        check_consistency(prob, tol)
+    for method in ("direct", "cramer", "both"):
+        with pytest.raises(OutOfRange, match=r"\|c\| overflows"):
+            solve(prob, method=method, tol=tol, force=True)
+    with pytest.raises(OutOfRange, match=r"\|c\| overflows"):
+        solve_general(prob, tol=tol, force=True)
+    # methods_agree compares with tol * |x|; a route alone still solves
+    prob = _overflowing_x()
+    with pytest.raises(OutOfRange, match=r"\|x\| overflows"):
+        solve(prob, method="both", tol=tol)
+    sol, report = solve(prob, method="direct", tol=tol)
+    assert report.check("solution_residual") == CheckResult("solution_residual", True, 0.0)
+    assert sol.x1.fro_norm() == float("inf")
 
 
 def test_residual_matches_definition():
