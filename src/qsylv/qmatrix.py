@@ -28,7 +28,9 @@ of twice the size.  The embedding is a *-algebra homomorphism
 singular value of ``A`` appears twice in ``embed(A)``, and
 ``rank(A) = rank(embed(A)) / 2``.  Rank and the pseudoinverse oracle are
 computed through this carrier with the in-repo Jacobi SVD; :func:`ranks`
-decides the ranks of several matrices in one batched Jacobi pass.
+decides the ranks of several matrices in one batched, values-only Jacobi
+pass over the conjugate transposes of their Householder ``R`` factors
+(:func:`~qsylv.svd.spectra`).
 
 JSON form: ``{"rows": m, "cols": n, "data": [[[w,x,y,z], ...], ...]}`` with
 row-major data; parsing rejects ragged rows and non-finite numbers.
@@ -426,8 +428,11 @@ def embedded_rank(s: np.ndarray, cut: float) -> int:
 def ranks(mats: Sequence[QMatrix]) -> list[int]:
     """The :func:`rank` of each matrix, read off one batched Jacobi pass.
 
-    The batch prescales each member by its own power of two and keeps its
-    own cutoff, so no member's scale reaches another's decision.  A zero
+    The pass is :func:`~qsylv.svd.spectra`'s: it rotates the conjugate
+    transpose of each embedded member's Householder ``R`` factor, which has
+    the member's singular values, and the cutoff is the member's own, from
+    its own shape.  The batch prescales each member by its own power of two,
+    so no member's scale reaches another's decision.  A zero
     matrix has rank 0 and an exact identity its size, which is what the
     decomposition gives; neither takes one, and a list of them takes no pass.
     """

@@ -365,7 +365,8 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     pseudoinverse-route data is used, so no determinant is evaluated and the
     determinant cap never applies here.  The rank criteria read the sizes where exact identity
     coefficients decide them; every other stack and block they need is
-    decided by one :func:`~qsylv.qmatrix.ranks` call, one batched Jacobi pass.
+    decided by one :func:`~qsylv.qmatrix.ranks` call: one batched Jacobi pass
+    over the conjugate transposes of their Householder ``R`` factors.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidSize(f"tolerance must be finite and >= 0, got {tol!r}")
@@ -393,7 +394,8 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         # decides a stack it spans (every singular value of the scaled stack
         # is then at least 1/2, far above the cutoff), and so do two identity
         # diagonal blocks; those ranks are read off the sizes.  The stacks and
-        # blocks left are decided together, by one batched Jacobi pass.
+        # blocks left are decided together, by one batched Jacobi pass on
+        # their Householder triangles.
         slots = (problem.a1, problem.b1, problem.a2, problem.b2, c)
         i_a1, i_b1, i_a2, i_b2 = (x.is_identity() for x in slots[:4])
         a1, b1, a2, b2, c = (scale_pow2(x, pow2_exponent(x)) for x in slots)
@@ -604,7 +606,9 @@ def solve_general(
     equation.  For the conjugate-transpose kinds the ``zc`` block must satisfy
     ``a (zc + ctranspose(zc)) ctranspose(a) = 0``; the pair-coefficient kind
     additionally requires ``b = ctranspose(a)`` before accepting nonzero free
-    blocks, as the homogeneous family is only valid there.
+    blocks, as the homogeneous family is only valid there.  The ``zc`` check
+    compares with ``tol * |a|^2 |zc|``; :class:`OutOfRange` is raised when
+    ``|a|^2 |zc|`` overflows the float range.
     """
     free = free or FreeParams()
     blocks = _check_free(problem, free)
@@ -651,7 +655,8 @@ def solve_general(
     if zc is not None:
         sym = a @ (zc + zc.H) @ a.H
         sym_norm = sym.fro_norm()
-        budget = tol * a.fro_norm() ** 2 * zc.fro_norm()
+        a_norm = a.fro_norm()  # |a| (|a| |zc|) overflows only when the budget does
+        budget = tol * _finite(a_norm * (a_norm * zc.fro_norm()), "|a|^2 |zc|")
         if sym_norm > budget:
             raise ConstraintViolated(
                 f"zc violates a (zc + ctranspose(zc)) ctranspose(a) = 0: norm {sym_norm:.3e}"

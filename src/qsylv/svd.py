@@ -44,11 +44,20 @@ decomposition.  So the two callers batch differently:
   member gets the bytes of its lone decomposition.  :func:`svd` is its
   one-member case.
 - :func:`spectra` returns singular values only, for rank decisions, and
-  pads all its members into one pass.
+  pads all its members into one pass.  That pass first takes the Householder
+  QR of the padded stack, one batched ``numpy.linalg.qr(..., mode="r")``,
+  and rotates the conjugate transposes ``R*`` of the triangles, which have
+  the members' singular values.  The columns of ``R*`` typically start
+  closer to orthogonal than those of ``A``, so fewer sweeps are needed (the
+  preconditioner of Drmac and Veselic, SIAM J. Matrix Anal. Appl. 29(4),
+  2008, and of LAPACK's ``xGEJSV``).  Each member's cutoffs, negligible-column
+  threshold and :class:`~qsylv.errors.NotConverged` message still come from
+  its own prescaled input and shape.
 
-Only :func:`numpy` array plumbing is borrowed; the decomposition itself is
-implemented here.  Columns belonging to zero singular values are returned as
-zero columns of ``U`` (callers here only consume ``U`` where ``sigma > 0``).
+Only :func:`numpy` array plumbing and the values-only pass's QR
+preconditioner are borrowed; the decomposition itself is implemented here.
+Columns belonging to zero singular values are returned as zero columns of
+``U`` (callers here only consume ``U`` where ``sigma > 0``).
 """
 
 from __future__ import annotations
@@ -135,6 +144,9 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
 
     Returns, per member, ``(U, s, Vh)`` as :func:`svd` describes when
     ``vectors`` is true, else the singular values ``s`` alone, descending.
+    Without ``vectors`` the iteration runs on ``R*``, the conjugate transpose
+    of each prescaled member's Householder triangle, rather than on the
+    member itself.
     """
     tall, wide = [], []
     for a in mats:
@@ -160,6 +172,11 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
         negligible[i] = (np.finfo(np.float64).eps ** 2) * float(np.real(np.vdot(scaled, scaled)))
     if vectors:
         stack[:, rows:] = _identity(size)
+    else:
+        # W = R*, R each member's Householder triangle: the same singular
+        # values, and the iteration on R* needs fewer sweeps.  Each member's
+        # triangle is that of its lone QR, with zero padding.
+        stack = np.ascontiguousarray(np.linalg.qr(stack, mode="r").conj().transpose(0, 2, 1))
     eye = np.broadcast_to(_identity(size), (len(tall), size, size))
     schedules = [_member_rounds(n, size, i) for i, n in enumerate(cols)]
     rounds = []
@@ -259,7 +276,14 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def spectra(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The singular values of each matrix of ``mats``, descending: one batch
-    that forms no ``V``."""
+    that forms no ``V``.
+
+    The batch rotates the conjugate transposes of the members' Householder
+    ``R`` factors, so it takes fewer sweeps than :func:`svds` would on the
+    same members; the values agree with those of :func:`svds` to rounding.
+    A sweep limit reached raises :class:`~qsylv.errors.NotConverged` naming
+    the input's shape (or the member count), not that of ``R``.
+    """
     return _jacobi(mats, False)
 
 

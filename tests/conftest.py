@@ -15,6 +15,7 @@ import pytest
 import qsylv.rcdet as rcdet_module
 import qsylv.svd as svd_module
 from qsylv import QMatrix, Quaternion
+from qsylv.errors import NotConverged
 from qsylv.qmatrix import ctranspose, mmul
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
@@ -69,6 +70,26 @@ def jacobi_log(monkeypatch) -> JacobiLog:
 
     monkeypatch.setattr(svd_module, "_jacobi", counted)
     return log
+
+
+def jacobi_sweeps(mats, vectors: bool) -> int:
+    """The fewest sweeps with which one ``svd._jacobi`` pass over ``mats``
+    converges: the smallest ``_MAX_SWEEPS`` that raises no
+    :class:`~qsylv.errors.NotConverged`, found by bisecting the patched limit
+    below its default."""
+    low, high = 0, svd_module._MAX_SWEEPS  # fails at low, converges at high
+    svd_module._jacobi(mats, vectors)
+    with pytest.MonkeyPatch.context() as patch:
+        while high - low > 1:
+            mid = (low + high) // 2
+            patch.setattr(svd_module, "_MAX_SWEEPS", mid)
+            try:
+                svd_module._jacobi(mats, vectors)
+            except NotConverged:
+                low = mid
+            else:
+                high = mid
+    return high
 
 
 @pytest.fixture

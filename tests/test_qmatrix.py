@@ -14,12 +14,15 @@ import pytest
 import qsylv.svd as svd_module
 from qsylv import (
     DimensionMismatch,
+    EquationKind,
+    GenSylvesterProblem,
     NotConverged,
     OutOfRange,
     ParseError,
     QMatrix,
     Quaternion,
     block2x2,
+    check_consistency,
     complex_embed,
     complex_unembed,
     ctranspose,
@@ -30,7 +33,7 @@ from qsylv import (
     vstack,
 )
 from qsylv.mpinv import mp_oracle
-from qsylv.qmatrix import pow2_exponent, quat_array, ranks, scale_pow2
+from qsylv.qmatrix import embedded_rank, pow2_exponent, quat_array, ranks, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_hermitian, random_matrix
 from qsylv.svd import (
     _rounds,
@@ -42,7 +45,7 @@ from qsylv.svd import (
     svds,
 )
 
-from conftest import assert_matrix_close, q, qm
+from conftest import assert_matrix_close, jacobi_sweeps, q, qm
 
 
 def _np_embed(a: QMatrix) -> np.ndarray:
@@ -447,6 +450,83 @@ def test_svd_converges_on_rank_deficient_input():
         ours = spectra([np.asarray(complex_embed(m))])[0]
         oracle = np.linalg.svd(_np_embed(m), compute_uv=False)
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * oracle[0]
+
+
+def test_values_only_pass_names_its_input_shape_when_it_stops(monkeypatch):
+    # the pass decomposes the 5x5 triangle of a 7x5 input; the message and the
+    # negligible-column threshold stay the input's
+    rng = np.random.default_rng(74)
+    a = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    spectra([a])  # converges within the default limit
+    monkeypatch.setattr(svd_module, "_MAX_SWEEPS", 1)
+    with pytest.raises(NotConverged, match=r"Jacobi SVD of a 7x5 matrix did not converge in 1 "):
+        spectra([a])
+
+
+def _dense_problem(seed: int, cut: int) -> GenSylvesterProblem:
+    """A consistent gen-sylvester instance of the benchmark's dense shape
+    (``c`` 6x6, ``a1`` 6x5, ``a2`` 6x4), every coefficient ``cut`` ranks short."""
+    rng = SplitMix64(seed)
+    a1 = planted_rank_matrix(rng, 6, 5, 5 - cut)
+    b1 = planted_rank_matrix(rng, 5, 6, 5 - cut)
+    a2 = planted_rank_matrix(rng, 6, 4, 4 - cut)
+    b2 = planted_rank_matrix(rng, 4, 6, 4 - cut)
+    c = a1 @ random_matrix(rng, 5, 5) @ b1 + a2 @ random_matrix(rng, 4, 4) @ b2
+    return GenSylvesterProblem.build(EquationKind.GEN_SYLVESTER, a1=a1, b1=b1, a2=a2, b2=b2, c=c)
+
+
+def _gate_batch(monkeypatch, problem: GenSylvesterProblem) -> list[np.ndarray]:
+    """The embedded members of the values-only pass that decides the rank
+    criteria of :func:`check_consistency`."""
+    batches, jacobi = [], svd_module._jacobi
+
+    def record(mats, vectors):
+        if not vectors:
+            batches.append(list(mats))
+        return jacobi(mats, vectors)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(svd_module, "_jacobi", record)
+        check_consistency(problem)
+    (batch,) = batches
+    return batch
+
+
+def test_dense_rank_batches_converge_in_eight_sweeps_or_fewer(monkeypatch):
+    # the triangles' columns start nearly orthogonal; the raw padded stacks
+    # took 9 or 10 sweeps on these instances
+    sweeps = []
+    for seed in range(6):
+        batch = _gate_batch(monkeypatch, _dense_problem(seed, int(seed % 3 == 1)))
+        assert [a.shape for a in batch] == [(12, 30), (12, 18), (30, 12), (18, 12),
+                                            (20, 22), (22, 20)]
+        sweeps.append(jacobi_sweeps(batch, False))
+    assert sweeps == [8, 7, 8, 8, 8, 8]
+
+
+def test_values_only_ranks_match_the_factor_pass(monkeypatch, jacobi_log):
+    # the gate's stacks and blocks at full rank, one rank short and with two
+    # zero rows in a1, a2 and c, plus members scaled 2**1200 apart
+    zero_rows = qm([[q(float(i == j and i not in (1, 4))) for j in range(6)] for i in range(6)])
+    stacks = []
+    for seed, cut in ((40, 0), (41, 1)):
+        problem = _dense_problem(seed, cut)
+        stacks += _gate_batch(monkeypatch, problem)
+        slots = {name: zero_rows @ getattr(problem, name) for name in ("a1", "a2", "c")}
+        stacks += _gate_batch(monkeypatch, GenSylvesterProblem.build(
+            EquationKind.GEN_SYLVESTER, b1=problem.b1, b2=problem.b2, **slots))
+    mats = [complex_unembed(e, e.shape[0] // 2, e.shape[1] // 2) for e in stacks]
+    mats += [scale_pow2(x, k) for x, k in zip(mats[:12], (600, -600) * 6)]
+    jacobi_log.batches.clear()
+    got = ranks(mats)
+    assert jacobi_log.passes == 1
+    embedded = [np.asarray(complex_embed(x)) for x in mats]
+    expected = []
+    for e, values, (_, s, _) in zip(embedded, spectra(embedded), svds(embedded)):
+        expected.append(embedded_rank(s, rank_cutoff(e.shape, s)))
+        assert np.abs(values - s).max() <= 64 * np.finfo(float).eps * s[0]
+    assert got == expected
+    assert sum(r < min(x.shape) for r, x in zip(got, mats)) >= 8
 
 
 def test_round_robin_schedule_visits_every_pair_once_per_sweep():

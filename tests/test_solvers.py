@@ -703,6 +703,22 @@ def test_an_overflowing_norm_raises_rather_than_passing_every_check(tol):
     assert sol.x1.fro_norm() == float("inf")
 
 
+def test_the_constraint_budget_of_a_huge_a_is_checked_or_raises_out_of_range():
+    # |a|^2 overflows, but |a|^2 |zc| = 1.3e301 does not: the check still runs
+    rng = SplitMix64(5)
+    a = random_matrix(rng, 2, 2) * 1e155
+    x = random_matrix(rng, 2, 2) * 1e-10
+    prob = GenSylvesterProblem.build(EquationKind.LYAPUNOV_STAR, a1=a, c=a @ x + x.H @ a.H)
+    zc = random_matrix(rng, 2, 2) * 1e-10
+    with pytest.raises(ConstraintViolated):
+        solve_general(prob, FreeParams(zc=zc), force=True)
+    sol, _ = solve_general(prob, FreeParams(zc=zc - zc.H), force=True)
+    assert sol.x1.shape == (2, 2)
+    # a budget of tol * inf would accept any zc
+    with pytest.raises(OutOfRange, match=r"\|a\|\^2 \|zc\| overflows"):
+        solve_general(prob, FreeParams(zc=(zc - zc.H) * 1e10), force=True)
+
+
 def test_residual_matches_definition():
     rng = SplitMix64(75)
     prob, planted = make_consistent_instance(rng, EquationKind.TWO_LEFT, max_dim=3)
