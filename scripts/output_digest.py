@@ -17,7 +17,11 @@ and with ``random_free_params`` seeded by the instance's seed, each with and
 without ``force``.  The ``verdicts`` family covers every ``check`` and
 ``solve`` command again, by its arguments, its exit code, its report's
 ``consistent`` and each check's name and pass flag, with no float: a change
-that moves outputs only by rounding leaves it as it was.
+that moves outputs only by rounding leaves it as it was.  The ``values``
+family covers every command, every ``instance.json`` and every ``general``
+document again, with each JSON document parsed and each of its floats
+written as ``float.hex()``: a change that moves only the text of floats
+leaves it as it was.
 
 Every command runs in-process through :func:`qsylv.cli.main`.  A family's
 digest covers, per command and in order, its arguments (with the scratch
@@ -34,6 +38,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 
@@ -51,7 +56,7 @@ from qsylv.jsonio import dumps, loads, read_json
 from qsylv.sampling import SplitMix64, random_free_params
 
 FAMILIES = ("gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "general",
-            "verdicts")
+            "verdicts", "values")
 
 
 class Digests:
@@ -70,6 +75,7 @@ class Digests:
             except SystemExit as exc:  # argparse refusals
                 code = exc.code
         self.record(family, [*argv, str(code), out.getvalue(), err.getvalue()])
+        self.record("values", [*argv, str(code), values(out.getvalue()), err.getvalue()])
         if family == "check" or family.startswith("solve-"):
             self.record("verdicts", [*argv, str(code), *verdicts(out.getvalue())])
         return code
@@ -90,6 +96,22 @@ def verdicts(stdout: str) -> list[str]:
             *(f"{check['name']}={check['passed']}" for check in report["checks"])]
 
 
+def values(text: str) -> str:
+    """The JSON document ``text`` with each float written as ``float.hex()``;
+    an empty text stays empty."""
+    return json.dumps(_hex_floats(loads(text))) if text else ""
+
+
+def _hex_floats(obj):
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, list):
+        return [_hex_floats(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _hex_floats(item) for key, item in obj.items()}
+    return obj
+
+
 def digest_instance(d: Digests, kind: EquationKind, seed: int, max_dim: int,
                     inconsistent: bool) -> None:
     label = f"{kind.cli_name}-{seed}-{max_dim}{'-inconsistent' * inconsistent}"
@@ -99,7 +121,9 @@ def digest_instance(d: Digests, kind: EquationKind, seed: int, max_dim: int,
     if d.run("gen", argv + ["--inconsistent"] * inconsistent) != 0:
         return
     with open(os.path.join(where, "instance.json"), encoding="utf-8") as handle:
-        d.record("gen", [handle.read()])
+        instance = handle.read()
+    d.record("gen", [instance])
+    d.record("values", [values(instance)])
     slots = [name for name in kind.required_slots if name != "c"]
     problem = ["--kind", kind.cli_name, "--c", os.path.join(where, "c.json")]
     for name in slots:
@@ -123,9 +147,11 @@ def digest_general(d: Digests, label: str, kind: EquationKind, seed: int, where:
         for force in (False, True):
             try:
                 text = dumps(_solution_doc(*solve_general(problem, free, force=force)))
+                parsed = values(text)
             except QsylvError as exc:
-                text = f"{type(exc).__name__}: {exc}"
+                text = parsed = f"{type(exc).__name__}: {exc}"
             d.record("general", [label, blocks, f"force={force}", text])
+            d.record("values", [label, blocks, f"force={force}", parsed])
 
 
 def main(argv: list[str] | None = None) -> int:

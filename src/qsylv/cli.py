@@ -77,13 +77,11 @@ def _load_matrix(path: str) -> QMatrix:
 
 
 def _emit(doc, out: Optional[str]) -> None:
-    text = jsonio.dumps(doc) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(jsonio.dumps(doc) + "\n")
         return
     try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        jsonio.write_json(out, doc)
     except OSError as exc:
         raise _Exit(66, f"cannot write {out}: {exc}")
 
@@ -95,11 +93,7 @@ def _build_problem(args) -> GenSylvesterProblem:
         path = getattr(args, name)
         if path is not None:
             slots[name] = _load_matrix(path)
-    c = _load_matrix(args.c)
-    try:
-        return GenSylvesterProblem.build(kind, c=c, **slots)
-    except (DimensionMismatch, InvalidSize) as exc:
-        raise _Exit(64, str(exc))
+    return GenSylvesterProblem.build(kind, c=_load_matrix(args.c), **slots)
 
 
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
@@ -228,12 +222,7 @@ def _cmd_gen(args) -> int:
             problem, planted = make_consistent_instance(rng, kind, max_dim=args.max_dim)
     except InvalidSize as exc:
         raise _Exit(1, str(exc))
-    matrices = {}
-    for name in kind.required_slots:
-        if name == "c":
-            continue
-        matrices[name] = getattr(problem, name).to_json()
-    matrices["c"] = problem.c.to_json()
+    matrices = {name: getattr(problem, name).to_json() for name in kind.required_slots}
     doc = {
         "kind": kind.cli_name,
         "seed": args.seed,

@@ -1,73 +1,48 @@
-"""Deterministic JSON serialization with bit-exact float round-trips.
+"""Deterministic JSON through the standard library's encoder.
 
-Floats are emitted with 17 significant digits (enough to reconstruct any
-IEEE double exactly) and always carry a decimal point or exponent so they
-parse back as floats, never as integers — ``2.0`` is written ``"2.0"``, not
-``"2"``, and ``-0.0`` keeps its sign.  Containers are emitted in insertion
-order with fixed separators, so the same document always produces the same
-bytes.
+:func:`dumps` writes one line, with containers in insertion order and the
+encoder's fixed ``", "``/``": "`` separators, so the same document always
+gives the same bytes.  Each float is written as its ``repr``: the shortest
+decimal that reads back as the same double, bit for bit, and that always
+carries a decimal point or an exponent, so ``2.0`` parses back as a float
+and ``-0.0`` keeps its sign.  A non-finite float, a non-string key, a type
+the encoder does not know and a result record (a ``NamedTuple``, which the
+encoder would write as a bare array) each raise ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from typing import Any
+from typing import Any, NoReturn
 
 from .errors import ParseError
 
 
-def format_float(value: float) -> str:
-    """Shortest-faithful decimal token for a finite double, always float-typed."""
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite float {value!r}")
-    token = format(value, ".17g")
-    if "." not in token and "e" not in token and "E" not in token:
-        token += ".0"
-    return token
+def _refuse(obj: Any) -> NoReturn:
+    raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _emit(obj: Any, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(format_float(obj))
-    elif isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
-        # a result record is a NamedTuple: refused below, not written as an array
-        parts.append("[")
-        for t, item in enumerate(obj):
-            if t:
-                parts.append(", ")
-            _emit(item, parts)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for t, (key, value) in enumerate(obj.items()):
+def _refuse_records(obj: Any) -> None:
+    """Raise on a record or a non-string key anywhere in ``obj``."""
+    if isinstance(obj, dict):
+        for key in obj:
             if not isinstance(key, str):
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
-            if t:
-                parts.append(", ")
-            parts.append(json.dumps(key, ensure_ascii=True))
-            parts.append(": ")
-            _emit(value, parts)
-        parts.append("}")
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        if hasattr(obj, "_fields"):
+            _refuse(obj)
+        items = obj
     else:
-        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+        return
+    for item in items:
+        _refuse_records(item)
 
 
 def dumps(obj: Any) -> str:
     """Serialize to a single deterministic line of JSON."""
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
+    _refuse_records(obj)
+    return json.dumps(obj, allow_nan=False, default=_refuse)
 
 
 def loads(text: str) -> Any:

@@ -224,7 +224,8 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
         if not rotated:
             break
     else:
-        what = f"a {rows}x{size} matrix" if len(tall) == 1 else f"{len(tall)} matrices"
+        m, n = np.shape(mats[0])  # the caller's shape: a wide member was transposed
+        what = f"a {m}x{n} matrix" if len(tall) == 1 else f"{len(tall)} matrices"
         raise NotConverged(f"Jacobi SVD of {what} did not converge in {_MAX_SWEEPS} sweeps")
 
     all_norms = np.sqrt(np.real(np.sum(work.conj() * work, axis=1)))

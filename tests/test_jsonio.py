@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsylv import ParseError
-from qsylv.jsonio import dumps, format_float, loads, read_json, write_json
+from qsylv.jsonio import dumps, loads, read_json, write_json
 
 
 @pytest.mark.parametrize(
@@ -23,31 +23,42 @@ from qsylv.jsonio import dumps, format_float, loads, read_json, write_json
         (-2.0, "-2.0"),
         (0.5, "0.5"),
         (1e22, "1e+22"),
-        (1.5e-8, "1.4999999999999999e-08"),
+        (1.5e-8, "1.5e-08"),
+        (0.1, "0.1"),
     ],
 )
-def test_format_float_representative_values(value, expected):
-    assert format_float(value) == expected
+def test_dumps_writes_the_shortest_round_trip_token(value, expected):
+    assert dumps([value]) == f"[{expected}]"
 
 
-def test_format_float_always_reads_back_as_float():
+def test_dumps_float_tokens_read_back_as_floats():
     for value in (0.0, -0.0, 3.0, 1e16, -1e16, 2.0**53):
-        token = format_float(value)
+        token = dumps(value)
         assert isinstance(json.loads(token), float), token
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=300, deadline=None)
-def test_format_float_round_trips_bit_exactly(value):
-    token = format_float(value)
-    back = float(json.loads(token))
+def test_dumps_round_trips_floats_bit_exactly(value):
+    (back,) = loads(dumps([value]))
     assert struct.pack("<d", back) == struct.pack("<d", value)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_format_float_rejects_non_finite(bad):
+def test_dumps_rejects_non_finite_floats(bad):
     with pytest.raises(ValueError):
-        format_float(bad)
+        dumps({"x": [1.0, bad]})
+
+
+@pytest.mark.parametrize("key", [1, 2.5, None, True], ids=["int", "float", "none", "bool"])
+def test_dumps_refuses_a_non_string_key(key):
+    with pytest.raises(ValueError, match=f"JSON object keys must be strings, got {key!r}"):
+        dumps({"outer": {key: 1.0}})
+
+
+def test_dumps_refuses_an_unknown_type():
+    with pytest.raises(ValueError, match="cannot serialize object of type object"):
+        dumps({"x": [1.0, object()]})
 
 
 def test_dumps_preserves_insertion_order_and_spacing():
@@ -61,6 +72,8 @@ def test_dumps_refuses_records_but_writes_plain_tuples_as_arrays():
 
     with pytest.raises(ValueError, match="cannot serialize object of type CheckResult"):
         dumps({"check": CheckResult("rank_cols", True, 0.0)})
+    with pytest.raises(ValueError, match="cannot serialize object of type CheckResult"):
+        dumps({"checks": [1.0, (CheckResult("rank_cols", True, 0.0),)]})
     assert dumps({"pair": ("rank_cols", 1.0)}) == '{"pair": ["rank_cols", 1.0]}'
 
 

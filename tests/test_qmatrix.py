@@ -452,15 +452,19 @@ def test_svd_converges_on_rank_deficient_input():
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * oracle[0]
 
 
-def test_values_only_pass_names_its_input_shape_when_it_stops(monkeypatch):
-    # the pass decomposes the 5x5 triangle of a 7x5 input; the message and the
-    # negligible-column threshold stay the input's
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7)], ids=["7x5", "5x7"])
+@pytest.mark.parametrize("decompose", [spectra, svds], ids=["spectra", "svds"])
+def test_values_only_pass_names_its_input_shape_when_it_stops(monkeypatch, decompose, shape):
+    # the values-only pass decomposes the 5x5 triangle of a 7x5 input, and
+    # both passes decompose a wide input's 7x5 conjugate transpose; the
+    # message and the negligible-column threshold stay the input's
     rng = np.random.default_rng(74)
-    a = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-    spectra([a])  # converges within the default limit
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    decompose([a])  # converges within the default limit
     monkeypatch.setattr(svd_module, "_MAX_SWEEPS", 1)
-    with pytest.raises(NotConverged, match=r"Jacobi SVD of a 7x5 matrix did not converge in 1 "):
-        spectra([a])
+    with pytest.raises(NotConverged, match=rf"Jacobi SVD of a {shape[0]}x{shape[1]} matrix "
+                                           r"did not converge in 1 "):
+        decompose([a])
 
 
 def _dense_problem(seed: int, cut: int) -> GenSylvesterProblem:

@@ -63,7 +63,7 @@ def test_output_digest_does_not_depend_on_the_hash_seed_or_scratch_directory():
     rows = [line.split() for line in outputs[0].splitlines()]
     assert [row[0] for row in rows] == [
         "gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "general",
-        "verdicts"]
+        "verdicts", "values"]
     assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
     assert outputs[0] == outputs[1]
 
