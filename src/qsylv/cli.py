@@ -13,8 +13,9 @@ Subcommands:
 Exit codes: 0 success (and, for solve/check, the instance is consistent);
 2 the instance failed its consistency criteria; 3 (solve only) the instance
 is consistent but the solution it exhibits fails its own check,
-``solution_residual`` or ``methods_agree``; 1 numeric failure; 64 usage
-error; 66 unreadable or unparsable input file.
+``solution_residual`` or ``methods_agree``; 1 numeric failure, or a
+``lyapunov-like`` instance outside its formula's domain ``b =
+ctranspose(a)``; 64 usage error; 66 unreadable or unparsable input file.
 """
 
 from __future__ import annotations

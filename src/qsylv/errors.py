@@ -59,7 +59,7 @@ class Inconsistent(QsylvError):
 
 
 class ConstraintViolated(QsylvError):
-    """A free-parameter matrix violates the constraint required by its kind."""
+    """A coefficient or free-parameter matrix violates a constraint its kind requires."""
 
 
 class ParseError(QsylvError):

@@ -4,7 +4,10 @@ The flagship equation is ``a1 @ x1 @ b1 + a2 @ x2 @ b2 = c`` over the
 quaternions.  Eight special cases (captured by :class:`EquationKind`) arise by
 fixing some coefficients to identities; two more variants couple ``x`` with its
 conjugate transpose (``a @ x + ctranspose(x) @ b = c`` and
-``a @ x + ctranspose(x) @ ctranspose(a) = rhs``).
+``a @ x + ctranspose(x) @ ctranspose(a) = rhs``).  The first is solved only
+where it is the second, ``b = ctranspose(a)``, so both share one formula;
+elsewhere :func:`check_consistency`, and so every solve, raises
+:class:`~qsylv.errors.ConstraintViolated`.
 
 Every kind is solved by two independent routes, both through :func:`solve`.
 Each solution formula is written once, over one
@@ -249,15 +252,14 @@ class AuxData(NamedTuple):
     Each record is an :class:`~qsylv.mpinv.MpResult`, whose ``method`` names
     the route that made it, so each solution formula is written once over
     these fields.  Every kind gets ``a1`` (the ``a`` of the conjugate-transpose
-    kinds), and every kind with a ``b2`` (the ``b`` of ``lyapunov-like``)
-    gets ``b2``.  The two-term kinds also get ``b1``, ``a2``, ``m = R_a1 a2``,
-    ``n = b2 L_b1`` and ``s = a2 L_m``, built from the route's own
-    projectors.  Fields a kind has no use for are ``None``.
+    kinds, whose formula needs no other record).  The two-term kinds also get
+    ``b1``, ``a2``, ``b2``, ``m = R_a1 a2``, ``n = b2 L_b1`` and ``s = a2
+    L_m``, built from the route's own projectors.  Fields a kind has no use
+    for are ``None``.
 
-    :func:`derive_aux` fills it with :func:`~qsylv.mpinv.mp_oracles` records
-    and ``lyapunov-like``'s direct solution ``like_x1``, which the gate
-    checks.  The Cramer route fills its own with :func:`~qsylv.mpinv.mp_cramer`
-    records at those records' ranks, the only thing the routes share.
+    :func:`derive_aux` fills it with :func:`~qsylv.mpinv.mp_oracles` records.
+    The Cramer route fills its own with :func:`~qsylv.mpinv.mp_cramer` records
+    at those records' ranks, the only thing the routes share.
     """
 
     a1: MpResult
@@ -267,7 +269,6 @@ class AuxData(NamedTuple):
     m: Optional[MpResult] = None
     n: Optional[MpResult] = None
     s: Optional[MpResult] = None
-    like_x1: Optional[QMatrix] = None
 
     @property
     def ranks(self) -> tuple[Optional[int], ...]:
@@ -285,8 +286,7 @@ def _records(problem: GenSylvesterProblem, factors: Callable[[dict], list]) -> A
     needs that of ``m``.
     """
     if not problem.kind.is_two_term:
-        slots = {"a1": problem.a1} if problem.b2 is None else {"a1": problem.a1, "b2": problem.b2}
-        return AuxData(*factors(slots))
+        return AuxData(*factors({"a1": problem.a1}))
     a1, b1, a2, b2 = factors({"a1": problem.a1, "b1": problem.b1,
                               "a2": problem.a2, "b2": problem.b2})
     m, n = factors({"m": a1.proj_r() @ problem.a2, "n": problem.b2 @ b1.proj_l()})
@@ -314,11 +314,8 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     if problem.kind.is_two_term:
         floor_a = DERIVED_RANK_FLOOR * problem.a2.fro_norm()
         floors = {"m": floor_a, "n": DERIVED_RANK_FLOOR * problem.b2.fro_norm(), "s": floor_a}
-    aux = _records(problem, lambda mats: mp_oracles(
+    return _records(problem, lambda mats: mp_oracles(
         list(mats.values()), [floors.get(slot, 0.0) for slot in mats]))
-    if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        return aux._replace(like_x1=_lyap(aux.a1, problem.c, aux.b2.proj_p()))
-    return aux
 
 
 # -- residuals -----------------------------------------------------------------
@@ -358,7 +355,10 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     projector criteria and four independent rank criteria; the verdict is
     driven by the projector family, and a ``criteria_agree`` entry records
     whether the two families concur.  The conjugate-transpose kinds check
-    their own compatibility conditions.  Residuals are compared with
+    the compatibility conditions of ``a x + ctranspose(x) ctranspose(a) =
+    rhs``; a ``lyapunov-like`` instance is first refused with
+    :class:`ConstraintViolated` unless ``|b - ctranspose(a)| <= tol * |b|``,
+    the domain of that formula.  Residuals are compared with
     ``tol * |c|``, so rescaling the coefficients and ``c`` leaves the verdict;
     ``tol`` must be finite and non-negative, and :class:`OutOfRange` is raised
     when ``|c|`` or a residual overflows the float range.  Only
@@ -370,6 +370,13 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidSize(f"tolerance must be finite and >= 0, got {tol!r}")
+    if problem.kind is EquationKind.LYAPUNOV_LIKE:
+        mismatch = (problem.b2 - problem.a1.H).fro_norm()
+        if mismatch > tol * _finite(problem.b2.fro_norm(), "|b|"):
+            raise ConstraintViolated(
+                "kind 'lyapunov-like' is solved only for b = ctranspose(a); "
+                f"mismatch norm {mismatch:.3e}"
+            )
     tol_c = tol * _finite(problem.c.fro_norm(), "|c|")
     checks: list[CheckResult] = []
     aux = derive_aux(problem)
@@ -433,16 +440,7 @@ def check_consistency(problem: GenSylvesterProblem, tol: float = DEFAULT_TOL) ->
         residual_norm = max(res for _, res in projector_residuals)
         return SolveReport(consistent, tuple(checks), residual_norm, "check")
 
-    if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        sol = PairSolution(aux.like_x1)
-        res0 = _finite(residual(problem, sol), "partial_solves")
-        checks.append(CheckResult("partial_solves", res0 <= tol_c, res0))
-        res_range = _finite((aux.a1.proj_r() @ problem.c @ aux.b2.proj_l()).fro_norm(),
-                            "r_a_c_l_b_info")
-        checks.append(CheckResult("r_a_c_l_b_info", res_range <= tol_c, res_range))
-        return SolveReport(res0 <= tol_c, tuple(checks), res0, "check")
-
-    # conjugate-transpose kind with coefficient pair (a, ctranspose(a))
+    # conjugate-transpose kinds, with coefficient pair (a, ctranspose(a))
     rhs = problem.c
     herm_res = _finite((rhs - rhs.H).fro_norm(), "rhs_hermitian")
     herm_ok = herm_res <= tol_c
@@ -471,10 +469,10 @@ def _pair(problem: GenSylvesterProblem, f: AuxData) -> PairSolution:
     return PairSolution(x1, x2)
 
 
-def _lyap(a: MpResult, c: QMatrix, proj: QMatrix) -> QMatrix:
-    """``pinv(a) c (i - proj/2)`` on the record ``a``, the particular solution
-    of both conjugate-transpose kinds: ``proj`` is ``P_b`` or ``Q_a``."""
-    return (a.pinv @ c) @ (QMatrix.identity(c.cols) - proj * 0.5)
+def _lyap(a: MpResult, c: QMatrix) -> QMatrix:
+    """``pinv(a) c (i - Q_a/2)`` on the record ``a``, the particular solution
+    of both conjugate-transpose kinds."""
+    return (a.pinv @ c) @ (QMatrix.identity(c.cols) - a.proj_q() * 0.5)
 
 
 _FORMULAS = {
@@ -486,8 +484,7 @@ _FORMULAS = {
         ("n", "b2 (i - proj_p(b1))"),
         ("s", "a2 (i - proj_p(m))"),
     ),
-    EquationKind.LYAPUNOV_LIKE: (("x1", "pinv(a) c (i - proj_p(b)/2)"),),
-    EquationKind.LYAPUNOV_STAR: (("x1", "pinv(a) rhs (i - proj_q(a)/2)"),),
+    "conjugate-transpose": (("x1", "pinv(a) rhs (i - proj_q(a)/2)"),),
 }
 
 
@@ -505,11 +502,7 @@ def _partial(problem: GenSylvesterProblem,
         route = (("route", "bordered minor sums; projectors evaluated determinantally"),)
     if problem.kind.is_two_term:
         return _pair(problem, f), _FORMULAS["two-term"] + route
-    if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        x = aux.like_x1 if method == "direct" else _lyap(f.a1, problem.c, f.b2.proj_p())
-    else:
-        x = _lyap(f.a1, problem.c, f.a1.proj_q())
-    return PairSolution(x), _FORMULAS[problem.kind] + route
+    return PairSolution(_lyap(f.a1, problem.c)), _FORMULAS["conjugate-transpose"] + route
 
 
 # -- determinantal products off the solve path ----------------------------------
@@ -604,11 +597,11 @@ def solve_general(
     ``solve(problem, method="direct")``.
     Every choice of free blocks yields another exact solution of a consistent
     equation.  For the conjugate-transpose kinds the ``zc`` block must satisfy
-    ``a (zc + ctranspose(zc)) ctranspose(a) = 0``; the pair-coefficient kind
-    additionally requires ``b = ctranspose(a)`` before accepting nonzero free
-    blocks, as the homogeneous family is only valid there.  The ``zc`` check
-    compares with ``tol * |a|^2 |zc|``; :class:`OutOfRange` is raised when
-    ``|a|^2 |zc|`` overflows the float range.
+    ``a (zc + ctranspose(zc)) ctranspose(a) = 0``.  The gate refuses a
+    ``lyapunov-like`` instance with ``b != ctranspose(a)`` with
+    :class:`ConstraintViolated`, so one family serves both kinds.  The ``zc``
+    check compares with ``tol * |a|^2 |zc|``; :class:`OutOfRange` is raised
+    when ``|a|^2 |zc|`` overflows the float range.
     """
     free = free or FreeParams()
     blocks = _check_free(problem, free)
@@ -642,16 +635,6 @@ def solve_general(
     a = problem.a1
     y = blocks["y"]
     zc = blocks["zc"]
-    nonzero_free = any(
-        block is not None and block.fro_norm() > 0.0 for block in (y, zc)
-    )
-    if problem.kind is EquationKind.LYAPUNOV_LIKE:
-        mismatch = (problem.b2 - a.H).fro_norm()
-        if nonzero_free and mismatch > tol * problem.b2.fro_norm():
-            raise ConstraintViolated(
-                "the homogeneous family for this kind requires b = ctranspose(a); "
-                f"mismatch norm {mismatch:.3e}"
-            )
     if zc is not None:
         sym = a @ (zc + zc.H) @ a.H
         sym_norm = sym.fro_norm()

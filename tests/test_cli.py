@@ -225,6 +225,25 @@ def test_an_overflowing_norm_of_c_exits_1(command, tol, capsys, tmp_path):
     assert (code, out, err) == (1, "", "qsylv: error: |c| overflows the float range\n")
 
 
+@pytest.mark.parametrize("command", [["check"], ["solve", "--method", "direct"],
+                                     ["solve", "--method", "both", "--force"]],
+                         ids=["check", "solve-direct", "solve-both-force"])
+def test_like_kind_outside_b_equal_to_ctranspose_a_exits_1(command, capsys, tmp_path):
+    # a planted c = a x + ctranspose(x) b with b != ctranspose(a) lies outside
+    # the domain of the kind's formula: it is refused, not called inconsistent
+    rng = SplitMix64(81)
+    a, b, x = random_matrix(rng, 3, 2), random_matrix(rng, 2, 3), random_matrix(rng, 2, 3)
+    argv = command + ["--kind", "lyapunov-like"]
+    for slot, value in (("a1", a), ("b2", b), ("c", a @ x + x.H @ b)):
+        path = str(tmp_path / f"{slot}.json")
+        write_json(path, value.to_json())
+        argv += [f"--{slot}", path]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("qsylv: error: kind 'lyapunov-like' is solved only for "
+                          "b = ctranspose(a); mismatch norm ")
+
+
 # -- solve / check ----------------------------------------------------------------
 
 

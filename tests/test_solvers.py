@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from qsylv import (
@@ -42,6 +44,7 @@ from qsylv.sampling import (
     perturb_inconsistent,
     planted_rank_matrix,
     random_free_params,
+    random_hermitian,
     random_matrix,
 )
 
@@ -496,7 +499,7 @@ WORK_PER_SOLVE = {
     EquationKind.SYLVESTER_MIRROR: (5, 4, 5),
     EquationKind.TWO_LEFT: (8, 3, 4),
     EquationKind.TWO_RIGHT: (7, 3, 4),
-    EquationKind.LYAPUNOV_LIKE: (2, 2, 1),
+    EquationKind.LYAPUNOV_LIKE: (1, 1, 1),
     EquationKind.LYAPUNOV_STAR: (1, 1, 1),
 }
 
@@ -542,7 +545,7 @@ def _records():
          "residual=1.5),), residual_norm=0.25, method='check', provenance=(('x1', 'f'),))"),
         (AuxData(MpResult(m, "oracle", 1, m)),
          "AuxData(a1=MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1, a=QMatrix(1x2)), "
-         "b2=None, b1=None, a2=None, m=None, n=None, s=None, like_x1=None)"),
+         "b2=None, b1=None, a2=None, m=None, n=None, s=None)"),
         (MpResult(m, "oracle", 1, m),
          "MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1, a=QMatrix(1x2))"),
     ]
@@ -574,8 +577,9 @@ def test_derived_matrices_are_read_off_the_slot_records_bit_for_bit(kind):
 
 
 def test_lyapunov_kinds_rank_only_the_slots_they_have():
-    # ranks are (a1, b1, a2, b2, m, n, s); lyapunov-like has a and b, lyapunov-star a
-    for kind, present in ((EquationKind.LYAPUNOV_LIKE, {0, 3}), (EquationKind.LYAPUNOV_STAR, {0})):
+    # ranks are (a1, b1, a2, b2, m, n, s); both kinds rank a alone, since
+    # lyapunov-like's b is ctranspose(a)
+    for kind, present in ((EquationKind.LYAPUNOV_LIKE, {0}), (EquationKind.LYAPUNOV_STAR, {0})):
         prob, _ = make_consistent_instance(SplitMix64(7), kind, max_dim=4)
         ranks = derive_aux(prob).ranks
         assert len(ranks) == 7
@@ -613,13 +617,15 @@ def test_derive_aux_is_cached_per_problem():
 ])
 def test_lyapunov_kinds_take_one_svd_per_coefficient(kind, slots, jacobi_log):
     # gate, both routes and the shared ranks all read the one derive_aux entry,
-    # whose coefficients share one Jacobi pass
+    # which decomposes a alone: lyapunov-like's b is ctranspose(a)
     rng = SplitMix64(76)
-    mats = {name: random_matrix(rng, 3, 3) for name in slots}
-    prob = GenSylvesterProblem.build(kind, c=random_matrix(rng, 3, 3), **mats)
+    a = random_matrix(rng, 3, 3)
+    given = {"a1": a, "b2": a.H}
+    prob = GenSylvesterProblem.build(kind, c=random_matrix(rng, 3, 3),
+                                     **{name: given[name] for name in slots})
     derive_aux.cache_clear()
     solve(prob, method="both", force=True)
-    assert jacobi_log.batches == [[(6, 6)] * len(slots)]
+    assert jacobi_log.batches == [[(6, 6)]]
 
 
 @pytest.mark.parametrize("run", [
@@ -628,8 +634,8 @@ def test_lyapunov_kinds_take_one_svd_per_coefficient(kind, slots, jacobi_log):
     pytest.param(lambda prob: solve_general(prob), id="general"),
 ])
 def test_lyapunov_like_direct_solution_is_formed_once_per_solve(run, monkeypatch):
-    # the gate's partial_solves check and the direct route share one solution;
-    # the Cramer route evaluates the same formula on its own mp_cramer record
+    # the gate forms no solution and the direct route forms one; the Cramer
+    # route evaluates the same formula on its own mp_cramer record
     prob, _ = make_consistent_instance(SplitMix64(77), EquationKind.LYAPUNOV_LIKE, max_dim=3)
     calls = []
     original = solvers_module._lyap
@@ -658,7 +664,7 @@ def test_cramer_route_takes_only_ranks_from_derive_aux(kind, monkeypatch, jacobi
     solvers_module._partial(prob, "cramer")
     assert jacobi_log.passes == 0
     (cramer,) = built
-    for slot in AuxData._fields[:-1]:  # like_x1 is a solution, not a record
+    for slot in AuxData._fields:
         record, decided = getattr(cramer, slot), getattr(aux, slot)
         assert (record is None) == (decided is None), slot
         if record is not None:
@@ -717,6 +723,18 @@ def test_the_constraint_budget_of_a_huge_a_is_checked_or_raises_out_of_range():
     # a budget of tol * inf would accept any zc
     with pytest.raises(OutOfRange, match=r"\|a\|\^2 \|zc\| overflows"):
         solve_general(prob, FreeParams(zc=(zc - zc.H) * 1e10), force=True)
+
+
+def test_an_overflowing_norm_of_b_raises_rather_than_passing_the_domain_test():
+    # b is 5 % away from ctranspose(a), but |b| overflows, and
+    # mismatch > tol * |b| would then accept it
+    big = 1e308
+    a = qm([[q(big, big, big, big)]])
+    b = qm([[q(big, -big, -big, -0.9 * big)]])
+    prob = GenSylvesterProblem.build(EquationKind.LYAPUNOV_LIKE, a1=a, b2=b,
+                                     c=QMatrix.identity(1))
+    with pytest.raises(OutOfRange, match=r"\|b\| overflows"):
+        check_consistency(prob)
 
 
 def test_residual_matches_definition():
@@ -789,17 +807,65 @@ def test_star_kind_constraint_block_must_be_compatible():
         solve_general(prob, FreeParams(zc=sym))
 
 
-def test_like_kind_free_family_needs_matching_sides():
+def _planted_like_instances_off_the_domain():
+    """Planted ``c = a x + ctranspose(x) b`` with ``b`` drawn apart from ``a``,
+    so ``b != ctranspose(a)``: seed 81's 3x2 ``a``, then seeds 5000-5019 with
+    planted-rank ``a`` and ``b``, ``m, n <= 4``."""
     rng = SplitMix64(81)
-    # build a like-kind instance whose second coefficient is NOT the
-    # conjugate transpose of the first: the parametric family has no
-    # guarantee, so nonzero free parameters must be refused
-    a = random_matrix(rng, 3, 2)
-    b = random_matrix(rng, 2, 3)
-    x = random_matrix(rng, 2, 3)
-    c = a @ x + ctranspose(x) @ b
-    prob = GenSylvesterProblem.build(EquationKind.LYAPUNOV_LIKE, a1=a, b2=b, c=c)
-    with pytest.raises(ConstraintViolated):
-        solve_general(
-            prob, FreeParams(y=random_matrix(rng, 2, 3)), force=True
-        )
+    a, b, x = random_matrix(rng, 3, 2), random_matrix(rng, 2, 3), random_matrix(rng, 2, 3)
+    yield GenSylvesterProblem.build(EquationKind.LYAPUNOV_LIKE, a1=a, b2=b,
+                                    c=a @ x + ctranspose(x) @ b)
+    for seed in range(5000, 5020):
+        rng = SplitMix64(seed)
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = planted_rank_matrix(rng, m, n, rng.randint(1, min(m, n)))
+        b = planted_rank_matrix(rng, n, m, rng.randint(1, min(m, n)))
+        x = random_matrix(rng, n, m)
+        yield GenSylvesterProblem.build(EquationKind.LYAPUNOV_LIKE, a1=a, b2=b,
+                                        c=a @ x + ctranspose(x) @ b)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(check_consistency, id="check"),
+    *(pytest.param(partial(solve, method=method, force=force),
+                   id=f"solve-{method}{'-force' * force}")
+      for method in ("direct", "cramer", "both") for force in (False, True)),
+    pytest.param(partial(solve_general, free=FreeParams(), force=True), id="general-force"),
+    pytest.param(lambda prob: solve_general(
+        prob, FreeParams(y=random_matrix(SplitMix64(82), *prob.x1_shape)), force=True),
+        id="general-y-force"),
+])
+def test_like_kind_free_family_needs_matching_sides(run):
+    # a like-kind instance whose second coefficient is NOT the conjugate
+    # transpose of the first lies outside the domain of pinv(a) c (i - Q_a/2):
+    # neither that solution nor the parametric family holds there, so every
+    # entry point refuses it, with or without free blocks, and no planted
+    # solution is called inconsistent
+    for prob in _planted_like_instances_off_the_domain():
+        with pytest.raises(ConstraintViolated, match=r"b = ctranspose\(a\)"):
+            run(prob)
+
+
+@pytest.mark.parametrize("rhs", ["planted", "random", "hermitian"])
+def test_like_kind_with_b_equal_to_ctranspose_a_gets_the_star_verdict(rhs):
+    # the fact that lets one branch serve both conjugate-transpose kinds
+    verdicts = []
+    for seed in range(5100, 5140):
+        rng = SplitMix64(seed)
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = planted_rank_matrix(rng, m, n, rng.randint(1, min(m, n)))
+        if rhs == "planted":
+            x = random_matrix(rng, n, m)
+            c = a @ x + ctranspose(x) @ ctranspose(a)
+        elif rhs == "random":
+            c = random_matrix(rng, m, m)
+        else:
+            c = random_hermitian(rng, m)
+        like = GenSylvesterProblem.build(EquationKind.LYAPUNOV_LIKE, a1=a, b2=ctranspose(a), c=c)
+        star = GenSylvesterProblem.build(EquationKind.LYAPUNOV_STAR, a1=a, c=c)
+        verdict = check_consistency(star).consistent
+        assert check_consistency(like).consistent == verdict, seed
+        verdicts.append(verdict)
+    # planted: all consistent; random: none (c is not Hermitian); Hermitian:
+    # consistent exactly where R_a c R_a vanishes, which covers both verdicts
+    assert {"planted": {True}, "random": {False}, "hermitian": {True, False}}[rhs] == set(verdicts)
