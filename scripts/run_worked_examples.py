@@ -4,7 +4,7 @@
 Shows the solved matrices entrywise so the values can be inspected by hand,
 then runs the full golden battery (both solver routes and the
 pseudoinverse/projector/determinant intermediates) and exits nonzero if any
-row fails.
+row fails.  ``qsylv selftest`` prints the battery alone.
 """
 
 from __future__ import annotations
@@ -40,28 +40,21 @@ def print_matrix(label: str, matrix) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the matrix dumps, print only the table"
-    )
-    args = parser.parse_args(argv)
-
-    if not args.quiet:
-        for example in (example_pair(), example_star()):
-            force = not example.expected_consistent
-            print(f"example {example.name!r} "
-                  f"({'consistent' if example.expected_consistent else 'inconsistent by design'})")
-            sol_d, rep_d = solve(example.problem, method="direct", force=force)
-            sol_c, rep_c = solve(example.problem, method="cramer", force=force)
-            print_matrix("x1 (closed-form route)", sol_d.x1)
-            print_matrix("x1 (entrywise route)  ", sol_c.x1)
-            if sol_d.x2 is not None:
-                print_matrix("x2 (closed-form route)", sol_d.x2)
-                print_matrix("x2 (entrywise route)  ", sol_c.x2)
-            print(f"  residual: direct {rep_d.residual_norm:.3e}, "
-                  f"cramer {rep_c.residual_norm:.3e}")
-            print()
-
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    for example in (example_pair(), example_star()):
+        force = not example.expected_consistent
+        print(f"example {example.name!r} "
+              f"({'consistent' if example.expected_consistent else 'inconsistent by design'})")
+        sol_d, rep_d = solve(example.problem, method="direct", force=force)
+        sol_c, rep_c = solve(example.problem, method="cramer", force=force)
+        print_matrix("x1 (closed-form route)", sol_d.x1)
+        print_matrix("x1 (entrywise route)  ", sol_c.x1)
+        if sol_d.x2 is not None:
+            print_matrix("x2 (closed-form route)", sol_d.x2)
+            print_matrix("x2 (entrywise route)  ", sol_c.x2)
+        print(f"  residual: direct {rep_d.residual_norm:.3e}, "
+              f"cramer {rep_c.residual_norm:.3e}")
+        print()
     return 1 if print_selftest() else 0
 
 

@@ -174,10 +174,10 @@ def mp_oracles(mats: Sequence[QMatrix],
     return out
 
 
-def mp_oracle(a: QMatrix, rank_floor: float = 0.0) -> MpResult:
+def mp_oracle(a: QMatrix) -> MpResult:
     """Moore-Penrose inverse through the complex embedding and one SVD: the
-    one-member case of :func:`mp_oracles`."""
-    return mp_oracles([a], [rank_floor])[0]
+    one-member case of :func:`mp_oracles`, with no rank floor."""
+    return mp_oracles([a])[0]
 
 
 # -- determinantal projectors --------------------------------------------------

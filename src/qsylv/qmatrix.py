@@ -206,11 +206,17 @@ class QMatrix:
 
     # -- arithmetic --------------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")  # _set_pair reports overflow
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        return madd(self, other)
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
+        return QMatrix._of(self._pair + other._pair)
 
+    @np.errstate(over="ignore", invalid="ignore")  # _set_pair reports overflow
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return msub(self, other)
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"cannot subtract {other.shape} from {self.shape}")
+        return QMatrix._of(self._pair - other._pair)
 
     def __neg__(self) -> "QMatrix":
         return QMatrix._of(-self._pair)
@@ -282,20 +288,6 @@ class QMatrix:
 # The kernels let a result overflow quietly: _set_pair checks every result for
 # finiteness and raises OutOfRange.  As a decorator, np.errstate costs about
 # half what a with-block does.
-@np.errstate(over="ignore", invalid="ignore")
-def madd(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot add {a.shape} and {b.shape}")
-    return QMatrix._of(a._pair + b._pair)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def msub(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot subtract {b.shape} from {a.shape}")
-    return QMatrix._of(a._pair - b._pair)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _pair_product(a: np.ndarray, b: np.ndarray, product: Callable) -> np.ndarray:
     """``(A1 + A2 j)(B1 + B2 j)`` for the pairs ``a = (A1, A2)``, ``b = (B1, B2)``.
@@ -452,7 +444,7 @@ def rank(a: QMatrix) -> int:
     The SVD prescales its input by a power of two, so the decision does not
     change under power-of-two rescaling of ``a``.  A zero matrix or an exact
     identity takes no SVD.  A rank with an absolute floor is read off
-    :func:`~qsylv.mpinv.mp_oracle`.
+    :func:`~qsylv.mpinv.mp_oracles`, which takes one floor per matrix.
     """
     return ranks([a])[0]
 

@@ -263,9 +263,9 @@ class AuxData(NamedTuple):
     """
 
     a1: MpResult
-    b2: Optional[MpResult] = None
     b1: Optional[MpResult] = None
     a2: Optional[MpResult] = None
+    b2: Optional[MpResult] = None
     m: Optional[MpResult] = None
     n: Optional[MpResult] = None
     s: Optional[MpResult] = None
@@ -273,8 +273,7 @@ class AuxData(NamedTuple):
     @property
     def ranks(self) -> tuple[Optional[int], ...]:
         """The two-term ranks ``(a1, b1, a2, b2, m, n, s)``; ``None`` where absent."""
-        return tuple(None if mp is None else mp.rank_used
-                     for mp in (self.a1, self.b1, self.a2, self.b2, self.m, self.n, self.s))
+        return tuple(None if mp is None else mp.rank_used for mp in self)
 
 
 def _records(problem: GenSylvesterProblem, factors: Callable[[dict], list]) -> AuxData:
@@ -291,7 +290,7 @@ def _records(problem: GenSylvesterProblem, factors: Callable[[dict], list]) -> A
                               "a2": problem.a2, "b2": problem.b2})
     m, n = factors({"m": a1.proj_r() @ problem.a2, "n": problem.b2 @ b1.proj_l()})
     (s,) = factors({"s": problem.a2 @ m.proj_l()})
-    return AuxData(a1, b2, b1, a2, m, n, s)
+    return AuxData(a1, b1, a2, b2, m, n, s)
 
 
 @lru_cache(maxsize=1)

@@ -19,23 +19,22 @@ engine (:func:`_jacobi`) decomposes a whole batch at once:
   column norms neither overflow nor underflow, and its singular values are
   scaled back.  It also keeps its own threshold for negligible columns.
 - The members are zero-padded into one ``(b, rows, N)`` stack, ``N`` the
-  largest column count.  Each member follows its own ``_rounds(n)``
-  schedule and sits out the rounds its schedule does not have; padded
-  columns are never paired.
+  largest column count, and all follow the one schedule ``_rounds(N)``: a
+  padded column stays exactly zero, so the negligible-column test never
+  lets it rotate.
 - A round reads every member's ``a``, ``b``, ``c`` from one batched
   ``W^H W`` product, computes all rotations as vectors, scatters them into
   one stack of unitaries ``J`` through flat indices, and applies them with
-  one batched product.  Each member's indices are cached per column count,
-  padded size and batch position (:func:`_member_rounds`), and a batch
-  joins them round by round.  A member with nothing to rotate in a round
-  gets the identity, which leaves its values but may turn its ``-0.0``
-  entries into ``0.0``; a batch that forms ``V`` leaves such a member out
-  of that product instead, so its factors keep their signed zeros.
+  one batched product.  A member with nothing to rotate in a round gets
+  the identity, which leaves its values but may turn its ``-0.0`` entries
+  into ``0.0``; a batch that forms ``V`` leaves such a member out of that
+  product instead, so its factors keep their signed zeros.
 - The batch sweeps until a sweep rotates nothing; the sweep limit
   ``_MAX_SWEEPS`` binds the slowest member.
 
-Padding adds only exact zeros, but a padded product may round a member's
-entries in another order, so its last bits can differ from those of a lone
+Padding adds only exact zeros, but a padded member meets its pairs in the
+order of ``_rounds(N)`` and a padded product may round its entries in
+another order, so its last bits can differ from those of a lone
 decomposition.  So the two callers batch differently:
 
 - :func:`svds`, which forms ``U`` and ``V`` (``V`` stacked under ``W`` so one
@@ -90,9 +89,11 @@ def scale_pow2(x: np.ndarray, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The round-robin schedule of ``n`` columns: per round, the index arrays
-    ``(p, q)``, ``p < q``, of its disjoint pairs.
+def _rounds(n: int) -> tuple[np.ndarray, ...]:
+    """The round-robin schedule of ``n`` columns: per round, one read-only
+    ``(4, pairs)`` array holding, for each of its disjoint pairs ``(p, q)``,
+    ``p < q``, the flat offsets of ``(p, p)``, ``(q, p)``, ``(p, q)`` and
+    ``(q, q)`` in an ``n x n`` block.
 
     Column 0 stays put while the others rotate one place per round; an odd
     ``n`` gets a phantom column whose partner sits the round out.
@@ -102,33 +103,21 @@ def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         half = len(players) // 2
         pairs = [sorted(p) for p in zip(players[:half], reversed(players[half:])) if max(p) < n]
         if pairs:
-            rounds.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
-            for side in rounds[-1]:
-                side.setflags(write=False)
+            p, q = np.array(pairs, dtype=np.intp).T
+            rounds.append(np.stack((p * (n + 1), q * n + p, p * n + q, q * (n + 1))))
+            rounds[-1].setflags(write=False)
         players = [players[0], players[-1], *players[1:-1]]
     return tuple(rounds)
 
 
-@lru_cache(maxsize=None)
-def _member_rounds(n: int, size: int, i: int) -> tuple[np.ndarray, ...]:
-    """The schedule of member ``i``, with ``n`` columns, of a batch padded to
-    ``size`` columns.
-
-    Per round of ``_rounds(n)``, one read-only ``(5, pairs)`` array: the flat
-    indices of ``(p, p)``, ``(q, p)``, ``(p, q)`` and ``(q, q)`` of its pairs
-    in a ``(b, size, size)`` stack, and ``i`` once per pair.  A key recurs
-    whenever a member of that column count sits at that position of a batch
-    of that size, whatever the other members are.
-    """
-    rounds = _rounds(n)
-    if not rounds:
-        return ()
-    p, q = (np.concatenate(side) for side in zip(*rounds))
-    base = i * size * size
-    flat = np.stack((base + p * (size + 1), base + q * size + p, base + p * size + q,
-                     base + q * (size + 1), np.full_like(p, i)))
-    flat.setflags(write=False)
-    return tuple(np.split(flat, np.cumsum([len(r[0]) for r in rounds[:-1]]), axis=1))
+def _batch_rounds(size: int, negligible: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The schedule of a batch padded to ``size`` columns: per round of
+    ``_rounds(size)``, its four offset rows with member ``i``'s shifted by
+    ``i * size**2`` into a ``(b, size, size)`` stack, and ``negligible``
+    repeated once per pair."""
+    shift = np.arange(len(negligible))[:, None] * (size * size)
+    return [(*(flat[:, None] + shift).reshape(4, -1), negligible.repeat(flat.shape[1]))
+            for flat in _rounds(size)]
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +144,7 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
             raise ValueError("svd expects a 2-D array")
         wide.append(a.shape[0] < a.shape[1])
         tall.append(np.ascontiguousarray(a.conj().T) if wide[-1] else a)
-    cols = tuple(a.shape[1] for a in tall)
-    rows, size = max(a.shape[0] for a in tall), max(cols)
+    rows, size = max(a.shape[0] for a in tall), max(a.shape[1] for a in tall)
     # rows [:rows] hold each W, rows [rows:] each V, so one update rotates both
     stack = np.zeros((len(tall), rows + size * vectors, size), dtype=np.complex128)
     exponents, negligible = [], np.empty(len(tall))
@@ -178,12 +166,7 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
         # triangle is that of its lone QR, with zero padding.
         stack = np.ascontiguousarray(np.linalg.qr(stack, mode="r").conj().transpose(0, 2, 1))
     eye = np.broadcast_to(_identity(size), (len(tall), size, size))
-    schedules = [_member_rounds(n, size, i) for i, n in enumerate(cols)]
-    rounds = []
-    for t in range(max(map(len, schedules))):
-        parts = [rounds_i[t] for rounds_i in schedules if t < len(rounds_i)]
-        flat = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        rounds.append((*flat[:4], negligible[flat[4]]))
+    rounds = _batch_rounds(size, negligible)
     work = stack[:, :rows]
 
     for _ in range(_MAX_SWEEPS):

@@ -103,7 +103,7 @@ def test_zero_matrices_take_no_svd_and_match_the_svd_route(monkeypatch):
 
     monkeypatch.setattr(svd_module, "_jacobi", refuse)
     for a, expected in zip(zeros, by_svd):
-        result = mp_oracle(a, rank_floor=1.0)
+        result = mp_oracles([a], [1.0])[0]
         assert result.rank_used == 0 and rank(a) == 0
         assert result.pinv.shape == (a.cols, a.rows)
         assert result.pinv._pair.tobytes() == expected._pair.tobytes()
@@ -120,13 +120,13 @@ def test_identities_take_no_svd_and_match_the_svd_route(monkeypatch):
     for n in range(1, 6):
         eye = QMatrix.from_rows(QMatrix.identity(n).entries)
         for floor in (0.0, 1e-10 * n ** 0.5, 0.999):
-            computed = _computed(monkeypatch, lambda: mp_oracle(eye, rank_floor=floor))
-            shortcut = mp_oracle(eye, rank_floor=floor)
+            computed = _computed(monkeypatch, lambda: mp_oracles([eye], [floor])[0])
+            shortcut = mp_oracles([eye], [floor])[0]
             assert (computed.method, shortcut.method) == ("oracle", "identity")
             assert shortcut.rank_used == computed.rank_used == n
             assert shortcut.pinv._pair.tobytes() == computed.pinv._pair.tobytes()
         # at a floor of 1 the prescaled singular values 1/2 fall under it
-        assert mp_oracle(eye, rank_floor=1.0) == (QMatrix.zeros(n, n), "oracle", 0, eye)
+        assert mp_oracles([eye], [1.0])[0] == (QMatrix.zeros(n, n), "oracle", 0, eye)
 
 
 # What a pseudoinverse record answers, given a probe ``x`` with ``a.rows`` rows
@@ -196,7 +196,7 @@ def test_batched_oracles_equal_per_member_oracles(jacobi_log):
     # floor of 1 it is decomposed) and the 1x1 member
     assert [sorted(b) for b in jacobi_log.batches] == [[(4, 6), (6, 4), (6, 4), (6, 4), (6, 4)],
                                                         [(6, 6)], [(2, 2)]]
-    alone = [mp_oracle(m, rank_floor=f) for m, f in zip(mats, floors)]
+    alone = [mp_oracles([m], [f])[0] for m, f in zip(mats, floors)]
     assert [r.method for r in batch] == ["oracle"] * 4 + ["identity"] + ["oracle"] * 4
     assert [r.rank_used for r in batch] == [2, 2, 1, 0, 2, 0, 2, 0, 1]
     for got, want in zip(batch, alone):
@@ -214,10 +214,10 @@ def test_oracle_rank_is_the_rank_decision():
         a = planted_rank_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
         # a floor far below every nonzero singular value leaves the decision
         for floor in (0.0, 1e-10):
-            assert mp_oracle(a, rank_floor=floor).rank_used == rank(a), case
+            assert mp_oracles([a], [floor])[0].rank_used == rank(a), case
     # a floor above the smaller singular value drops it
     diag = qm([[q(2.0), q(0)], [q(0), q(1e-3)]])
-    assert mp_oracle(diag, rank_floor=1e-2).rank_used == 1
+    assert mp_oracles([diag], [1e-2])[0].rank_used == 1
     assert mp_oracle(diag).rank_used == rank(diag) == 2
 
 
@@ -228,7 +228,7 @@ def test_pinv_scales_exactly_under_power_of_two_scaling():
     routes = {
         "cramer-left": lambda m, floor: mp_cramer(m, side="left"),
         "cramer-right": lambda m, floor: mp_cramer(m, side="right"),
-        "oracle": lambda m, floor: mp_oracle(m, rank_floor=floor),
+        "oracle": lambda m, floor: mp_oracles([m], [floor])[0],
     }
     for case in range(6):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)

@@ -32,7 +32,7 @@ from qsylv import (
     rank,
     vstack,
 )
-from qsylv.mpinv import mp_oracle
+from qsylv.mpinv import mp_oracles
 from qsylv.qmatrix import embedded_rank, pow2_exponent, quat_array, ranks, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_hermitian, random_matrix
 from qsylv.svd import (
@@ -240,9 +240,9 @@ def test_kernel_overflow_raises_out_of_range_without_a_numpy_warning():
 def test_jacobi_identity_is_cached_read_only_and_left_intact():
     ident = svd_module._identity(4)
     assert svd_module._identity(4) is ident and not ident.flags.writeable
-    plan = svd_module._member_rounds(2, 4, 1)
+    plan = _rounds(4)
     kept = [flat.copy() for flat in plan]
-    assert svd_module._member_rounds(2, 4, 1) is plan
+    assert _rounds(4) is plan
     assert all(not flat.flags.writeable for flat in plan)
     rng = SplitMix64(22)
     for rows in (2, 4, 6):
@@ -254,23 +254,49 @@ def test_jacobi_identity_is_cached_read_only_and_left_intact():
     assert ident.tobytes() == np.eye(4, dtype=np.complex128).tobytes()
     with pytest.raises(ValueError):
         ident[0, 1] = 1.0
-    assert svd_module._member_rounds(2, 4, 1) is plan
+    assert _rounds(4) is plan
     assert [flat.tobytes() for flat in plan] == [flat.tobytes() for flat in kept]
     with pytest.raises(ValueError):
         plan[0][0, 0] = 1
 
 
-def test_batch_schedule_pairs_each_member_by_its_own_rounds():
-    size = 4
-    for i, n in enumerate((4, 1, 3, 4)):
-        rounds = _rounds(n)
-        mine = svd_module._member_rounds(n, size, i)
-        assert len(mine) == len(rounds)
-        for (pp, qp, pq, qq, member), (p, q) in zip(mine, rounds):
-            base = i * size * size
-            assert (member == i).all()
-            assert (pp == base + p * (size + 1)).all() and (qq == base + q * (size + 1)).all()
-            assert (qp == base + q * size + p).all() and (pq == base + p * size + q).all()
+def test_a_batch_pairs_every_member_on_the_rounds_of_its_padded_size(monkeypatch):
+    size, seen = 4, []
+    batch_rounds = svd_module._batch_rounds
+
+    def kept(size, negligible):
+        seen.append((size, negligible.copy(), batch_rounds(size, negligible)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(svd_module, "_batch_rounds", kept)
+    rng = np.random.default_rng(263)
+    svd_module._jacobi([rng.standard_normal((5, n)) + 0j for n in (4, 1, 3, 4)], False)
+    [(padded, negligible, rounds)] = seen
+    assert padded == size and len(rounds) == len(_rounds(size))
+    for (*flat, neg), offsets in zip(rounds, _rounds(size)):
+        pairs = offsets.shape[1]
+        for i in range(4):
+            member = slice(i * pairs, (i + 1) * pairs)
+            assert all((got[member] == want + i * size * size).all()
+                       for got, want in zip(flat, offsets))
+            assert (neg[member] == negligible[i]).all()
+
+
+def test_a_padded_column_never_rotates():
+    rng = np.random.default_rng(264)
+
+    def draw(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    zero_cols = np.hstack([draw(5, 2), np.zeros((5, 2))])
+    mats = [draw(5, 4), draw(3, 2), draw(5, 1), draw(2, 4), draw(6, 3), zero_cols]
+    for a, (u, s, vh) in zip(mats, svd_module._jacobi(mats, True)):
+        assert np.max(np.abs((u * s) @ vh - a)) <= 1e-13 * np.linalg.norm(a)
+        assert np.max(np.abs(vh @ vh.conj().T - np.eye(len(vh)))) <= 1e-13
+    # columns 2 and 3 of the last member are zero, as padding is: their part
+    # of V is still exactly the identity
+    vh = svd_module._jacobi(mats, True)[-1][2]
+    assert (vh[2:] == np.eye(4)[2:]).all() and (vh[:2, 2:] == 0).all()
 
 
 def test_matmul_shape_mismatch():
@@ -344,7 +370,7 @@ def test_rank_on_planted_matrices():
 def test_rank_floor_suppresses_noise():
     noise = qm([[q(1e-13), q(0)], [q(0), q(1e-14)]])
     assert rank(noise) == 2  # relative threshold keeps pure noise
-    assert mp_oracle(noise, rank_floor=1e-10).rank_used == 0  # absolute floor removes it
+    assert mp_oracles([noise], [1e-10])[0].rank_used == 0  # absolute floor removes it
 
 
 def _criteria_corpus(rng: SplitMix64) -> list[QMatrix]:
@@ -536,8 +562,10 @@ def test_values_only_ranks_match_the_factor_pass(monkeypatch, jacobi_log):
 def test_round_robin_schedule_visits_every_pair_once_per_sweep():
     for n in range(1, 10):
         seen = []
-        for p, q in _rounds(n):
-            assert (p < q).all()
+        for pp, qp, pq, qq in _rounds(n):
+            p, q = divmod(pq, n)
+            assert (pp == p * (n + 1)).all() and (qq == q * (n + 1)).all()
+            assert (qp == q * n + p).all() and (p < q).all()
             assert len(set(p) | set(q)) == 2 * len(p)  # disjoint pairs in a round
             seen += zip(p.tolist(), q.tolist())
         assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
@@ -630,7 +658,7 @@ def test_rank_is_invariant_under_power_of_two_scaling():
             assert rank(scale_pow2(a, k)) == r
     diag = qm([[q(2.0), q(0)], [q(0), q(1e-3)]])
     for k in (-600, -300, 300, 600):
-        assert mp_oracle(scale_pow2(diag, k), rank_floor=2.0 ** k * 1e-2).rank_used == 1
+        assert mp_oracles([scale_pow2(diag, k)], [2.0 ** k * 1e-2])[0].rank_used == 1
     assert rank(qm([[q(1e-200)]])) == rank(qm([[q(1e200)]])) == 1
 
 

@@ -545,7 +545,7 @@ def _records():
          "residual=1.5),), residual_norm=0.25, method='check', provenance=(('x1', 'f'),))"),
         (AuxData(MpResult(m, "oracle", 1, m)),
          "AuxData(a1=MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1, a=QMatrix(1x2)), "
-         "b2=None, b1=None, a2=None, m=None, n=None, s=None)"),
+         "b1=None, a2=None, b2=None, m=None, n=None, s=None)"),
         (MpResult(m, "oracle", 1, m),
          "MpResult(pinv=QMatrix(1x2), method='oracle', rank_used=1, a=QMatrix(1x2))"),
     ]
