@@ -27,15 +27,12 @@ _EXPORTS = {
         "hstack", "is_hermitian", "rank", "scalar_lmul", "scalar_rmul", "vstack",
     ),
     "quaternion": ("Quaternion",),
-    "rcdet": (
-        "bordered_cdet_sum", "bordered_rdet_sum", "cdet", "cdet_coeffs", "det_dim_cap",
-        "hdet", "max_det_dim", "principal_minor_sum", "rdet", "rdet_coeffs",
-    ),
+    "rcdet": ("cdet", "cdet_coeffs", "det_dim_cap", "hdet", "max_det_dim", "rdet", "rdet_coeffs"),
     "solvers": (
         "AuxData", "CheckResult", "DEFAULT_TOL", "EquationKind", "FreeParams",
         "GenSylvesterProblem", "PairSolution", "SolveReport", "apply_lhs",
-        "check_consistency", "cramer_ax", "cramer_axb", "derive_aux", "free_param_shapes",
-        "residual", "solve", "solve_general",
+        "check_consistency", "derive_aux", "free_param_shapes", "residual", "solve",
+        "solve_general",
     ),
 }
 

@@ -11,8 +11,8 @@ class QsylvError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroDivisor(QsylvError):
-    """Inversion of a quaternion whose squared norm is numerically zero."""
+class ZeroDivisor(QsylvError, ZeroDivisionError):
+    """Division by an exact zero (a quaternion, real or principal-minor sum)."""
 
 
 class DimensionMismatch(QsylvError):

@@ -3,9 +3,9 @@
 :class:`QMatrix` is immutable.  A quaternion matrix ``A = A1 + A2*j``
 (``A1``, ``A2`` complex) is stored as one read-only ``(2, rows, cols)``
 complex128 array holding ``(A1, A2)``; a quaternion ``w + x*i + y*j + z*k``
-is the pair ``(w + x*i, y + z*i)``.  Indexing, :meth:`QMatrix.row`,
-:meth:`QMatrix.col` and :attr:`QMatrix.entries` hand out
-:class:`~qsylv.quaternion.Quaternion` scalars; arithmetic runs on the pair.
+is the pair ``(w + x*i, y + z*i)``.  Indexing and :attr:`QMatrix.entries`
+hand out :class:`~qsylv.quaternion.Quaternion` scalars; arithmetic runs on
+the pair.
 Since ``j*z = conj(z)*j`` for complex ``z``::
 
     A @ B = (A1 B1 - A2 conj(B2)) + (A1 B2 + A2 conj(B1)) j
@@ -123,12 +123,6 @@ class QMatrix:
         a1, a2 = self._pair[(slice(None), *key)].tolist()
         return Quaternion(a1.real, a1.imag, a2.real, a2.imag)
 
-    def row(self, r: int) -> tuple[Quaternion, ...]:
-        return self.entries[r]
-
-    def col(self, c: int) -> tuple[Quaternion, ...]:
-        return tuple(row[c] for row in self.entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
@@ -163,22 +157,6 @@ class QMatrix:
     def from_array(values: np.ndarray) -> "QMatrix":
         """Inverse of :func:`quat_array`: entries from a ``rows x cols x 4`` array."""
         return QMatrix._of(_pair_of(values))
-
-    def replace_col(self, c: int, column: Sequence[Quaternion]) -> "QMatrix":
-        return self.H.replace_row(c, [q.conjugate() for q in column]).H
-
-    def replace_row(self, r: int, row_vals: Sequence[Quaternion]) -> "QMatrix":
-        if len(row_vals) != self.cols:
-            raise DimensionMismatch(
-                f"replacement has length {len(row_vals)}, expected {self.cols}"
-            )
-        pair = self._pair.copy()
-        pair[:, r] = QMatrix([row_vals])._pair[:, 0]
-        return QMatrix._of(pair)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
-        """Select rows/columns by 0-based index sequences."""
-        return QMatrix._of(self._pair[:, list(row_idx)][:, :, list(col_idx)])
 
     # -- serialization ---------------------------------------------------------
 

@@ -15,12 +15,22 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import ParseError, ZeroDivisor
-
-#: Squared-norm threshold below which a quaternion is treated as a zero divisor.
-EPS_ZERO = 1e-12
+from .errors import OutOfRange, ParseError, ZeroDivisor
 
 Real = Union[int, float]
+
+
+def product(a, b):
+    """Components ``(w, x, y, z)`` of ``a * b`` from the 4-sequences of components
+    ``a`` and ``b``: floats for one product, arrays for an elementwise batch."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
 
 
 def _coerce(value: "Quaternion | Real") -> "Quaternion":
@@ -79,10 +89,19 @@ class Quaternion:
         return math.sqrt(self.norm_sq())
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm_sq()
-        if n2 < EPS_ZERO:
-            raise ZeroDivisor(f"cannot invert quaternion with squared norm {n2!r}")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        """``conj(q) / |q|**2``, formed on ``2**k q`` with the largest component
+        in ``[0.5, 1)`` and scaled back exactly, so ``(2**k q)**-1 == 2**-k q**-1``.
+        Only zero raises :class:`ZeroDivisor`; an overflow raises :class:`OutOfRange`."""
+        top = max(abs(self.w), abs(self.x), abs(self.y), abs(self.z))
+        if top == 0.0:
+            raise ZeroDivisor("cannot invert the zero quaternion")
+        k = -math.frexp(top)[1]
+        u = Quaternion(*(math.ldexp(c, k) for c in (self.w, self.x, self.y, self.z)))
+        n2 = u.norm_sq()
+        try:
+            return Quaternion(*(math.ldexp(c / n2, k) for c in (u.w, -u.x, -u.y, -u.z)))
+        except OverflowError:
+            raise OutOfRange("the inverse of the quaternion overflows the float range") from None
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -113,13 +132,8 @@ class Quaternion:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
+        return Quaternion(*product((self.w, self.x, self.y, self.z),
+                                   (other.w, other.x, other.y, other.z)))
 
     def __rmul__(self, other: "Quaternion | Real") -> "Quaternion":
         other = _coerce(other)
@@ -128,10 +142,13 @@ class Quaternion:
         return other * self
 
     def __truediv__(self, other: Real) -> "Quaternion":
-        """Division by a *real* scalar only (side-free); use :meth:`inverse` otherwise."""
+        """Division by a nonzero *real* scalar only (side-free); use :meth:`inverse`
+        otherwise.  Zero raises :class:`ZeroDivisor`."""
         if not isinstance(other, (int, float)):
             return NotImplemented
         d = float(other)
+        if d == 0.0:
+            raise ZeroDivisor("division of a quaternion by zero")
         return Quaternion(self.w / d, self.x / d, self.y / d, self.z / d)
 
     def __abs__(self) -> float:

@@ -19,9 +19,11 @@ On 2x2 matrices this gives ``rdet_1 = a*d - b*c``, ``rdet_2 = d*a - c*b``,
 ``cdet_1 = d*a - b*c`` and ``cdet_2 = a*d - c*b``.  On Hermitian matrices all
 ``2n`` anchored determinants coincide in one real number (:func:`hdet`).
 
-Bordered minor sums are the Cramer-rule numerators used throughout the
-package: sums over anchored index subsets of anchored determinants of a
-principal submatrix with one column (or row) replaced by a derived vector.
+Bordered minor sums are the paper's Cramer-rule numerators: sums over
+anchored index subsets of anchored determinants of a principal submatrix
+with one column (or row) replaced by a derived vector.  The package reads
+them as products of coefficient matrices (below); :func:`bordered_cdet_sum`
+and :func:`bordered_rdet_sum` give one sum at a time.
 
 Coefficient form
 ----------------
@@ -91,7 +93,7 @@ from .errors import (
     OutOfRange,
 )
 from .qmatrix import QMatrix, is_hermitian, pow2_exponent, quat_array, scale_pow2
-from .quaternion import Quaternion, qsum
+from .quaternion import Quaternion, product, qsum
 
 DEFAULT_MAX_DET_DIM = 7
 
@@ -183,19 +185,11 @@ def _term_table(r: int, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise quaternion product over the last axis, ``(w, x, y, z)``.
-
-    Same component formula and operation order as ``Quaternion.__mul__``.
-    """
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    """Elementwise quaternion product over the last axis, ``(w, x, y, z)``:
+    :func:`~qsylv.quaternion.product`, as ``Quaternion.__mul__`` evaluates it."""
     return np.stack(
-        (
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ),
+        product((a[..., 0], a[..., 1], a[..., 2], a[..., 3]),
+                (b[..., 0], b[..., 1], b[..., 2], b[..., 3])),
         axis=-1,
     )
 
@@ -379,8 +373,8 @@ def bordered_cdet_sum(h: QMatrix, i: int, d: Sequence[Quaternion], r: int) -> Qu
     ``C = cdet_coeffs(h, r)``.
     """
     _check_border(h, i, d)
-    row = cdet_coeffs(h, r).row(i - 1)
-    return qsum(c * dv for c, dv in zip(row, d))
+    coeffs = cdet_coeffs(h, r)
+    return qsum(coeffs[i - 1, v] * dv for v, dv in enumerate(d))
 
 
 def bordered_rdet_sum(h: QMatrix, j: int, d: Sequence[Quaternion], r: int) -> Quaternion:
@@ -391,5 +385,5 @@ def bordered_rdet_sum(h: QMatrix, j: int, d: Sequence[Quaternion], r: int) -> Qu
     ``R = rdet_coeffs(h, r)``.
     """
     _check_border(h, j, d)
-    col = rdet_coeffs(h, r).col(j - 1)
-    return qsum(dv * c for dv, c in zip(d, col))
+    coeffs = rdet_coeffs(h, r)
+    return qsum(dv * coeffs[v, j - 1] for v, dv in enumerate(d))

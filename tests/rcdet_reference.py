@@ -4,9 +4,9 @@ These are the scalar, one-term-at-a-time expansions the package used before
 its coefficient form, together with their own index subsets and canonical
 cycle form: every permutation term is a left-to-right product of
 :class:`~qsylv.quaternion.Quaternion` factors, and every bordered sum builds
-each bordered principal submatrix and expands it.  Nothing here reads the
-engine's tables, so tests can compare the vectorized engine, and the index
-tables it builds, against an independent term list.
+each bordered principal submatrix from the matrix's entries and expands it.
+Nothing here reads the engine's tables, so tests can compare the vectorized
+engine, and the index tables it builds, against an independent term list.
 """
 
 from __future__ import annotations
@@ -184,13 +184,35 @@ def cdet(a: QMatrix, j: int) -> Quaternion:
     return expand(a, j, "col")
 
 
+# -- principal and bordered submatrices -------------------------------------------
+
+
+def principal(h: QMatrix, idx: Sequence[int]) -> QMatrix:
+    """The principal submatrix of ``h`` on the 0-based indices ``idx``."""
+    entries = h.entries
+    return QMatrix([[entries[row][col] for col in idx] for row in idx])
+
+
+def bordered(h: QMatrix, idx: Sequence[int], local: int, d: Sequence[Quaternion],
+             flavor: str) -> QMatrix:
+    """:func:`principal` with its 0-based column (``flavor="col"``) or row
+    (``flavor="row"``) ``local`` replaced by ``d`` restricted to ``idx``."""
+    block = [list(row) for row in principal(h, idx).entries]
+    for t, v in enumerate(idx):
+        if flavor == "col":
+            block[t][local] = d[v]
+        else:
+            block[local][t] = d[v]
+    return QMatrix(block)
+
+
 def principal_minor_sum(h: QMatrix, r: int) -> float:
     if r == 0:
         return 1.0
     total = 0.0
     for subset in enumerate_subsets(h.rows, r):
         idx = [v - 1 for v in subset.indices]
-        total += rdet(h.submatrix(idx, idx), 1).w
+        total += rdet(principal(h, idx), 1).w
     return total
 
 
@@ -199,8 +221,7 @@ def bordered_cdet_sum(h: QMatrix, i: int, d: Sequence[Quaternion], r: int) -> Qu
     for subset in enumerate_subsets(h.rows, r, anchor=i):
         idx = [v - 1 for v in subset.indices]
         local = subset.position_of(i)
-        bordered = h.submatrix(idx, idx).replace_col(local - 1, [d[v] for v in idx])
-        total.append(cdet(bordered, local))
+        total.append(cdet(bordered(h, idx, local - 1, d, "col"), local))
     return qsum(total)
 
 
@@ -209,6 +230,5 @@ def bordered_rdet_sum(h: QMatrix, j: int, d: Sequence[Quaternion], r: int) -> Qu
     for subset in enumerate_subsets(h.rows, r, anchor=j):
         idx = [v - 1 for v in subset.indices]
         local = subset.position_of(j)
-        bordered = h.submatrix(idx, idx).replace_row(local - 1, [d[v] for v in idx])
-        total.append(rdet(bordered, local))
+        total.append(rdet(bordered(h, idx, local - 1, d, "row"), local))
     return qsum(total)

@@ -65,9 +65,7 @@ def test_construction_and_accessors():
     a = qm([[q(1), q(x=2)], [q(y=3), q(z=4)]])
     assert a.shape == (2, 2)
     assert a[0, 1] == q(x=2)
-    assert a.row(1) == (q(y=3), q(z=4))
-    assert a.col(0) == (q(1), q(y=3))
-    assert a.entries[1][1] == q(z=4)
+    assert a.entries == ((q(1), q(x=2)), (q(y=3), q(z=4)))
 
 
 def test_rejects_ragged_and_empty():
@@ -426,7 +424,6 @@ def test_every_matrix_owns_its_array():
         "* 0.5": m * 0.5,
         "/ 2": m / 2,
         "scale_pow2": scale_pow2(m, 3),
-        "submatrix": m.submatrix([1, 0], [1]),
     }
     for name, x in made.items():
         assert x._pair.base is None, name
@@ -434,7 +431,6 @@ def test_every_matrix_owns_its_array():
     assert QMatrix.from_array(quat_array(m)) == m
     assert np.signbit(quat_array(made["from_json"])).tolist() == np.signbit(quat_array(m)).tolist()
     assert np.signbit(quat_array(made["* 0.5"])).tolist() == np.signbit(quat_array(m)).tolist()
-    assert made["submatrix"] == qm([[q(2, 0, 0, 1)], [q(0.5)]])
 
 
 def test_singular_values_match_numpy_oracle():
@@ -696,13 +692,6 @@ def test_stacking_and_blocks():
     blk = block2x2(a, b, QMatrix.zeros(1, 2), QMatrix.zeros(1, 1))
     assert blk.shape == (3, 3)
     assert blk[1, 1] == q(1) and blk[2, 2] == q()
-
-
-def test_replace_and_submatrix():
-    a = qm([[q(1), q(2)], [q(3), q(4)]])
-    assert a.replace_col(1, [q(9), q(8)]) == qm([[q(1), q(9)], [q(3), q(8)]])
-    assert a.replace_row(0, [q(7), q(6)]) == qm([[q(7), q(6)], [q(3), q(4)]])
-    assert a.submatrix([1], [0, 1]) == qm([[q(3), q(4)]])
 
 
 def test_json_round_trip():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsylv import ParseError, Quaternion, ZeroDivisor
+from qsylv import OutOfRange, ParseError, QsylvError, Quaternion, ZeroDivisor
 from qsylv.quaternion import qsum
+from qsylv.sampling import SplitMix64, random_quaternion
 
 from conftest import q
 
@@ -91,6 +92,33 @@ def test_zero_has_no_inverse():
         q().inverse()
 
 
+def _bits(a: Quaternion) -> list[str]:
+    return [c.hex() for c in a.to_json()]
+
+
+def test_inverse_does_not_depend_on_scale():
+    assert q(2**-30).inverse() == q(2**30)
+    assert q(2**-1000).inverse() == q(2**1000)
+    rng = SplitMix64(91)
+    for _ in range(50):
+        a = random_quaternion(rng)
+        # in the normal range the prescale is exact: the bytes of conj(a) / |a|**2
+        n2 = a.norm_sq()
+        assert _bits(a.inverse()) == _bits(q(a.w / n2, -a.x / n2, -a.y / n2, -a.z / n2))
+        for k in (600, -600):
+            scaled = q(*(math.ldexp(c, k) for c in a.to_json()))
+            expected = q(*(math.ldexp(c, -k) for c in a.inverse().to_json()))
+            assert _bits(scaled.inverse()) == _bits(expected)
+
+
+def test_an_inverse_beyond_the_float_range_raises_out_of_range():
+    with pytest.raises(OutOfRange):
+        q(5e-324).inverse()
+    with pytest.raises(OutOfRange):
+        q(0.0, 0.0, 2**-1030, 0.0).inverse()
+    assert q(2**1023).inverse() == q(2**-1023)
+
+
 def test_real_scalars_coerce():
     a = q(1, 2, 3, 4)
     assert 2 * a == q(2, 4, 6, 8)
@@ -103,6 +131,14 @@ def test_real_scalars_coerce():
 def test_division_by_zero_real():
     with pytest.raises(ZeroDivisionError):
         q(1) / 0.0
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0])
+def test_division_by_zero_is_a_typed_error(zero):
+    with pytest.raises(ZeroDivisor) as caught:
+        q(1, 2, 3, 4) / zero
+    assert isinstance(caught.value, QsylvError)
+    assert isinstance(caught.value, ZeroDivisionError)
 
 
 def test_division_only_by_reals():

@@ -24,12 +24,17 @@ from qsylv import (
     det_dim_cap,
     hdet,
     max_det_dim,
-    principal_minor_sum,
     rdet,
 )
 from qsylv.mpinv import gram_left, mp_cramer
-from qsylv.qmatrix import complex_embed, scale_pow2
-from qsylv.rcdet import bordered_cdet_sum, bordered_rdet_sum, cdet_coeffs, rdet_coeffs
+from qsylv.qmatrix import complex_embed, quat_array, scale_pow2
+from qsylv.rcdet import (
+    bordered_cdet_sum,
+    bordered_rdet_sum,
+    cdet_coeffs,
+    principal_minor_sum,
+    rdet_coeffs,
+)
 from qsylv.sampling import SplitMix64, random_hermitian, random_matrix, random_quaternion
 
 from conftest import q, qm
@@ -225,10 +230,10 @@ def test_bordered_sums_reduce_to_plain_determinants_at_full_rank():
     h = random_hermitian(rng, 3)
     d = [random_quaternion(rng) for _ in range(3)]
     for i in (1, 2, 3):
-        expected = cdet(h.replace_col(i - 1, d), i)
+        expected = cdet(ref.bordered(h, range(3), i - 1, d, "col"), i)
         got = bordered_cdet_sum(h, i, d, 3)
         assert abs(got - expected) <= 1e-12 * (1 + abs(expected))
-        expected_r = rdet(h.replace_row(i - 1, d), i)
+        expected_r = rdet(ref.bordered(h, range(3), i - 1, d, "row"), i)
         got_r = bordered_rdet_sum(h, i, d, 3)
         assert abs(got_r - expected_r) <= 1e-12 * (1 + abs(expected_r))
 
@@ -293,6 +298,22 @@ def test_engine_matches_the_brute_force_reference(hermitian):
                 assert _close(bordered_rdet_sum(h, anchor, d, r), expected_r)
 
 
+def test_conjugate_transpose_swaps_row_and_column_determinants():
+    """Kyrchei's lemma: ``rdet_i(A*) = conj(cdet_i(A))`` and, for the coefficient
+    matrices, ``rdet_coeffs(h, r) = cdet_coeffs(h*, r)*``, on non-Hermitian input."""
+    rng = SplitMix64(36)
+    for n in range(1, 7):
+        for _ in range(3):
+            a = _rand_square(rng, n)
+            for i in range(1, n + 1):
+                expected = cdet(a, i).conjugate()
+                assert abs(rdet(a.H, i) - expected) <= 1e-13 * (1 + abs(expected))
+            for r in range(n + 1):
+                expected = quat_array(cdet_coeffs(a.H, r).H)
+                gap = np.linalg.norm(quat_array(rdet_coeffs(a, r)) - expected, axis=-1)
+                assert (gap <= 1e-13 * (1 + np.linalg.norm(expected, axis=-1))).all(), (n, r)
+
+
 def test_coefficient_products_give_every_bordered_sum():
     rng = SplitMix64(32)
     h = random_hermitian(rng, 4)
@@ -303,8 +324,9 @@ def test_coefficient_products_give_every_bordered_sum():
         by_rows = rows @ rdet_coeffs(h, r)
         for i in range(4):
             for j in range(3):
-                assert _close(by_cols[i, j], ref.bordered_cdet_sum(h, i + 1, cols.col(j), r))
-                assert _close(by_rows[j, i], ref.bordered_rdet_sum(h, i + 1, rows.row(j), r))
+                col = [entry[j] for entry in cols.entries]
+                assert _close(by_cols[i, j], ref.bordered_cdet_sum(h, i + 1, col, r))
+                assert _close(by_rows[j, i], ref.bordered_rdet_sum(h, i + 1, rows.entries[j], r))
 
 
 def test_principal_minor_sums_are_elementary_symmetric_eigenvalue_sums():

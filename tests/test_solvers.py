@@ -25,7 +25,6 @@ from qsylv import (
     SolveReport,
     apply_lhs,
     check_consistency,
-    cramer_axb,
     ctranspose,
     derive_aux,
     free_param_shapes,
@@ -47,6 +46,7 @@ from qsylv.sampling import (
     random_hermitian,
     random_matrix,
 )
+from qsylv.solvers import cramer_axb
 
 from conftest import assert_matrix_close, max_entry_diff, q, qm
 
