@@ -110,9 +110,10 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -
 
     Raises :class:`ZeroDivisor` when the principal-minor sum is zero.  The
     determinant engine is imported here, so the pseudoinverse route never
-    loads it.  An exact identity of full rank takes no pass: it is its own
-    pseudoinverse, which is what the pass gives (each factor of that pass is
-    a power of two).
+    loads it.  Two records take no pass: an exact identity of full rank is
+    its own pseudoinverse, which is what the pass gives (each factor of that
+    pass is a power of two), and a record of rank 0 has the zero
+    pseudoinverse, as :func:`mp_oracles` gives a zero matrix.
     """
     from .rcdet import cdet_coeffs, rdet_coeffs
     if side is None:
@@ -123,6 +124,8 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -
     if r in (None, a.rows) and a.is_identity():
         return MpResult(a, method, a.rows, a)
     r = rank(a) if r is None else r
+    if r == 0:
+        return MpResult(QMatrix.zeros(a.cols, a.rows), method, 0, a)
     k = pow2_exponent(a)
     scaled = scale_pow2(a, k)
     scaled_h = ctranspose(scaled)
@@ -134,7 +137,7 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -
         gram = gram_right(scaled)
         coeffs = rdet_coeffs(gram, r)
         product, pinv = gram @ coeffs, scaled_h @ coeffs
-    denom = product.trace().w / r if r else 1.0
+    denom = product.trace().w / r
     if denom == 0.0:
         raise ZeroDivisor(f"the rank-{r} principal-minor sum of a Gram matrix is zero")
     return MpResult(scale_pow2(pinv / denom, k), method, r, a)

@@ -86,17 +86,22 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        """``|q|``, finite whenever it is representable: no component is squared."""
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     def inverse(self) -> "Quaternion":
         """``conj(q) / |q|**2``, formed on ``2**k q`` with the largest component
         in ``[0.5, 1)`` and scaled back exactly, so ``(2**k q)**-1 == 2**-k q**-1``.
-        Only zero raises :class:`ZeroDivisor`; an overflow raises :class:`OutOfRange`."""
-        top = max(abs(self.w), abs(self.x), abs(self.y), abs(self.z))
+        Only zero raises :class:`ZeroDivisor`; a non-finite component or an
+        overflow raises :class:`OutOfRange`."""
+        comps = (self.w, self.x, self.y, self.z)
+        if not all(map(math.isfinite, comps)):  # max() would skip a NaN past the first
+            raise OutOfRange("cannot invert a quaternion with a non-finite component")
+        top = max(map(abs, comps))
         if top == 0.0:
             raise ZeroDivisor("cannot invert the zero quaternion")
         k = -math.frexp(top)[1]
-        u = Quaternion(*(math.ldexp(c, k) for c in (self.w, self.x, self.y, self.z)))
+        u = Quaternion(*(math.ldexp(c, k) for c in comps))
         n2 = u.norm_sq()
         try:
             return Quaternion(*(math.ldexp(c / n2, k) for c in (u.w, -u.x, -u.y, -u.z)))

@@ -2,12 +2,21 @@
 
 Written for the small matrices this package works with (a few dozen rows
 at most).  The one-sided scheme repeatedly orthogonalizes column pairs of a
-working copy ``W`` (initially ``A``) with unitary 2x2 rotations accumulated
-into ``V``; at convergence the columns of ``W`` are ``sigma_k * u_k`` so the
-singular values are the column norms.  For a pair ``(p, q)`` with
-``a = ||w_p||^2``, ``b = ||w_q||^2``, ``c = w_p^H w_q``, the complex phase of
-``c`` is absorbed into column ``q`` first, which reduces the 2x2 problem to a
-classical real Jacobi rotation.
+working copy ``W`` with unitary 2x2 rotations accumulated into ``V'``; at
+convergence the columns of ``W`` are ``sigma_k * u'_k`` so the singular values
+are the column norms.  For a pair ``(p, q)`` with ``a = ||w_p||^2``,
+``b = ||w_q||^2``, ``c = w_p^H w_q``, the complex phase of ``c`` is absorbed
+into column ``q`` first, which reduces the 2x2 problem to a classical real
+Jacobi rotation.
+
+Every pass is preconditioned the same way, by two Householder QRs (the
+preconditioner of Drmac and Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008,
+and of LAPACK's ``xGEJSV``): ``A = Q1 R1``, then ``R1* = Q2 R2``, and the
+iteration rotates the square ``W = R2*``, so ``A = Q1 W Q2*``.  The columns of
+``W`` typically start much closer to orthogonal than those of ``A``, so fewer
+sweeps are needed.  A pass that forms factors keeps ``Q1`` and ``Q2`` and
+returns ``U = Q1 (W / sigma)`` and ``V = Q2 V'``; a values-only pass forms
+neither ``Q``.
 
 Pairs are visited in round-robin (Brent-Luk) order: each sweep visits every
 pair once, in rounds of disjoint pairs.  The rotations of a round are
@@ -17,17 +26,20 @@ engine (:func:`_jacobi`) decomposes a whole batch at once:
 - A wide member is decomposed as its conjugate transpose.  Each member is
   scaled by its own exact power of two (:func:`pow2_exponent`), so squared
   column norms neither overflow nor underflow, and its singular values are
-  scaled back.  It also keeps its own threshold for negligible columns.
+  scaled back.  It also keeps its own threshold for negligible columns, and
+  a :class:`~qsylv.errors.NotConverged` message names its own shape, not
+  that of ``W``.
 - The members are zero-padded into one ``(b, rows, N)`` stack, ``N`` the
-  largest column count, and all follow the one schedule ``_rounds(N)``: a
-  padded column stays exactly zero, so the negligible-column test never
-  lets it rotate.
+  largest column count, and all follow the one schedule ``_rounds(N)``.  A
+  batched QR factors each member alone (one LAPACK call per member); a
+  padded column gets a reflector of ``tau = 0``, so it stays exactly zero in
+  ``W`` and the negligible-column test never lets it rotate.
 - A round reads every member's ``a``, ``b``, ``c`` from one batched
   ``W^H W`` product, computes all rotations as vectors, scatters them into
   one stack of unitaries ``J`` through flat indices, and applies them with
   one batched product.  A member with nothing to rotate in a round gets
   the identity, which leaves its values but may turn its ``-0.0`` entries
-  into ``0.0``; a batch that forms ``V`` leaves such a member out of that
+  into ``0.0``; a batch that forms ``V'`` leaves such a member out of that
   product instead, so its factors keep their signed zeros.
 - The batch sweeps until a sweep rotates nothing; the sweep limit
   ``_MAX_SWEEPS`` binds the slowest member.
@@ -37,26 +49,17 @@ order of ``_rounds(N)`` and a padded product may round its entries in
 another order, so its last bits can differ from those of a lone
 decomposition.  So the two callers batch differently:
 
-- :func:`svds`, which forms ``U`` and ``V`` (``V`` stacked under ``W`` so one
-  product rotates both), groups its members by tall shape and never pads:
-  each group is one pass, every member has a pair in every round, and each
-  member gets the bytes of its lone decomposition.  :func:`svd` is its
-  one-member case.
+- :func:`svds`, which forms ``U`` and ``V``, groups its members by tall shape
+  and never pads: each group is one pass, every member has a pair in every
+  round, and each member gets the bytes of its lone decomposition.
+  :func:`svd` is its one-member case.
 - :func:`spectra` returns singular values only, for rank decisions, and
-  pads all its members into one pass.  That pass first takes the Householder
-  QR of the padded stack, one batched ``numpy.linalg.qr(..., mode="r")``,
-  and rotates the conjugate transposes ``R*`` of the triangles, which have
-  the members' singular values.  The columns of ``R*`` typically start
-  closer to orthogonal than those of ``A``, so fewer sweeps are needed (the
-  preconditioner of Drmac and Veselic, SIAM J. Matrix Anal. Appl. 29(4),
-  2008, and of LAPACK's ``xGEJSV``).  Each member's cutoffs, negligible-column
-  threshold and :class:`~qsylv.errors.NotConverged` message still come from
-  its own prescaled input and shape.
+  pads all its members into one pass.
 
-Only :func:`numpy` array plumbing and the values-only pass's QR
-preconditioner are borrowed; the decomposition itself is implemented here.
-Columns belonging to zero singular values are returned as zero columns of
-``U`` (callers here only consume ``U`` where ``sigma > 0``).
+Only :func:`numpy` array plumbing and the Householder QRs are borrowed; the
+decomposition itself is implemented here.  Columns belonging to zero
+singular values are returned as zero columns of ``U`` (callers here only
+consume ``U`` where ``sigma > 0``).
 """
 
 from __future__ import annotations
@@ -133,9 +136,8 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
 
     Returns, per member, ``(U, s, Vh)`` as :func:`svd` describes when
     ``vectors`` is true, else the singular values ``s`` alone, descending.
-    Without ``vectors`` the iteration runs on ``R*``, the conjugate transpose
-    of each prescaled member's Householder triangle, rather than on the
-    member itself.
+    The iteration runs on ``R2*``, where ``R1* = Q2 R2`` and ``Q1 R1`` is the
+    prescaled member's Householder QR, rather than on the member itself.
     """
     tall, wide = [], []
     for a in mats:
@@ -145,8 +147,7 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
         wide.append(a.shape[0] < a.shape[1])
         tall.append(np.ascontiguousarray(a.conj().T) if wide[-1] else a)
     rows, size = max(a.shape[0] for a in tall), max(a.shape[1] for a in tall)
-    # rows [:rows] hold each W, rows [rows:] each V, so one update rotates both
-    stack = np.zeros((len(tall), rows + size * vectors, size), dtype=np.complex128)
+    stack = np.zeros((len(tall), rows, size), dtype=np.complex128)
     exponents, negligible = [], np.empty(len(tall))
     for i, a in enumerate(tall):
         exponents.append(pow2_exponent(a))
@@ -158,16 +159,19 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
         # wrong) without moving any singular value above the rank cutoff, so
         # it is left alone.
         negligible[i] = (np.finfo(np.float64).eps ** 2) * float(np.real(np.vdot(scaled, scaled)))
+    # A = Q1 R1 and R1* = Q2 R2, so A = Q1 W Q2* with W = R2*
     if vectors:
-        stack[:, rows:] = _identity(size)
+        q1, r1 = np.linalg.qr(stack)
+        q2, r2 = np.linalg.qr(r1.conj().transpose(0, 2, 1))
     else:
-        # W = R*, R each member's Householder triangle: the same singular
-        # values, and the iteration on R* needs fewer sweeps.  Each member's
-        # triangle is that of its lone QR, with zero padding.
-        stack = np.ascontiguousarray(np.linalg.qr(stack, mode="r").conj().transpose(0, 2, 1))
+        r1 = np.linalg.qr(stack, mode="r")
+        r2 = np.linalg.qr(r1.conj().transpose(0, 2, 1), mode="r")
+    w = r2.conj().transpose(0, 2, 1)
     eye = np.broadcast_to(_identity(size), (len(tall), size, size))
+    # rows [:size] hold each W, rows [size:] each V', so one update rotates both
+    stack = np.concatenate((w, eye), axis=1) if vectors else np.ascontiguousarray(w)
     rounds = _batch_rounds(size, negligible)
-    work = stack[:, :rows]
+    work = stack[:, :size]
 
     for _ in range(_MAX_SWEEPS):
         rotated = False
@@ -203,7 +207,7 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
                 stack[moving] = stack[moving] @ rot[moving]
             else:
                 stack = stack @ rot
-            work = stack[:, :rows]
+            work = stack[:, :size]
         if not rotated:
             break
     else:
@@ -212,19 +216,21 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
         raise NotConverged(f"Jacobi SVD of {what} did not converge in {_MAX_SWEEPS} sweeps")
 
     all_norms = np.sqrt(np.real(np.sum(work.conj() * work, axis=1)))
+    if vectors:
+        # W = U' diag(s) and A = (Q1 U') diag(s) (Q2 V')*; a zero column of W
+        # gives a zero column of U
+        us = q1 @ (work / np.where(all_norms > 0.0, all_norms, np.inf)[:, None, :])
+        vs = q2 @ stack[:, size:]
     out = []
-    for a, is_wide, member, norms, k in zip(tall, wide, stack, all_norms, exponents):
+    for i, (a, is_wide, norms, k) in enumerate(zip(tall, wide, all_norms, exponents)):
         m, n = a.shape
         order = np.argsort(-norms[:n], kind="stable")
-        norms = norms[order]
-        s = np.ldexp(norms, -k)
+        s = np.ldexp(norms[order], -k)
         if not vectors:
             out.append(s)
             continue
-        member = member[:, order]
-        u = member[:m] / np.where(norms > 0.0, norms, np.inf)
-        vh = member[rows:rows + n].conj().T
-        out.append((vh.conj().T, s, u.conj().T) if is_wide else (u, s, vh))
+        u, v = us[i, :m][:, order], vs[i, :n][:, order]
+        out.append((v, s, u.conj().T) if is_wide else (u, s, v.conj().T))
     return out
 
 
@@ -262,11 +268,10 @@ def spectra(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The singular values of each matrix of ``mats``, descending: one batch
     that forms no ``V``.
 
-    The batch rotates the conjugate transposes of the members' Householder
-    ``R`` factors, so it takes fewer sweeps than :func:`svds` would on the
-    same members; the values agree with those of :func:`svds` to rounding.
-    A sweep limit reached raises :class:`~qsylv.errors.NotConverged` naming
-    the input's shape (or the member count), not that of ``R``.
+    The members are padded into one pass, so the values agree with those of
+    :func:`svds` to rounding.  A sweep limit reached raises
+    :class:`~qsylv.errors.NotConverged` naming the input's shape (or the
+    member count), not that of the triangle the pass rotates.
     """
     return _jacobi(mats, False)
 

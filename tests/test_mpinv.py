@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qsylv.mpinv as mpinv_module
+import qsylv.qmatrix as qmatrix_module
+import qsylv.rcdet as rcdet_module
 import qsylv.svd as svd_module
 from qsylv import (
     EquationKind,
@@ -85,6 +88,26 @@ def test_rank_zero_gives_zero_pinv():
     for result in (mp_cramer(a), mp_oracle(a)):
         assert result.pinv == QMatrix.zeros(2, 3)
         assert result.rank_used == 0
+
+
+def test_rank_zero_records_take_no_product_and_no_coefficient_pass(monkeypatch):
+    rng = SplitMix64(53)
+    cases = [(QMatrix.zeros(3, 2), None), (QMatrix.zeros(2, 4), 0),
+             (random_matrix(rng, 3, 2), 0), (random_matrix(rng, 2, 4), 0)]
+    calls = []
+
+    def counted(module, name):
+        engine = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or engine(*args))
+
+    for module, name in ((qmatrix_module, "mmul"), (mpinv_module, "mmul"),
+                         (rcdet_module, "cdet_coeffs"), (rcdet_module, "rdet_coeffs")):
+        counted(module, name)
+    for a, r in cases:
+        for side in ("left", "right", None):
+            method = f"cramer_{side or ('left' if a.cols <= a.rows else 'right')}"
+            assert mp_cramer(a, side, r) == (QMatrix.zeros(a.cols, a.rows), method, 0, a)
+    assert calls == []
 
 
 def test_zero_matrices_take_no_svd_and_match_the_svd_route(monkeypatch):

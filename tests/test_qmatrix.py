@@ -35,6 +35,7 @@ from qsylv import (
 from qsylv.mpinv import mp_oracles
 from qsylv.qmatrix import embedded_rank, pow2_exponent, quat_array, ranks, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_hermitian, random_matrix
+from qsylv.solvers import derive_aux
 from qsylv.svd import (
     _rounds,
     default_threshold,
@@ -501,33 +502,55 @@ def _dense_problem(seed: int, cut: int) -> GenSylvesterProblem:
     return GenSylvesterProblem.build(EquationKind.GEN_SYLVESTER, a1=a1, b1=b1, a2=a2, b2=b2, c=c)
 
 
-def _gate_batch(monkeypatch, problem: GenSylvesterProblem) -> list[np.ndarray]:
-    """The embedded members of the values-only pass that decides the rank
-    criteria of :func:`check_consistency`."""
+def _batches(monkeypatch, run, vectors: bool) -> list[list[np.ndarray]]:
+    """The members of every Jacobi pass ``run()`` makes that forms factors
+    (``vectors``) or not, in call order; ``derive_aux`` starts and ends with
+    an empty cache."""
     batches, jacobi = [], svd_module._jacobi
 
-    def record(mats, vectors):
-        if not vectors:
+    def record(mats, with_vectors):
+        if with_vectors == vectors:
             batches.append(list(mats))
-        return jacobi(mats, vectors)
+        return jacobi(mats, with_vectors)
 
     with monkeypatch.context() as patch:
         patch.setattr(svd_module, "_jacobi", record)
-        check_consistency(problem)
-    (batch,) = batches
+        derive_aux.cache_clear()
+        run()
+    derive_aux.cache_clear()
+    return batches
+
+
+def _gate_batch(monkeypatch, problem: GenSylvesterProblem) -> list[np.ndarray]:
+    """The embedded members of the values-only pass that decides the rank
+    criteria of :func:`check_consistency`."""
+    (batch,) = _batches(monkeypatch, lambda: check_consistency(problem), False)
     return batch
 
 
 def test_dense_rank_batches_converge_in_eight_sweeps_or_fewer(monkeypatch):
-    # the triangles' columns start nearly orthogonal; the raw padded stacks
-    # took 9 or 10 sweeps on these instances
+    # the columns of R2* (R1* = Q2 R2, A = Q1 R1) start nearly orthogonal;
+    # the raw padded stacks took 9 or 10 sweeps on these instances, and R1*
+    # 8 on all but the second
     sweeps = []
     for seed in range(6):
         batch = _gate_batch(monkeypatch, _dense_problem(seed, int(seed % 3 == 1)))
         assert [a.shape for a in batch] == [(12, 30), (12, 18), (30, 12), (18, 12),
                                             (20, 22), (22, 20)]
         sweeps.append(jacobi_sweeps(batch, False))
-    assert sweeps == [8, 7, 8, 8, 8, 8]
+    assert sweeps == [8, 7, 7, 7, 7, 7]
+
+
+def test_dense_factor_passes_rotate_preconditioned_triangles(monkeypatch):
+    # derive_aux's factor passes, one per tall shape of each level of its
+    # records, rotate R2* (R1* = Q2 R2, A = Q1 R1); on the raw stacks they
+    # took 29, 30, 29, 30, 27 and 30 sweeps in all
+    sweeps = []
+    for seed in range(6):
+        problem = _dense_problem(seed, int(seed % 3 == 1))
+        groups = _batches(monkeypatch, lambda: derive_aux(problem), True)
+        sweeps.append(sum(jacobi_sweeps(group, True) for group in groups))
+    assert sweeps == [21, 16, 23, 20, 15, 23]
 
 
 def test_values_only_ranks_match_the_factor_pass(monkeypatch, jacobi_log):

@@ -119,6 +119,22 @@ def test_an_inverse_beyond_the_float_range_raises_out_of_range():
     assert q(2**1023).inverse() == q(2**-1023)
 
 
+def test_norm_does_not_overflow_or_underflow():
+    assert q(1e200).norm() == 1e200 and abs(q(0, 0, -1e200)) == 1e200
+    assert q(1e-200).norm() == 1e-200
+    assert q(0, 3e300, 0, 4e300).norm() == 5e300
+    assert q(3, 4, 12, 84).norm() == 85.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("slot", range(4), ids=["w", "x", "y", "z"])
+def test_a_non_finite_quaternion_has_no_inverse(slot, bad):
+    comps = [1.0, 2.0, 3.0, 4.0]
+    comps[slot] = bad
+    with pytest.raises(OutOfRange):
+        Quaternion(*comps).inverse()
+
+
 def test_real_scalars_coerce():
     a = q(1, 2, 3, 4)
     assert 2 * a == q(2, 4, 6, 8)
