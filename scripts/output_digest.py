@@ -7,7 +7,9 @@ generated instance:
 
 - ``check``;
 - ``solve --method direct|cramer|both``, each with and without ``--force``;
-- ``mpinv`` on each matrix file.
+- ``mpinv`` on each matrix file;
+- ``det --kind rdet`` and ``det --kind cdet`` on each square matrix file,
+  and ``det --kind hdet`` on each one that is exactly Hermitian.
 
 ``gen`` writes files, not stdout, so its family also covers each
 ``instance.json``, which holds every generated matrix.  The ``general``
@@ -53,10 +55,11 @@ from qsylv import (
 from qsylv.cli import _solution_doc
 from qsylv.cli import main as qsylv_main
 from qsylv.jsonio import dumps, loads, read_json
+from qsylv.qmatrix import is_hermitian
 from qsylv.sampling import SplitMix64, random_free_params
 
-FAMILIES = ("gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "general",
-            "verdicts", "values")
+FAMILIES = ("gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "det",
+            "general", "verdicts", "values")
 
 
 class Digests:
@@ -133,7 +136,12 @@ def digest_instance(d: Digests, kind: EquationKind, seed: int, max_dim: int,
         for force in ([], ["--force"]):
             d.run(f"solve-{method}", ["solve", *problem, "--method", method, *force])
     for name in [*slots, "c"]:
-        d.run("mpinv", ["mpinv", "--in", os.path.join(where, f"{name}.json")])
+        path = os.path.join(where, f"{name}.json")
+        d.run("mpinv", ["mpinv", "--in", path])
+        mat = QMatrix.from_json(read_json(path))
+        if mat.rows == mat.cols:
+            for det_kind in ["rdet", "cdet"] + ["hdet"] * is_hermitian(mat):
+                d.run("det", ["det", "--kind", det_kind, "--in", path])
     digest_general(d, label, kind, seed, where)
 
 

@@ -49,10 +49,24 @@ One coefficient matrix of an ``n x n`` matrix costs one vectorized pass over
 at ``n = 6, r = 5``; 35280 at ``n = r = 7``), then ``n`` quaternion products
 per right-hand vector.  The index tables of these terms are built from the
 cycle form on first use, cached per ``(r, flavour)``, and evaluated with
-NumPy on an ``n x n x 4`` array of components, with the same component
-formula and factor order as :class:`~qsylv.quaternion.Quaternion`
-multiplication.  This pass is the only place terms are evaluated; every
-other quantity is read off a coefficient matrix::
+NumPy on an ``n x n x 4`` array of components, scaled to unit size by a
+power of two, in the factor order of the cycle form.
+
+The pass evaluates in double-double (Dekker, Numer. Math. 18, 1971;
+Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005): each quaternion
+product expands into its 16 signed component products, each formed
+exactly by TwoProduct on Veltkamp-split factors, and each component's four
+are added by TwoSum, every error carried in a low part.  The terms of a
+group, and then the groups of every subset that meet in one coefficient,
+are summed pairwise in double-double, and each coefficient is rounded once,
+when it is stored.  So a coefficient is its exact term sum rounded once, up
+to about ``eps**2`` times the sum of its terms' sizes, although the terms
+can be many orders of magnitude larger than their sum.  That costs up to
+about twice the time of a float64 pass (on a 2 vCPU Xeon, ``n = r = 7``
+takes about 40 ms against 24 ms).
+
+This pass is the only place terms are evaluated; every other quantity is
+read off a coefficient matrix::
 
     rdet(a, i) = sum_v a[i, v] * R[v, i]            (R = rdet_coeffs(a, n))
     cdet(a, j) = sum_v C[j, v] * a[v, j]            (C = cdet_coeffs(a, n))
@@ -102,8 +116,18 @@ DEFAULT_MAX_DET_DIM = 7
 HDET_TOL = 1e-10
 
 #: Most factor quaternions one evaluation pass holds at once; larger
-#: expansions run in several passes, each over whole groups of terms.
-_PASS_FACTORS = 1 << 18
+#: expansions run in several passes, each over whole groups of terms.  A term
+#: in flight takes about 1 kB in double-double (its factor's 48-float product
+#: table entry and the 16-product temporaries of one step), so a pass holds a
+#: few MB at most: 2 MB at ``n = r = 7``.
+_PASS_FACTORS = 1 << 14
+
+#: ``_XOR[j, i] = j ^ i`` and ``_SIGNS[j, i]``: basis quaternion ``j`` times basis
+#: quaternion ``j ^ i`` is ``_SIGNS[j, i]`` times basis quaternion ``i``.
+_XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+_SIGNS = np.array([[product(np.eye(4)[j], np.eye(4)[j ^ i])[i] for i in range(4)]
+                   for j in range(4)])
+_ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 _MAX_DET_DIM: ContextVar[int] = ContextVar("max_det_dim", default=DEFAULT_MAX_DET_DIM)
@@ -194,14 +218,114 @@ def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+# -- double-double arithmetic ------------------------------------------------------
+
+#: Veltkamp's splitting constant for float64, ``2**27 + 1``.
+_SPLITTER = 134217729.0
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, e)`` with ``s = fl(a + b)`` and ``s + e == a + b`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    e = s - bb
+    np.subtract(a, e, out=e)
+    np.subtract(b, bb, out=bb)
+    e += bb
+    return s, e
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split ``a == hi + lo``, each half short enough that a product
+    of two halves is exact."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a: np.ndarray, b: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray):
+    """``(p, e)`` with ``p = fl(a * b)`` and ``p + e == a * b`` exactly (Dekker's
+    TwoProduct); ``b_hi, b_lo`` is ``b``'s :func:`_split`."""
+    a_hi, a_lo = _split(a)
+    p = a * b
+    e = a_hi * b_hi
+    e -= p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return p, e
+
+
+def _product_table(a4: np.ndarray) -> np.ndarray:
+    """The factors of ``a4`` (``n x n x 4``) as right operands of :func:`_dd_qmul`:
+    a ``3 x 4 x 4 x n*n`` array holding, for entry ``e``, the signed matrix
+    ``B[j, i] = +-b[i ^ j]`` with ``(a b)_i = sum_j a_j B[j, i]``, and its split."""
+    b = a4.reshape(-1, 4).T[_XOR] * _SIGNS[..., None]
+    return np.stack((b, *_split(b)))
+
+
+def _dd_qmul(hi: np.ndarray, lo, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi + lo) * b`` for double-double quaternions ``hi + lo`` (``4 x ...``;
+    ``lo`` is None for a ``hi`` that is exact) and quaternions ``b`` given as
+    :func:`_product_table` entries (``3 x 4 x 4 x ...``): each of the 16
+    component products by TwoProduct, each component's four added by TwoSum,
+    every error carried in the low part."""
+    p, e = _two_prod(hi[:, None], b[0], b[1], b[2])
+    if lo is not None:
+        e += lo[:, None] * b[0]
+    s, e2 = _two_sum(p[0::2], p[1::2])
+    s, e1 = _two_sum(s[0], s[1])
+    e1 += e2[0]
+    e1 += e2[1]
+    e1 += e.sum(axis=0)
+    return s, e1
+
+
+def _dd_sum(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double-double sum of ``hi + lo`` over axis 1, pairwise by TwoSum."""
+    while hi.shape[1] > 1:
+        half = hi.shape[1] // 2
+        s, e = _two_sum(hi[:, :half], hi[:, half:2 * half])
+        e += lo[:, :half] + lo[:, half:2 * half]
+        if hi.shape[1] % 2:
+            s, e = np.concatenate((s, hi[:, -1:]), axis=1), np.concatenate((e, lo[:, -1:]), axis=1)
+        hi, lo = s, e
+    return hi[:, 0], lo[:, 0]
+
+
+@lru_cache(maxsize=32)
+def _subsets(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-``r`` subsets of ``range(n)`` in lexicographic order
+    (``S x r``), and the table that gathers each coefficient's parts.
+
+    A local coefficient ``[s, p, v]`` (position ``s*r*r + p*r + v`` of
+    :func:`_local_coeffs`' result) is a part of coefficient
+    ``(subsets[s, p], subsets[s, v])``.  Column ``i*n + j`` of the
+    ``m x n*n`` table lists the positions of the parts of coefficient
+    ``(i, j)``, padded with ``S*r*r``, the position of an appended zero.
+    """
+    subsets = np.array(list(combinations(range(n), r)), dtype=np.intp).reshape(-1, r)
+    targets = (subsets[:, :, None] * n + subsets[:, None, :]).reshape(-1)
+    order = np.argsort(targets, kind="stable")
+    counts = np.bincount(targets, minlength=n * n)
+    slots = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    scatter = np.full((counts.max(), n * n), len(order), dtype=np.intp)
+    scatter[slots, targets[order]] = order
+    for table in (subsets, scatter):
+        table.setflags(write=False)
+    return subsets, scatter
+
+
 def _local_coeffs(a4: np.ndarray, subsets: np.ndarray, flavor: str) -> np.ndarray:
-    """Coefficients of the principal submatrices of ``a4`` on ``subsets``.
+    """Coefficients of the principal submatrices of ``a4`` on ``subsets``, in
+    double-double.
 
     ``a4`` is an ``n x n x 4`` component array and ``subsets`` an ``S x r``
-    array of 0-based indices.  Entry ``[s, p, v]`` of the ``S x r x r x 4``
-    result sums the signed left-to-right products of the non-border factors
-    of the terms of submatrix ``s`` anchored at local position ``p`` whose
-    border index is local ``v``.  Work is split into passes of at most
+    array of 0-based indices.  Entry ``[:, c, s*r*r + p*r + v]`` of the
+    ``2 x 4 x S*r*r`` result is the high and low part of component ``c`` of the
+    sum of the signed left-to-right products of the non-border factors of the
+    terms of submatrix ``s`` anchored at local position ``p`` whose border
+    index is local ``v``.  Work is split into passes of at most
     ``_PASS_FACTORS`` factors where one group of terms fits.
     """
     count, r = subsets.shape
@@ -210,40 +334,52 @@ def _local_coeffs(a4: np.ndarray, subsets: np.ndarray, flavor: str) -> np.ndarra
         raise DimensionTooLarge(f"determinant dimension {r} exceeds cap {cap}")
     rows, cols, signs = _term_table(r, flavor)
     groups, per_group = r * r, signs.shape[-1]
-    rows = rows.reshape(groups, per_group, r - 1)
-    cols = cols.reshape(groups, per_group, r - 1)
-    signs = signs.reshape(groups, per_group)
+    # factor k of term t of group g sits at rows[k, t, g], cols[k, t, g]
+    rows = rows.reshape(groups, per_group, r - 1).T
+    cols = cols.reshape(groups, per_group, r - 1).T
+    signs = signs.reshape(groups, per_group).T
+    n = len(a4)
+    entries = a4.reshape(-1, 4).T
+    table = _product_table(a4) if r > 2 else None
     total = count * groups
-    out = np.empty((total, 4))
+    out = np.empty((2, 4, total))
     step = max(1, _PASS_FACTORS // (per_group * max(r - 1, 1)))
     for start in range(0, total, step):
-        s, g = np.divmod(np.arange(start, min(start + step, total)), groups)
-        owner = s[:, None, None]
-        factors = a4[subsets[owner, rows[g]], subsets[owner, cols[g]]]
-        prod = factors[:, :, 0] if r > 1 else np.array([1.0, 0.0, 0.0, 0.0])
+        stop = min(start + step, total)
+        s, g = np.divmod(np.arange(start, stop), groups)
+        flat = subsets[s, rows[..., g]] * n + subsets[s, cols[..., g]]
+        hi = signs[:, g] * (np.take(entries, flat[0], axis=1) if r > 1 else _ONE[:, None, None])
+        lo = None  # a signed factor is exact
         for k in range(1, r - 1):
-            prod = _qmul(prod, factors[:, :, k])
-        out[start:start + len(s)] = (prod * signs[g][..., None]).sum(axis=1)
-    return out.reshape(count, r, r, 4)
+            hi, lo = _dd_qmul(hi, lo, np.take(table, flat[k], axis=-1))
+        out[:, :, start:stop] = _dd_sum(hi, np.zeros_like(hi) if lo is None else lo)
+    return out
 
 
 def _coefficients(h: QMatrix, r: int, flavor: str) -> np.ndarray:
     """The ``n x n x 4`` components of ``cdet_coeffs(h, r)`` (``flavor="col"``)
     or ``rdet_coeffs(h, r)`` (``flavor="row"``), over the size-``r`` subsets
-    in lexicographic order: the one evaluation pass."""
+    in lexicographic order: the one evaluation pass.
+
+    It runs on ``2**k h`` scaled to unit size, carries every part in
+    double-double through the subset sums and rounds each coefficient once,
+    scaled back by ``2**(-k (r - 1))``.
+    """
     n = h.rows
     if h.rows != h.cols:
         raise NotSquare(f"coefficient matrices require a square matrix, got {h.shape}")
     if not 0 <= r <= n:
         raise InvalidSize(f"subset size {r} out of range 0..{n}")
-    out = np.zeros((n, n, 4))
-    if r > 0:
-        subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
-        with np.errstate(over="ignore", invalid="ignore"):
-            local = _local_coeffs(quat_array(h), subsets, flavor)
-            anchors, borders = subsets[:, :, None], subsets[:, None, :]
-            np.add.at(out, (anchors, borders) if flavor == "col" else (borders, anchors), local)
-    return out
+    if r == 0:
+        return np.zeros((n, n, 4))
+    subsets, scatter = _subsets(n, r)
+    k = pow2_exponent(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        local = _local_coeffs(np.ldexp(quat_array(h), k), subsets, flavor)
+        parts = np.take(np.concatenate((local, np.zeros((2, 4, 1))), axis=-1), scatter, axis=-1)
+        hi, lo = _dd_sum(parts[0], parts[1])
+        coeffs = np.ldexp(hi + lo, -k * (r - 1)).reshape(4, n, n)
+    return coeffs.transpose(1, 2, 0) if flavor == "col" else coeffs.transpose(2, 1, 0)
 
 
 def cdet_coeffs(h: QMatrix, r: int) -> QMatrix:

@@ -41,8 +41,9 @@ engine (:func:`_jacobi`) decomposes a whole batch at once:
   the identity, which leaves its values but may turn its ``-0.0`` entries
   into ``0.0``; a batch that forms ``V'`` leaves such a member out of that
   product instead, so its factors keep their signed zeros.
-- The batch sweeps until a sweep rotates nothing; the sweep limit
-  ``_MAX_SWEEPS`` binds the slowest member.
+- The batch runs rounds until one cycle of ``len(rounds)`` rounds in a row
+  rotates nothing, which can end a pass inside a sweep; the limit of
+  ``_MAX_SWEEPS`` sweeps' worth of rounds binds the slowest member.
 
 Padding adds only exact zeros, but a padded member meets its pairs in the
 order of ``_rounds(N)`` and a padded product may round its entries in
@@ -173,44 +174,47 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
     rounds = _batch_rounds(size, negligible)
     work = stack[:, :size]
 
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for pp, qp, pq, qq, neg in rounds:
-            gram = (work.conj().transpose(0, 2, 1) @ work).reshape(-1)
-            app, aqq, apq = gram[pp].real, gram[qq].real, gram[pq]
-            mag = np.abs(apq)
-            active = (app > neg) & (aqq > neg) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
-            if not active.any():
-                continue
-            rotated, full = True, active.all()
-            if not full:
-                pp, qp, pq, qq, app, aqq, apq, mag = (
-                    x[active] for x in (pp, qp, pq, qq, app, aqq, apq, mag)
-                )
-            phase = np.conj(apq / mag)
-            tau = (aqq - app) / (2.0 * mag)
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.hypot(1.0, t)
-            s_rot = t * c
-            # columns transform by diag(1, conj(phase)) then the real rotation
-            rot = eye.copy()
-            flat = rot.reshape(-1)
-            flat[pp] = c
-            flat[qp] = -phase * s_rot
-            flat[pq] = s_rot
-            flat[qq] = phase * c
-            if vectors and not full and len(stack) > 1:
-                # a factor batch leaves out each member with no pair to rotate:
-                # a product with the identity would turn its -0.0 entries into
-                # 0.0, which no singular value sees but U and V would
-                moving = np.bincount(pp // (size * size), minlength=len(stack)) > 0
-                stack[moving] = stack[moving] @ rot[moving]
-            else:
-                stack = stack @ rot
-            work = stack[:, :size]
-        if not rotated:
-            break
-    else:
+    # one cycle of len(rounds) rounds in a row that rotates nothing has
+    # visited every pair of an unchanged W, so the iteration has converged
+    idle = 0
+    for step in range(_MAX_SWEEPS * len(rounds)):
+        pp, qp, pq, qq, neg = rounds[step % len(rounds)]
+        gram = (work.conj().transpose(0, 2, 1) @ work).reshape(-1)
+        app, aqq, apq = gram[pp].real, gram[qq].real, gram[pq]
+        mag = np.abs(apq)
+        active = (app > neg) & (aqq > neg) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
+        if not active.any():
+            idle += 1
+            if idle == len(rounds):
+                break
+            continue
+        idle, full = 0, active.all()
+        if not full:
+            pp, qp, pq, qq, app, aqq, apq, mag = (
+                x[active] for x in (pp, qp, pq, qq, app, aqq, apq, mag)
+            )
+        phase = np.conj(apq / mag)
+        tau = (aqq - app) / (2.0 * mag)
+        t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+        c = 1.0 / np.hypot(1.0, t)
+        s_rot = t * c
+        # columns transform by diag(1, conj(phase)) then the real rotation
+        rot = eye.copy()
+        flat = rot.reshape(-1)
+        flat[pp] = c
+        flat[qp] = -phase * s_rot
+        flat[pq] = s_rot
+        flat[qq] = phase * c
+        if vectors and not full and len(stack) > 1:
+            # a factor batch leaves out each member with no pair to rotate:
+            # a product with the identity would turn its -0.0 entries into
+            # 0.0, which no singular value sees but U and V would
+            moving = np.bincount(pp // (size * size), minlength=len(stack)) > 0
+            stack[moving] = stack[moving] @ rot[moving]
+        else:
+            stack = stack @ rot
+        work = stack[:, :size]
+    if idle < len(rounds):
         m, n = np.shape(mats[0])  # the caller's shape: a wide member was transposed
         what = f"a {m}x{n} matrix" if len(tall) == 1 else f"{len(tall)} matrices"
         raise NotConverged(f"Jacobi SVD of {what} did not converge in {_MAX_SWEEPS} sweeps")

@@ -7,21 +7,27 @@ cycle form: every permutation term is a left-to-right product of
 each bordered principal submatrix from the matrix's entries and expands it.
 Nothing here reads the engine's tables, so tests can compare the vectorized
 engine, and the index tables it builds, against an independent term list.
+:func:`coefficients_mp` evaluates the engine's coefficient matrices from that
+term list in ``mpmath`` at 60 digits, so tests can check how close the
+engine's float results come to the exact ones.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
 
 from qsylv.errors import InvalidSize
 from qsylv.qmatrix import QMatrix
 from qsylv.quaternion import Quaternion, qsum
+from qsylv.quaternion import product as quaternion_product
 
 # -- index subsets -------------------------------------------------------------
 
@@ -232,3 +238,35 @@ def bordered_rdet_sum(h: QMatrix, j: int, d: Sequence[Quaternion], r: int) -> Qu
         local = subset.position_of(j)
         total.append(rdet(bordered(h, idx, local - 1, d, "row"), local))
     return qsum(total)
+
+
+# -- high-precision coefficients -------------------------------------------------
+
+
+def coefficients_mp(h: QMatrix, r: int, flavor: str) -> list[list[tuple]]:
+    """``cdet_coeffs(h, r)`` (``flavor="col"``) or ``rdet_coeffs(h, r)``
+    (``flavor="row"``), ``r >= 1``, with every term evaluated in ``mpmath`` at
+    60 significant digits: nested lists of ``(w, x, y, z)`` tuples of ``mpf``.
+
+    The terms are those of :func:`term_table` over :func:`enumerate_subsets`,
+    each a left-to-right :func:`~qsylv.quaternion.product` of ``mpf``
+    components, so at 60 digits every coefficient is exact to far below a
+    float's rounding.
+    """
+    rows, cols, signs = term_table(r, flavor)
+    with mpmath.workdps(60):
+        entries = [[tuple(map(mpmath.mpf, (e.w, e.x, e.y, e.z))) for e in row] for row in h.entries]
+        zero = (mpmath.mpf(0),) * 4
+        out = [[zero] * h.rows for _ in range(h.rows)]
+        for subset in enumerate_subsets(h.rows, r):
+            idx = [v - 1 for v in subset.indices]
+            for p, v in product(range(r), repeat=2):
+                total = zero
+                for t, sign in enumerate(signs[p, v]):
+                    term = (mpmath.mpf(sign), 0, 0, 0)
+                    for row, col in zip(rows[p, v, t], cols[p, v, t]):
+                        term = quaternion_product(term, entries[idx[row]][idx[col]])
+                    total = tuple(map(operator.add, total, term))
+                i, j = (idx[p], idx[v]) if flavor == "col" else (idx[v], idx[p])
+                out[i][j] = tuple(map(operator.add, out[i][j], total))
+    return out

@@ -6,6 +6,8 @@ values, ranks, and classical determinants; the library itself never calls it.
 
 from __future__ import annotations
 
+import math
+import pickle
 import warnings
 
 import numpy as np
@@ -279,6 +281,49 @@ def test_a_batch_pairs_every_member_on_the_rounds_of_its_padded_size(monkeypatch
             assert all((got[member] == want + i * size * size).all()
                        for got, want in zip(flat, offsets))
             assert (neg[member] == negligible[i]).all()
+
+
+class _CountedRounds(list):
+    """A batch schedule that counts the rounds a pass reads and, from read
+    ``block + 1`` on, marks every pair negligible, so those rounds rotate nothing."""
+
+    def __init__(self, rounds, block):
+        super().__init__(rounds)
+        self.reads, self.block = 0, block
+
+    def __getitem__(self, i):
+        self.reads += 1
+        *flat, neg = super().__getitem__(i)
+        return (*flat, np.full_like(neg, np.inf) if self.reads > self.block else neg)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_a_pass_stops_one_idle_cycle_after_its_last_rotation(monkeypatch, vectors):
+    rng = np.random.default_rng(268)
+    mats = [rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)) for _ in range(2)]
+    batch_rounds = svd_module._batch_rounds
+
+    def run(block):
+        schedules = []
+
+        def counted(size, negligible):
+            schedules.append(_CountedRounds(batch_rounds(size, negligible), block))
+            return schedules[-1]
+
+        monkeypatch.setattr(svd_module, "_batch_rounds", counted)
+        out = svd_module._jacobi(mats, vectors)
+        [schedule] = schedules
+        return schedule.reads, len(schedule), pickle.dumps(out)
+
+    reads, cycle, whole = run(math.inf)
+    assert reads % cycle  # the pass stops inside a sweep, not at its end
+    # the last cycle of rounds it reads rotates nothing ...
+    assert run(reads - cycle) == (reads, cycle, whole)
+    # ... and the round before it rotates
+    assert run(reads - cycle - 1)[2] != whole
 
 
 def test_a_padded_column_never_rotates():

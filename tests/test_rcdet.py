@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from qsylv import (
     NotSquare,
     QMatrix,
     OutOfRange,
+    Quaternion,
     cdet,
     det_dim_cap,
     hdet,
@@ -374,6 +377,49 @@ def test_split_passes_give_the_same_coefficients(monkeypatch):
     whole = [cdet_coeffs(h, 3), rdet_coeffs(h, 4), rdet(h, 2)]
     monkeypatch.setattr(rcdet_module, "_PASS_FACTORS", 7)
     assert [cdet_coeffs(h, 3), rdet_coeffs(h, 4), rdet(h, 2)] == whole
+
+
+def test_a_seven_by_seven_pass_stays_within_twelve_megabytes():
+    h = random_hermitian(SplitMix64(36), 7)
+    whole = cdet_coeffs(h, 7)  # builds the term table, which stays cached
+    tracemalloc.start()
+    try:
+        assert cdet_coeffs(h, 7) == whole
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
+def _kappa_probe_a1(k: float, rank: int) -> QMatrix:
+    """The κ-probe ``a1`` of seed 0 (``scripts/kappa_probe.py``),
+    ``X diag(10^(-k i/4), i = 0..4) Y``, with the diagonal cut to its first
+    ``rank`` entries."""
+    rng = SplitMix64(1000)
+    x, y = random_matrix(rng, 6, 5), random_matrix(rng, 5, 5)
+    d = QMatrix.from_rows([[Quaternion(10.0 ** (-k * i / 4) if i == j < rank else 0.0)
+                            for j in range(5)] for i in range(5)])
+    return x @ d @ y
+
+
+def _mp_norm(comps) -> mpmath.mpf:
+    return mpmath.sqrt(sum(c * c for c in comps))
+
+
+@pytest.mark.parametrize("k, rank", [(0, 5), (2, 5), (4, 5), (2, 4)],
+                         ids=["kappa-0", "kappa-2", "kappa-4", "kappa-2-rank-4"])
+def test_coefficients_are_their_60_digit_terms_rounded_once(k, rank):
+    # the Gram matrices the Cramer route expands, at subset size rank(a1);
+    # their terms cancel to far below their own size as k grows
+    h = gram_left(_kappa_probe_a1(k, rank))
+    for coeffs, flavor in ((cdet_coeffs, "col"), (rdet_coeffs, "row")):
+        want = ref.coefficients_mp(h, rank, flavor)
+        got = coeffs(h, rank).entries
+        with mpmath.workdps(60):
+            size = max(_mp_norm(entry) for row in want for entry in row)
+            gap = max(_mp_norm([mpmath.mpf(g) - w for g, w in zip((e.w, e.x, e.y, e.z), entry)])
+                      for got_row, row in zip(got, want) for e, entry in zip(got_row, row))
+            assert gap <= 2 * np.finfo(np.float64).eps * size, (flavor, float(gap / size))
 
 
 def test_term_tables_are_built_on_first_use_only():

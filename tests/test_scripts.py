@@ -62,8 +62,8 @@ def test_output_digest_does_not_depend_on_the_hash_seed_or_scratch_directory():
         outputs.append(proc.stdout)
     rows = [line.split() for line in outputs[0].splitlines()]
     assert [row[0] for row in rows] == [
-        "gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "general",
-        "verdicts", "values"]
+        "gen", "check", "solve-direct", "solve-cramer", "solve-both", "mpinv", "det",
+        "general", "verdicts", "values"]
     assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
     assert outputs[0] == outputs[1]
 
@@ -79,9 +79,11 @@ def test_kappa_probe_prints_one_row_per_spread():
     header, rule, *rows = proc.stdout.splitlines()
     assert header.startswith("| k | `r_m` seen |") and rule.count("|") == 7
     cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
-    assert [row[:4] for row in cells] == [["0", "1", "0/2", "2/2"], ["2", "1", "0/2", "0/2"]]
-    # at k = 0 both routes solve the well-conditioned probe to near eps
+    assert [row[:4] for row in cells] == [["0", "1", "0/2", "2/2"], ["2", "1", "0/2", "2/2"]]
+    # at k = 0 both routes solve the well-conditioned probe to near eps, and
+    # at k = 2 (kappa(a1) about 5e2) the Cramer route solves it too
     assert max(float(cells[0][4]), float(cells[0][5])) <= 1e-10
+    assert float(cells[1][5]) <= 1e-9
 
 
 def test_cli_startup_times_every_tree_it_is_given():
