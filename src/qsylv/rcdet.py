@@ -29,28 +29,26 @@ Coefficient form
 ----------------
 
 In the cycle form only one factor of a ``cdet_i`` term touches column ``i``:
-the last one, ``a[v, i]``.  In an ``rdet_j`` term only the first factor,
-``a[j, v]``, touches row ``j``.  Replacing that column (row) by a vector
-``d`` therefore turns the factor into ``d[v]`` at the right (left) end of the
-product, and every bordered sum is linear in ``d`` with a coefficient per
-``v`` that does not depend on ``d``::
+the last one, ``a[v, i]``.  Replacing that column by a vector ``d`` turns it
+into ``d[v]`` at the right end of the product, so every bordered sum is
+linear in ``d`` with a coefficient per ``v`` that does not depend on ``d``.
+Row sums follow from ``rdet_i(A*) = conj(cdet_i(A))``::
 
     bordered_cdet_sum(h, i, d, r) = sum_v C[i-1, v] * d[v]   (C = cdet_coeffs(h, r))
-    bordered_rdet_sum(h, j, d, r) = sum_v d[v] * R[v, j-1]   (R = rdet_coeffs(h, r))
+    bordered_rdet_sum(h, j, d, r) = sum_v d[v] * R[v, j-1]   (R = cdet_coeffs(h*, r)*)
 
 ``C[i, v]`` sums, over the size-``r`` subsets containing ``i`` and the terms
 whose border factor sits in row ``v``, the signed left-to-right product of
-the ``r - 1`` other factors; ``R`` mirrors it.  So a Cramer quotient over a
-whole matrix of right-hand vectors is one quaternion matrix product,
-``C @ D`` or ``D @ R``.
+the ``r - 1`` other factors.  So a Cramer quotient over a whole matrix of
+right-hand vectors is one quaternion matrix product, ``C @ D`` or ``D @ R``.
 
 One coefficient matrix of an ``n x n`` matrix costs one vectorized pass over
 ``r * C(n, r) * r!`` terms of ``r - 1`` quaternion factors each (3600 terms
 at ``n = 6, r = 5``; 35280 at ``n = r = 7``), then ``n`` quaternion products
 per right-hand vector.  The index tables of these terms are built from the
-cycle form on first use, cached per ``(r, flavour)``, and evaluated with
-NumPy on an ``n x n x 4`` array of components, scaled to unit size by a
-power of two, in the factor order of the cycle form.
+cycle form on first use, cached per ``r``, and evaluated with NumPy on an
+``n x n x 4`` array of components, scaled to unit size by a power of two, in
+the factor order of the cycle form.
 
 The pass evaluates in double-double (Dekker, Numer. Math. 18, 1971;
 Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005): each quaternion
@@ -73,9 +71,10 @@ read off a coefficient matrix::
     principal_minor_sum(h, r) = Re tr(C @ h) / r    (C = cdet_coeffs(h, r))
 
 The trace sums the ``r`` anchored determinants of each ``r x r`` principal
-minor, all equal to it on a Hermitian matrix.  :func:`hdet` and
-:func:`principal_minor_sum` work on the matrix scaled to unit size by a power
-of two.  A value or coefficient that overflows raises ``OutOfRange``.
+minor, all equal to it on a Hermitian matrix.  Every determinant and minor
+sum is read on the matrix scaled to unit size by a power of two and scaled
+back.  A value or coefficient that overflows, or a nonzero value that
+underflows to zero, raises ``OutOfRange``.
 
 Dimension cap: an expansion of size ``r`` has ``r!`` terms, so expansions
 refuse to run beyond ``max_det_dim()`` with
@@ -93,7 +92,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,7 +105,7 @@ from .errors import (
     NotSquare,
     OutOfRange,
 )
-from .qmatrix import QMatrix, is_hermitian, pow2_exponent, quat_array, scale_pow2
+from .qmatrix import QMatrix, ctranspose, is_hermitian, pow2_exponent, quat_array, scale_pow2
 from .quaternion import Quaternion, product, qsum
 
 DEFAULT_MAX_DET_DIM = 7
@@ -157,13 +156,12 @@ def det_dim_cap(n: int) -> Iterator[None]:
 
 
 @lru_cache(maxsize=None)
-def _term_table(r: int, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of the ``r x r`` expansions, grouped by anchor and border.
+def _term_table(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the ``r x r`` column expansions, grouped by anchor and border.
 
-    Returns ``(rows, cols, signs)``.  The border factor of a term is the one
-    that touches the anchor's column (``cdet``, always last) or row
-    (``rdet``, always first); its border index ``v`` is that factor's row
-    (``cdet``) or column (``rdet``).  Each ``v`` owns exactly ``(r - 1)!``
+    Returns ``(rows, cols, signs)``.  The border factor of a ``cdet`` term is
+    the one that touches the anchor's column, always the last; its border
+    index ``v`` is that factor's row.  Each ``v`` owns exactly ``(r - 1)!``
     terms of every anchor ``p``.  ``rows[p, v, t]`` and ``cols[p, v, t]``
     hold the 0-based positions of the other ``r - 1`` factors of the
     ``t``-th such term, in multiplication order; ``signs[p, v, t]`` is its
@@ -187,17 +185,10 @@ def _term_table(r: int, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
         for p in range(r):
             held = next(cycle for cycle in cycles if p in cycle)
             at = held.index(p)
-            anchor_cycle = held[at:] + held[:at]
-            others = [cycle for cycle in cycles if cycle is not held]
-            if flavor == "row":
-                ordered = [anchor_cycle, *others]
-            else:
-                ordered = [*reversed(others), anchor_cycle]
+            ordered = [*reversed([cycle for cycle in cycles if cycle is not held]),
+                       held[at:] + held[:at]]
             pairs = [(cyc[t], cyc[(t + 1) % len(cyc)]) for cyc in ordered for t in range(len(cyc))]
-            if flavor == "col":
-                v, rest = pairs[-1][0], pairs[:-1]
-            else:
-                v, rest = pairs[0][1], pairs[1:]
+            v, rest = pairs[-1][0], pairs[:-1]
             t = filled[p][v]
             filled[p][v] += 1
             signs[p, v, t] = sign
@@ -316,7 +307,7 @@ def _subsets(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return subsets, scatter
 
 
-def _local_coeffs(a4: np.ndarray, subsets: np.ndarray, flavor: str) -> np.ndarray:
+def _local_coeffs(a4: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Coefficients of the principal submatrices of ``a4`` on ``subsets``, in
     double-double.
 
@@ -324,15 +315,15 @@ def _local_coeffs(a4: np.ndarray, subsets: np.ndarray, flavor: str) -> np.ndarra
     array of 0-based indices.  Entry ``[:, c, s*r*r + p*r + v]`` of the
     ``2 x 4 x S*r*r`` result is the high and low part of component ``c`` of the
     sum of the signed left-to-right products of the non-border factors of the
-    terms of submatrix ``s`` anchored at local position ``p`` whose border
-    index is local ``v``.  Work is split into passes of at most
+    column terms of submatrix ``s`` anchored at local position ``p`` whose
+    border index is local ``v``.  Work is split into passes of at most
     ``_PASS_FACTORS`` factors where one group of terms fits.
     """
     count, r = subsets.shape
     cap = _MAX_DET_DIM.get()
     if r > cap:
         raise DimensionTooLarge(f"determinant dimension {r} exceeds cap {cap}")
-    rows, cols, signs = _term_table(r, flavor)
+    rows, cols, signs = _term_table(r)
     groups, per_group = r * r, signs.shape[-1]
     # factor k of term t of group g sits at rows[k, t, g], cols[k, t, g]
     rows = rows.reshape(groups, per_group, r - 1).T
@@ -356,10 +347,11 @@ def _local_coeffs(a4: np.ndarray, subsets: np.ndarray, flavor: str) -> np.ndarra
     return out
 
 
-def _coefficients(h: QMatrix, r: int, flavor: str) -> np.ndarray:
-    """The ``n x n x 4`` components of ``cdet_coeffs(h, r)`` (``flavor="col"``)
-    or ``rdet_coeffs(h, r)`` (``flavor="row"``), over the size-``r`` subsets
-    in lexicographic order: the one evaluation pass.
+def _coefficients(h: QMatrix, r: int) -> np.ndarray:
+    """The ``n x n x 4`` components of ``cdet_coeffs(h, r)``, over the size-``r``
+    subsets in lexicographic order: the one evaluation pass.  Each term's
+    border factor is its last, so coefficient ``[i, v]`` multiplies ``d[v]``
+    from the left.
 
     It runs on ``2**k h`` scaled to unit size, carries every part in
     double-double through the subset sums and rounds each coefficient once,
@@ -375,11 +367,11 @@ def _coefficients(h: QMatrix, r: int, flavor: str) -> np.ndarray:
     subsets, scatter = _subsets(n, r)
     k = pow2_exponent(h)
     with np.errstate(over="ignore", invalid="ignore"):
-        local = _local_coeffs(np.ldexp(quat_array(h), k), subsets, flavor)
+        local = _local_coeffs(np.ldexp(quat_array(h), k), subsets)
         parts = np.take(np.concatenate((local, np.zeros((2, 4, 1))), axis=-1), scatter, axis=-1)
         hi, lo = _dd_sum(parts[0], parts[1])
         coeffs = np.ldexp(hi + lo, -k * (r - 1)).reshape(4, n, n)
-    return coeffs.transpose(1, 2, 0) if flavor == "col" else coeffs.transpose(2, 1, 0)
+    return coeffs.transpose(1, 2, 0)
 
 
 def cdet_coeffs(h: QMatrix, r: int) -> QMatrix:
@@ -388,47 +380,48 @@ def cdet_coeffs(h: QMatrix, r: int) -> QMatrix:
     So for a matrix ``D`` of right-hand columns, ``C @ D`` holds every
     bordered column-determinant sum.  ``r = 0`` gives the zero matrix.
     """
-    return QMatrix.from_array(_coefficients(h, r, "col"))
+    return QMatrix.from_array(_coefficients(h, r))
 
 
 def rdet_coeffs(h: QMatrix, r: int) -> QMatrix:
     """The matrix ``R`` with ``bordered_rdet_sum(h, j, d, r) == sum_v d[v] * R[v, j-1]``.
 
     So for a matrix ``D`` of right-hand rows, ``D @ R`` holds every bordered
-    row-determinant sum.  ``r = 0`` gives the zero matrix.
+    row-determinant sum.  ``r = 0`` gives the zero matrix.  It is
+    ``cdet_coeffs(h*, r)*``, read off the column pass on ``h*``.
     """
-    return QMatrix.from_array(_coefficients(h, r, "row"))
+    return ctranspose(cdet_coeffs(ctranspose(h), r))
 
 
-def _anchored(a: QMatrix, flavor: str) -> np.ndarray:
-    """All ``n`` anchored determinants of ``a`` (``n x 4``), read off one coefficient
-    matrix: ``rdet_i = sum_v a[i,v] R[v,i]``, ``cdet_j = sum_v C[j,v] a[v,j]``."""
-    a4, coeffs = quat_array(a), _coefficients(a, a.rows, flavor)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if flavor == "row":
-            return _qmul(a4, coeffs.transpose(1, 0, 2)).sum(axis=1)
-        return _qmul(coeffs, a4.transpose(1, 0, 2)).sum(axis=1)
+def _row_dets(a: QMatrix) -> np.ndarray:
+    """All ``n`` anchored row determinants of ``a`` (``n x 4``), ``sum_v a[i,v] R[v,i]``."""
+    return _qmul(quat_array(a), quat_array(rdet_coeffs(a, a.rows)).transpose(1, 0, 2)).sum(axis=1)
 
 
-def _det(a: QMatrix, anchor: int, flavor: str) -> Quaternion:
+def _col_dets(a: QMatrix) -> np.ndarray:
+    """All ``n`` anchored column determinants of ``a`` (``n x 4``), ``sum_v C[j,v] a[v,j]``."""
+    return _qmul(_coefficients(a, a.rows), quat_array(a).transpose(1, 0, 2)).sum(axis=1)
+
+
+def _det(a: QMatrix, anchor: int, anchored: Callable[[QMatrix], np.ndarray]) -> Quaternion:
+    """Entry ``anchor`` of ``anchored(a)``, read on ``a`` scaled to unit size."""
     if a.rows != a.cols:
         raise NotSquare(f"determinant requires a square matrix, got {a.shape}")
     if not 1 <= anchor <= a.rows:
         raise InvalidSize(f"anchor {anchor} out of range 1..{a.rows}")
-    value = _anchored(a, flavor)[anchor - 1]
-    if not np.isfinite(value).all():
-        raise OutOfRange("determinant overflows the float range")
-    return Quaternion(*value.tolist())
+    k = pow2_exponent(a)
+    value = anchored(scale_pow2(a, k))[anchor - 1]
+    return Quaternion(*_scale_back(value.tolist(), -k * a.rows, "determinant"))
 
 
 def rdet(a: QMatrix, i: int) -> Quaternion:
     """Row determinant anchored at 1-based row ``i``."""
-    return _det(a, i, "row")
+    return _det(a, i, _row_dets)
 
 
 def cdet(a: QMatrix, j: int) -> Quaternion:
     """Column determinant anchored at 1-based column ``j``."""
-    return _det(a, j, "col")
+    return _det(a, j, _col_dets)
 
 
 def _unit_hermitian(h: QMatrix, what: str) -> tuple[int, QMatrix]:
@@ -441,12 +434,16 @@ def _unit_hermitian(h: QMatrix, what: str) -> tuple[int, QMatrix]:
     return k, scaled
 
 
-def _scale_back(value: float, k: int, what: str) -> float:
-    """``2**k * value``, exact; :class:`OutOfRange` if it overflows."""
+def _scale_back(values: Sequence[float], k: int, what: str) -> list[float]:
+    """``2**k * values``, exact in the normal float range; :class:`OutOfRange`
+    if a value overflows or if the nonzero values all underflow to zero."""
     try:
-        return math.ldexp(value, k)
+        scaled = [math.ldexp(value, k) for value in values]
     except OverflowError:
         raise OutOfRange(f"{what} overflows the float range") from None
+    if any(values) and not any(scaled):
+        raise OutOfRange(f"{what} underflows the float range")
+    return scaled
 
 
 def hdet(a: QMatrix, verify: bool = False) -> float:
@@ -459,7 +456,7 @@ def hdet(a: QMatrix, verify: bool = False) -> float:
     the value is scaled back exactly by ``2**(-k n)``.
     """
     k, scaled = _unit_hermitian(a, "hdet")
-    rows = _anchored(scaled, "row")
+    rows = _row_dets(scaled)
     value = Quaternion(*rows[0].tolist())
     budget = HDET_TOL * (1.0 + abs(value.w))
     if abs(value.x) > budget or abs(value.y) > budget or abs(value.z) > budget:
@@ -467,13 +464,13 @@ def hdet(a: QMatrix, verify: bool = False) -> float:
             f"anchored determinant of a Hermitian matrix is not real: {value!r}"
         )
     if verify:
-        for comps in np.concatenate((rows, _anchored(scaled, "col"))).tolist():
+        for comps in np.concatenate((rows, _col_dets(scaled))).tolist():
             other = Quaternion(*comps)
             if abs(other - value) > budget:
                 raise InconsistentDeterminants(
                     f"anchored determinants disagree: {value!r} vs {other!r}"
                 )
-    return _scale_back(value.w, -k * a.rows, "determinant")
+    return _scale_back([value.w], -k * a.rows, "determinant")[0]
 
 
 def principal_minor_sum(h: QMatrix, r: int) -> float:
@@ -490,7 +487,7 @@ def principal_minor_sum(h: QMatrix, r: int) -> float:
     if r == 0:
         return 1.0
     value = (cdet_coeffs(scaled, r) @ scaled).trace().w / r
-    return _scale_back(value, -k * r, "principal-minor sum")
+    return _scale_back([value], -k * r, "principal-minor sum")[0]
 
 
 def _check_border(h: QMatrix, i: int, d: Sequence[Quaternion]) -> None:

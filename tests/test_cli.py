@@ -496,6 +496,20 @@ def test_det_overflow_exits_1_with_a_message(capsys, tmp_path, kind):
     assert err.startswith("qsylv: error:") and "overflows" in err
 
 
+@pytest.mark.parametrize("kind", ["rdet", "cdet", "hdet"])
+def test_det_underflow_exits_1_but_a_tiny_singular_matrix_reads_0(capsys, tmp_path, kind):
+    path = str(tmp_path / "tiny.json")
+    write_json(path, qm([[q(1e-200), q()], [q(), q(1e-200)]]).to_json())
+    code, out, err = run_cli(["det", "--in", path, "--kind", kind], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qsylv: error:") and "underflows" in err
+    write_json(path, qm([[q(1e-300), q(1e-300)], [q(1e-300), q(1e-300)]]).to_json())
+    code, out, _ = run_cli(["det", "--in", path, "--kind", kind], capsys)
+    assert code == 0
+    assert loads(out) == [0.0, 0.0, 0.0, 0.0]
+
+
 # -- selftest / gen ---------------------------------------------------------------
 
 

@@ -406,25 +406,33 @@ def _mp_norm(comps) -> mpmath.mpf:
     return mpmath.sqrt(sum(c * c for c in comps))
 
 
-@pytest.mark.parametrize("k, rank", [(0, 5), (2, 5), (4, 5), (2, 4)],
-                         ids=["kappa-0", "kappa-2", "kappa-4", "kappa-2-rank-4"])
-def test_coefficients_are_their_60_digit_terms_rounded_once(k, rank):
-    # the Gram matrices the Cramer route expands, at subset size rank(a1);
-    # their terms cancel to far below their own size as k grows
-    h = gram_left(_kappa_probe_a1(k, rank))
-    for coeffs, flavor in ((cdet_coeffs, "col"), (rdet_coeffs, "row")):
-        want = ref.coefficients_mp(h, rank, flavor)
-        got = coeffs(h, rank).entries
-        with mpmath.workdps(60):
-            size = max(_mp_norm(entry) for row in want for entry in row)
-            gap = max(_mp_norm([mpmath.mpf(g) - w for g, w in zip((e.w, e.x, e.y, e.z), entry)])
-                      for got_row, row in zip(got, want) for e, entry in zip(got_row, row))
-            assert gap <= 2 * np.finfo(np.float64).eps * size, (flavor, float(gap / size))
+@pytest.mark.parametrize("k, ranks", [(0, [5]), (2, [5]), (4, [5]), (2, [4]), (None, range(1, 6))],
+                         ids=["kappa-0", "kappa-2", "kappa-4", "kappa-2-rank-4", "random-5x5"])
+def test_coefficients_are_their_60_digit_terms_rounded_once(k, ranks):
+    # the Gram matrices the Cramer route expands, at subset size rank(a1),
+    # whose terms cancel to far below their own size as k grows; and a
+    # non-Hermitian matrix, where R is no conjugate of C, at every size
+    if k is None:
+        h = _rand_square(SplitMix64(41), 5)
+    else:
+        h = gram_left(_kappa_probe_a1(k, ranks[0]))
+    for rank in ranks:
+        for coeffs, flavor in ((cdet_coeffs, "col"), (rdet_coeffs, "row")):
+            want = ref.coefficients_mp(h, rank, flavor)
+            got = coeffs(h, rank).entries
+            with mpmath.workdps(60):
+                size = max(_mp_norm(entry) for row in want for entry in row)
+                gap = max(_mp_norm([mpmath.mpf(g) - w for g, w in zip((e.w, e.x, e.y, e.z), entry)])
+                          for got_row, row in zip(got, want) for e, entry in zip(got_row, row))
+                assert gap <= 2 * np.finfo(np.float64).eps * size, (rank, flavor, float(gap / size))
 
 
 def test_term_tables_are_built_on_first_use_only():
     code = (
         "import qsylv, qsylv.cli, qsylv.rcdet as r; "
+        "print(r._term_table.cache_info().currsize); "
+        "a = qsylv.QMatrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]]); "
+        "qsylv.rdet(a, 1), qsylv.cdet(a, 1); "
         "print(r._term_table.cache_info().currsize)"
     )
     src_dir = str(Path(__file__).resolve().parent.parent / "src")
@@ -436,13 +444,14 @@ def test_term_tables_are_built_on_first_use_only():
         env=dict(os.environ, PYTHONPATH=env_path),
         check=True,
     )
-    assert proc.stdout.split() == ["0"]
+    # none at import; one per size r, shared by rdet and cdet
+    assert proc.stdout.split() == ["0", "1"]
 
 
-@pytest.mark.parametrize("flavor", ["row", "col"])
+@pytest.mark.parametrize("flavor", ["col"])
 def test_term_tables_match_the_reference_cycle_form(flavor):
     for r in range(1, 8):
-        got = rcdet_module._term_table(r, flavor)
+        got = rcdet_module._term_table(r)
         expected = ref.term_table(r, flavor)
         for table, want in zip(got, expected):
             assert table.dtype == want.dtype and np.array_equal(table, want), (r, flavor)
@@ -458,3 +467,10 @@ def test_overflowing_determinants_raise_out_of_range():
     big = qm([[q(1e154), q(-1e154)], [q(1e154), q(1e154)]])
     with pytest.raises(OutOfRange):
         rdet(big, 1)
+
+
+def test_an_underflowing_minor_sum_raises_out_of_range():
+    # rdet, cdet and hdet are covered through the CLI's det command
+    with pytest.raises(OutOfRange, match="underflows"):
+        principal_minor_sum(qm([[q(1e-200), q()], [q(), q(1e-200)]]), 2)
+    assert principal_minor_sum(qm([[q(1e-300), q(1e-300)], [q(1e-300), q(1e-300)]]), 2) == 0.0
