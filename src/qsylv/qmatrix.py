@@ -30,7 +30,7 @@ singular value of ``A`` appears twice in ``embed(A)``, and
 computed through this carrier with the in-repo Jacobi SVD; :func:`ranks`
 decides the ranks of several matrices in one batched, values-only Jacobi
 pass over the conjugate transposes of their Householder ``R`` factors
-(:func:`~qsylv.svd.spectra`).
+(:func:`~qsylv.svd.spectra`), which stops once every rank is certain.
 
 JSON form: ``{"rows": m, "cols": n, "data": [[[w,x,y,z], ...], ...]}`` with
 row-major data; parsing rejects ragged rows and non-finite numbers.
@@ -401,7 +401,10 @@ def ranks(mats: Sequence[QMatrix]) -> list[int]:
     The pass is :func:`~qsylv.svd.spectra`'s: it rotates the conjugate
     transpose of each embedded member's Householder ``R`` factor, which has
     the member's singular values, and the cutoff is the member's own, from
-    its own shape.  The batch prescales each member by its own power of two,
+    its own shape.  It stops as soon as every member's count of values above
+    that cutoff is certain, so the ranks are those of the converged values
+    while the values themselves may be far from converged.  The batch
+    prescales each member by its own power of two,
     so no member's scale reaches another's decision.  A zero
     matrix has rank 0 and an exact identity its size, which is what the
     decomposition gives; neither takes one, and a list of them takes no pass.

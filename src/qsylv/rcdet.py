@@ -355,7 +355,9 @@ def _coefficients(h: QMatrix, r: int) -> np.ndarray:
 
     It runs on ``2**k h`` scaled to unit size, carries every part in
     double-double through the subset sums and rounds each coefficient once,
-    scaled back by ``2**(-k (r - 1))``.
+    scaled back by ``2**(-k (r - 1))``.  As in :func:`_scale_back`, a
+    coefficient that overflows, or a nonzero one that underflows to zero,
+    raises :class:`OutOfRange`; a structurally zero one stays 0.
     """
     n = h.rows
     if h.rows != h.cols:
@@ -370,8 +372,13 @@ def _coefficients(h: QMatrix, r: int) -> np.ndarray:
         local = _local_coeffs(np.ldexp(quat_array(h), k), subsets)
         parts = np.take(np.concatenate((local, np.zeros((2, 4, 1))), axis=-1), scatter, axis=-1)
         hi, lo = _dd_sum(parts[0], parts[1])
-        coeffs = np.ldexp(hi + lo, -k * (r - 1)).reshape(4, n, n)
-    return coeffs.transpose(1, 2, 0)
+        unit = hi + lo
+        coeffs = np.ldexp(unit, -k * (r - 1))
+    if not np.isfinite(coeffs).all():
+        raise OutOfRange("coefficient overflows the float range")
+    if (unit.any(axis=0) & ~coeffs.any(axis=0)).any():
+        raise OutOfRange("coefficient underflows the float range")
+    return coeffs.reshape(4, n, n).transpose(1, 2, 0)
 
 
 def cdet_coeffs(h: QMatrix, r: int) -> QMatrix:

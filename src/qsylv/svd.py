@@ -43,7 +43,11 @@ engine (:func:`_jacobi`) decomposes a whole batch at once:
   product instead, so its factors keep their signed zeros.
 - The batch runs rounds until one cycle of ``len(rounds)`` rounds in a row
   rotates nothing, which can end a pass inside a sweep; the limit of
-  ``_MAX_SWEEPS`` sweeps' worth of rounds binds the slowest member.
+  ``_MAX_SWEEPS`` sweeps' worth of rounds binds the slowest member.  A
+  values-only pass also ends at the first sweep boundary at which every
+  member's rank under its default cutoff is certain (:func:`_brackets`),
+  read off the ``W^H W`` of that round; a factor pass runs to convergence,
+  since ``U`` and ``V`` need it.
 
 Padding adds only exact zeros, but a padded member meets its pairs in the
 order of ``_rounds(N)`` and a padded product may round its entries in
@@ -55,7 +59,8 @@ decomposition.  So the two callers batch differently:
   round, and each member gets the bytes of its lone decomposition.
   :func:`svd` is its one-member case.
 - :func:`spectra` returns singular values only, for rank decisions, and
-  pads all its members into one pass.
+  pads all its members into one pass.  Its values are good only to the
+  brackets that certified their ranks.
 
 Only :func:`numpy` array plumbing and the Householder QRs are borrowed; the
 decomposition itself is implemented here.  Columns belonging to zero
@@ -132,11 +137,57 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+def _brackets(gram: np.ndarray, negligible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per member and column of a batch of ``W`` with Gram matrices ``gram``,
+    the ends of the bracket that holds the singular value of ``W`` the
+    column's norm stands for (the ``j``-th largest norm for the ``j``-th
+    largest value).
+
+    Per member, with ``k`` columns above its ``negligible`` level and
+    ``e = (k - 1) * max |G_pq| / sqrt(G_pp G_qq)`` over their pairs, which
+    bounds the 2-norm of ``E`` in ``D^(1/2) (I + E) D^(1/2)``, their Gram
+    matrix: for ``e < 1`` Ostrowski's theorem puts the ``j``-th singular
+    value of those columns in ``[nu_j sqrt(1 - e), nu_j sqrt(1 + e)]``, ``nu_j``
+    the ``j``-th largest norm (Demmel and Veselic, SIAM J. Matrix Anal. Appl.
+    13(4), 1992).  The other columns, padding included, have Frobenius norm
+    ``eta`` and move any singular value by at most that (Weyl), so each
+    bracket is ``[nu sqrt(1 - e) - eta, nu sqrt(1 + e) + eta]``.  ``e`` carries
+    ``size * eps`` more for the rounding of the Gram entries and of the norms
+    the pass returns; a member with ``e >= 1/2`` gets ``[-inf, inf]``.
+    """
+    b, size, _ = gram.shape
+    d = gram.diagonal(axis1=1, axis2=2).real
+    live = d > negligible[:, None]
+    inv = 1.0 / np.sqrt(np.where(live, d, np.inf))
+    cosines = np.abs(gram)
+    cosines *= inv[:, :, None]
+    cosines *= inv[:, None, :]
+    cosines.reshape(b, -1)[:, ::size + 1] = 0.0
+    e = (live.sum(axis=1) - 1) * cosines.max(axis=(1, 2)) + size * np.finfo(np.float64).eps
+    known = (e < 0.5)[:, None]
+    e = np.minimum(e, 0.5)[:, None]
+    eta = np.sqrt(np.where(live, 0.0, d).sum(axis=1))[:, None]
+    nu = np.sqrt(d)
+    return (np.where(known, nu * np.sqrt(1.0 - e) - eta, -np.inf),
+            np.where(known, nu * np.sqrt(1.0 + e) + eta, np.inf))
+
+
+def _ranks_certain(gram: np.ndarray, negligible: np.ndarray, cutoff_factor: np.ndarray) -> bool:
+    """Whether the column norms of every member of a batch of ``W`` with Gram
+    matrices ``gram`` decide its rank under the cutoff
+    ``cutoff_factor * sigma_max``: no :func:`_brackets` bracket of a value
+    meets that of the cutoff, which the largest norm's bracket gives."""
+    low, high = _brackets(gram, negligible)
+    cut_low, cut_high = (cutoff_factor[:, None] * x.max(axis=1, keepdims=True) for x in (low, high))
+    return bool(((low > cut_high) | (high < cut_low)).all())
+
+
 def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
     """Decompose every matrix of ``mats`` in one batched Jacobi iteration.
 
     Returns, per member, ``(U, s, Vh)`` as :func:`svd` describes when
-    ``vectors`` is true, else the singular values ``s`` alone, descending.
+    ``vectors`` is true, else the singular values ``s`` alone, descending,
+    as :func:`spectra` describes them.
     The iteration runs on ``R2*``, where ``R1* = Q2 R2`` and ``Q1 R1`` is the
     prescaled member's Householder QR, rather than on the member itself.
     """
@@ -175,11 +226,17 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
     work = stack[:, :size]
 
     # one cycle of len(rounds) rounds in a row that rotates nothing has
-    # visited every pair of an unchanged W, so the iteration has converged
-    idle = 0
+    # visited every pair of an unchanged W, so the iteration has converged;
+    # a values-only pass also stops at a sweep's start once every rank is certain
+    idle, certain = 0, False
+    cutoff_factor = np.array([default_threshold(a.shape, 1.0) for a in tall])
     for step in range(_MAX_SWEEPS * len(rounds)):
         pp, qp, pq, qq, neg = rounds[step % len(rounds)]
         gram = (work.conj().transpose(0, 2, 1) @ work).reshape(-1)
+        if not vectors and step and not step % len(rounds):
+            certain = _ranks_certain(gram.reshape(-1, size, size), negligible, cutoff_factor)
+            if certain:
+                break
         app, aqq, apq = gram[pp].real, gram[qq].real, gram[pq]
         mag = np.abs(apq)
         active = (app > neg) & (aqq > neg) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
@@ -214,7 +271,7 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
         else:
             stack = stack @ rot
         work = stack[:, :size]
-    if idle < len(rounds):
+    if idle < len(rounds) and not certain:
         m, n = np.shape(mats[0])  # the caller's shape: a wide member was transposed
         what = f"a {m}x{n} matrix" if len(tall) == 1 else f"{len(tall)} matrices"
         raise NotConverged(f"Jacobi SVD of {what} did not converge in {_MAX_SWEEPS} sweeps")
@@ -269,13 +326,17 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def spectra(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The singular values of each matrix of ``mats``, descending: one batch
-    that forms no ``V``.
+    """The singular values of each matrix of ``mats``, descending, as far as
+    its rank needs them: one batch that forms no ``V``.
 
-    The members are padded into one pass, so the values agree with those of
-    :func:`svds` to rounding.  A sweep limit reached raises
-    :class:`~qsylv.errors.NotConverged` naming the input's shape (or the
-    member count), not that of the triangle the pass rotates.
+    The members are padded into one pass, which stops once every member's
+    rank under its default cutoff (:func:`rank_cutoff` with no floor) is
+    certain, or else converges.  So each value is good only to its
+    :func:`_brackets` bracket, which may be far wider than rounding, while
+    ``embedded_rank(s, rank_cutoff(shape, s))`` or a count of ``s`` above
+    that cutoff gives the rank of the converged values.  A sweep limit
+    reached raises :class:`~qsylv.errors.NotConverged` naming the input's
+    shape (or the member count), not that of the triangle the pass rotates.
     """
     return _jacobi(mats, False)
 

@@ -74,9 +74,11 @@ def jacobi_log(monkeypatch) -> JacobiLog:
 
 def jacobi_sweeps(mats, vectors: bool) -> int:
     """The fewest sweeps with which one ``svd._jacobi`` pass over ``mats``
-    converges: the smallest ``_MAX_SWEEPS`` that raises no
+    ends: the smallest ``_MAX_SWEEPS`` that raises no
     :class:`~qsylv.errors.NotConverged`, found by bisecting the patched limit
-    below its default."""
+    below its default.  A factor pass ends by converging; a rank pass
+    (``vectors`` false) by certifying its ranks at the start of that sweep,
+    or else by converging."""
     low, high = 0, svd_module._MAX_SWEEPS  # fails at low, converges at high
     svd_module._jacobi(mats, vectors)
     with pytest.MonkeyPatch.context() as patch:

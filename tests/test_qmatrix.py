@@ -6,9 +6,11 @@ values, ranks, and classical determinants; the library itself never calls it.
 
 from __future__ import annotations
 
+import importlib
 import math
 import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +306,10 @@ class _CountedRounds(list):
 def test_a_pass_stops_one_idle_cycle_after_its_last_rotation(monkeypatch, vectors):
     rng = np.random.default_rng(268)
     mats = [rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)) for _ in range(2)]
+    if not vectors:
+        # a zero member's values all meet its cutoff of 0, so its rank is
+        # never certain and the values-only pass ends by the idle rule too
+        mats.append(np.zeros((6, 5)))
     batch_rounds = svd_module._batch_rounds
 
     def run(block):
@@ -429,6 +435,41 @@ def _criteria_corpus(rng: SplitMix64) -> list[QMatrix]:
     ]
 
 
+def _certified_brackets(mats) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per member of one values-only ``svd._jacobi`` pass over ``mats``: its
+    singular values and the low and high ends of the brackets the pass
+    certified them to, all descending and in the member's units.  A pass
+    that ends converged rather than certain brackets each value by itself."""
+    checks, certain = [], svd_module._ranks_certain
+
+    def record(gram, negligible, cutoff_factor):
+        checks.append((gram, negligible, certain(gram, negligible, cutoff_factor)))
+        return checks[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svd_module, "_ranks_certain", record)
+        values = svd_module._jacobi(mats, False)
+    if not (checks and checks[-1][2]):
+        return [(s, s, s) for s in values]
+    low, high = svd_module._brackets(*checks[-1][:2])
+    out = []
+    for i, (a, s) in enumerate(zip(mats, values)):
+        n, k = min(np.shape(a)), svd_module.pow2_exponent(np.asarray(a, dtype=complex))
+        out.append((s, *(np.ldexp(-np.sort(-ends[i, :n]), -k) for ends in (low, high))))
+    return out
+
+
+def _assert_brackets_hold(mats) -> None:
+    """Each value of the values-only pass over ``mats``, and each value
+    ``np.linalg.svd`` gives, lies in the pass's certified bracket, widened for
+    the oracle by 64 eps sigma_max (the rounding of both preconditioning QRs)."""
+    for a, (s, low, high) in zip(mats, _certified_brackets(mats)):
+        oracle = np.linalg.svd(a, compute_uv=False)
+        slack = 64 * np.finfo(float).eps * oracle[0]
+        assert (low <= s).all() and (s <= high).all()
+        assert (low - slack <= oracle).all() and (oracle <= high + slack).all()
+
+
 def test_batched_ranks_equal_per_matrix_ranks():
     rng = SplitMix64(31)
     deficient = 0
@@ -442,11 +483,8 @@ def test_batched_ranks_equal_per_matrix_ranks():
                  scale_pow2(one, -600)]
         expected = [rank(x) for x in mats]
         assert ranks(mats) == expected
-        # padding may round a member differently, within a few eps of sigma_max
-        embedded = [np.asarray(complex_embed(x)) for x in mats if not x.is_zero()]
-        for batched, e in zip(spectra(embedded), embedded):
-            alone = spectra([e])[0]
-            assert np.abs(batched - alone).max() <= 64 * np.finfo(float).eps * alone[0]
+        # a batched value is good to the bracket its pass certified it to
+        _assert_brackets_hold([np.asarray(complex_embed(x)) for x in mats if not x.is_zero()])
         assert expected[6:] == [0, 1, expected[0], expected[4], 1]
     assert deficient >= 40  # 46 of the 300 stacks and blocks are rank-deficient
     assert ranks([]) == [] and ranks([QMatrix.zeros(2, 2)]) == [0]
@@ -483,7 +521,7 @@ def test_singular_values_match_numpy_oracle():
     rng = SplitMix64(16)
     for rows, cols in [(1, 1), (2, 2), (3, 2), (2, 4), (4, 4)]:
         a = random_matrix(rng, rows, cols)
-        ours = spectra([np.asarray(complex_embed(a))])[0]
+        [(_, ours, _)] = svds([np.asarray(complex_embed(a))])
         oracle = np.linalg.svd(_np_embed(a), compute_uv=False)
         assert np.max(np.abs(np.sort(ours)[::-1] - oracle)) <= 1e-10 * (1 + oracle[0])
 
@@ -515,7 +553,7 @@ def test_svd_converges_on_rank_deficient_input():
     cases = [block2x2(a, c, QMatrix.zeros(2, 2), QMatrix.zeros(2, 2))]
     cases += [planted_rank_matrix(rng, 4, 4, r) for r in (1, 2, 3)]
     for m in cases:
-        ours = spectra([np.asarray(complex_embed(m))])[0]
+        [(_, ours, _)] = svds([np.asarray(complex_embed(m))])
         oracle = np.linalg.svd(_np_embed(m), compute_uv=False)
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * oracle[0]
 
@@ -573,17 +611,17 @@ def _gate_batch(monkeypatch, problem: GenSylvesterProblem) -> list[np.ndarray]:
     return batch
 
 
-def test_dense_rank_batches_converge_in_eight_sweeps_or_fewer(monkeypatch):
-    # the columns of R2* (R1* = Q2 R2, A = Q1 R1) start nearly orthogonal;
-    # the raw padded stacks took 9 or 10 sweeps on these instances, and R1*
-    # 8 on all but the second
+def test_dense_rank_batches_certify_in_five_sweeps_or_fewer(monkeypatch):
+    # the columns of R2* (R1* = Q2 R2, A = Q1 R1) start nearly orthogonal,
+    # and the pass stops once every rank is certain; run to convergence it
+    # took 8, 7, 7, 7, 7 and 7 sweeps, and on the raw padded stacks 9 or 10
     sweeps = []
     for seed in range(6):
         batch = _gate_batch(monkeypatch, _dense_problem(seed, int(seed % 3 == 1)))
         assert [a.shape for a in batch] == [(12, 30), (12, 18), (30, 12), (18, 12),
                                             (20, 22), (22, 20)]
         sweeps.append(jacobi_sweeps(batch, False))
-    assert sweeps == [8, 7, 7, 7, 7, 7]
+    assert sweeps == [4, 4, 5, 4, 4, 4]
 
 
 def test_dense_factor_passes_rotate_preconditioned_triangles(monkeypatch):
@@ -615,12 +653,90 @@ def test_values_only_ranks_match_the_factor_pass(monkeypatch, jacobi_log):
     got = ranks(mats)
     assert jacobi_log.passes == 1
     embedded = [np.asarray(complex_embed(x)) for x in mats]
-    expected = []
-    for e, values, (_, s, _) in zip(embedded, spectra(embedded), svds(embedded)):
-        expected.append(embedded_rank(s, rank_cutoff(e.shape, s)))
-        assert np.abs(values - s).max() <= 64 * np.finfo(float).eps * s[0]
+    expected = [embedded_rank(s, rank_cutoff(e.shape, s))
+                for e, (_, s, _) in zip(embedded, svds(embedded))]
     assert got == expected
+    _assert_brackets_hold(embedded)
     assert sum(r < min(x.shape) for r, x in zip(got, mats)) >= 8
+
+
+def test_certified_ranks_equal_converged_ranks(monkeypatch):
+    # the kappa probe's gate stacks at every spread of its table (at k = 6..8
+    # the rank family sits near its cutoff), and planted ranks with members
+    # 2**1200 apart: every rank the values-only pass certifies is the rank a
+    # factor pass reads off its converged values
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    probe = importlib.import_module("kappa_probe")
+    batches = [_gate_batch(monkeypatch, probe.probe_instance(seed, k))
+               for k in (0, 2, 4, 6, 7, 8) for seed in range(3)]
+    rng = SplitMix64(76)
+    planted = [planted_rank_matrix(rng, m, n, r)
+               for m, n in ((6, 4), (5, 7), (8, 8)) for r in range(1, min(m, n) + 1)]
+    planted += [scale_pow2(x, k) for x, k in zip(planted, (600, -600) * len(planted))]
+    batches.append([np.asarray(complex_embed(x)) for x in planted])
+    verdicts, certain = [], svd_module._ranks_certain
+
+    def record(*args):
+        verdicts.append(certain(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(svd_module, "_ranks_certain", record)
+    stopped = 0
+    for batch in batches:
+        verdicts.clear()
+        got = [embedded_rank(s, rank_cutoff(e.shape, s)) for e, s in zip(batch, spectra(batch))]
+        stopped += bool(verdicts and verdicts[-1])
+        assert got == [embedded_rank(s, rank_cutoff(e.shape, s))
+                       for e, (_, s, _) in zip(batch, svds(batch))]
+    assert stopped == len(batches)
+
+
+def _near_cutoff_member(seed: int, rel: float) -> np.ndarray:
+    """The embedding of ``B diag(1, 1e-3, 1e-6, 1e-9, g, 1e-17)``, ``B`` a
+    random 6x6 quaternion matrix and ``g`` tuned so that the fifth singular
+    value of a factor pass is ``(1 + rel)`` times the cutoff.  The columns are
+    graded, so the pass finds even that value to high relative accuracy; the
+    last one leaves a negligible column in ``W``."""
+    b, g = random_matrix(SplitMix64(seed), 6, 6), [1.0, 1e-3, 1e-6, 1e-9, 1e-14, 1e-17]
+    for _ in range(3):
+        e = np.asarray(complex_embed(b @ QMatrix.from_rows(
+            [[g[i] if i == j else 0.0 for j in range(6)] for i in range(6)])))
+        [(_, s, _)] = svds([e])
+        g[4] *= (1 + rel) * rank_cutoff(e.shape, s) / s[8]
+    return e
+
+
+@pytest.mark.parametrize("rel", [1e-6, -1e-6], ids=["above", "below"])
+def test_a_value_at_the_cutoff_runs_the_rank_pass_to_convergence(monkeypatch, rel):
+    # the value is decided only once its bracket is 1e-6 wide, which the
+    # negligible column's eta (about 6000 times that) never allows: the pass
+    # takes the sweeps of a pass that ignores certainty, and reads the rank
+    e = _near_cutoff_member(3, rel)
+    [(_, s, _)] = svds([e])
+    assert abs(s[8] / rank_cutoff(e.shape, s) - 1 - rel) <= 1e-7
+    assert ranks([complex_unembed(e, 6, 6)]) == [5 if rel > 0 else 4]
+    certified = jacobi_sweeps([e], False)
+    monkeypatch.setattr(svd_module, "_ranks_certain", lambda *args: False)
+    assert certified == jacobi_sweeps([e], False) == 6
+
+
+def test_brackets_hold_the_singular_values_and_both_terms_are_sharp():
+    def brackets(w, level):
+        low, high = svd_module._brackets((w.conj().T @ w)[None], np.array([level]))
+        return -np.sort(-low[0]), -np.sort(-high[0]), np.linalg.svd(w, compute_uv=False)
+
+    # six unit columns at pairwise cosine c: Gram I + c (J - I), whose top
+    # eigenvalue 1 + 5c meets the bound (k - 1) max|cos| on the 2-norm of E
+    c = 1e-3
+    low, high, sigma = brackets(
+        np.linalg.cholesky((1 - c) * np.eye(6, dtype=complex) + c).conj().T, 0.0)
+    assert (low <= sigma).all() and (sigma <= high).all()
+    assert high[0] - sigma[0] <= 1e-14
+    # a column of norm 0.1 under the negligible level, parallel to a unit
+    # one: it stands for the value 0, which its eta of 0.1 just reaches
+    low, high, sigma = brackets(np.array([[1.0, 0.1], [0.0, 0.0]], dtype=complex), 0.02)
+    assert (low <= sigma).all() and (sigma <= high).all()
+    assert sigma[1] - low[1] <= 1e-15
 
 
 def test_round_robin_schedule_visits_every_pair_once_per_sweep():

@@ -474,3 +474,22 @@ def test_an_underflowing_minor_sum_raises_out_of_range():
     with pytest.raises(OutOfRange, match="underflows"):
         principal_minor_sum(qm([[q(1e-200), q()], [q(), q(1e-200)]]), 2)
     assert principal_minor_sum(qm([[q(1e-300), q(1e-300)], [q(1e-300), q(1e-300)]]), 2) == 0.0
+
+
+def test_coefficient_matrices_raise_out_of_range_instead_of_reading_0():
+    # every coefficient of 1e-120 * I_4 at r = 4 is 0 or about 1e-360
+    tiny, ones = QMatrix.identity(4) * 1e-120, [q(1.0)] * 4
+    for fn in (lambda: cdet_coeffs(tiny, 4), lambda: rdet_coeffs(tiny, 4),
+               lambda: bordered_cdet_sum(tiny, 1, ones, 4),
+               lambda: bordered_rdet_sum(tiny, 1, ones, 4)):
+        with pytest.raises(OutOfRange, match="coefficient underflows"):
+            fn()
+    with pytest.raises(OutOfRange, match="coefficient overflows"):
+        cdet_coeffs(QMatrix.identity(4) * 1e120, 4)
+    # in range, the off-diagonal coefficients are structurally zero and read 0
+    for coeffs in (cdet_coeffs(QMatrix.identity(4) * 1e-60, 4),
+                   rdet_coeffs(QMatrix.identity(4) * 1e-60, 4)):
+        comps = quat_array(coeffs)
+        assert np.count_nonzero(comps) == 4
+        assert np.allclose(comps[range(4), range(4), 0], 1e-180, rtol=1e-14, atol=0.0)
+    assert bordered_cdet_sum(tiny, 1, ones, 1) == q(1.0)
