@@ -41,13 +41,14 @@ engine (:func:`_jacobi`) decomposes a whole batch at once:
   the identity, which leaves its values but may turn its ``-0.0`` entries
   into ``0.0``; a batch that forms ``V'`` leaves such a member out of that
   product instead, so its factors keep their signed zeros.
-- The batch runs rounds until one cycle of ``len(rounds)`` rounds in a row
-  rotates nothing, which can end a pass inside a sweep; the limit of
-  ``_MAX_SWEEPS`` sweeps' worth of rounds binds the slowest member.  A
-  values-only pass also ends at the first sweep boundary at which every
-  member's rank under its default cutoff is certain (:func:`_brackets`),
-  read off the ``W^H W`` of that round; a factor pass runs to convergence,
-  since ``U`` and ``V`` need it.
+- The batch runs rounds until one rotates nothing while no pair of its
+  ``W^H W`` passes a round's rotation test (:func:`_converged`), which can
+  end a pass inside a sweep; the limit of ``_MAX_SWEEPS`` sweeps' worth of
+  rounds binds the slowest member.  A values-only pass also ends at the
+  first sweep boundary at which every member's rank under its default
+  cutoff is certain (:func:`_ranks_certain`), read off the ``W^H W`` of
+  that round; a factor pass runs to convergence, since ``U`` and ``V`` need
+  it.
 
 Padding adds only exact zeros, but a padded member meets its pairs in the
 order of ``_rounds(N)`` and a padded product may round its entries in
@@ -143,17 +144,20 @@ def _brackets(gram: np.ndarray, negligible: np.ndarray) -> tuple[np.ndarray, np.
     column's norm stands for (the ``j``-th largest norm for the ``j``-th
     largest value).
 
-    Per member, with ``k`` columns above its ``negligible`` level and
-    ``e = (k - 1) * max |G_pq| / sqrt(G_pp G_qq)`` over their pairs, which
-    bounds the 2-norm of ``E`` in ``D^(1/2) (I + E) D^(1/2)``, their Gram
-    matrix: for ``e < 1`` Ostrowski's theorem puts the ``j``-th singular
-    value of those columns in ``[nu_j sqrt(1 - e), nu_j sqrt(1 + e)]``, ``nu_j``
-    the ``j``-th largest norm (Demmel and Veselic, SIAM J. Matrix Anal. Appl.
-    13(4), 1992).  The other columns, padding included, have Frobenius norm
-    ``eta`` and move any singular value by at most that (Weyl), so each
-    bracket is ``[nu sqrt(1 - e) - eta, nu sqrt(1 + e) + eta]``.  ``e`` carries
+    Per member, with ``e = max_p sum_q |G_pq| / sqrt(G_pp G_qq)`` over the
+    pairs of its columns above its ``negligible`` level, the largest row sum
+    of ``|E|`` in ``D^(1/2) (I + E) D^(1/2)``, their Gram matrix, which bounds
+    the 2-norm of the Hermitian ``E`` (its spectral radius; Horn and Johnson,
+    Matrix Analysis, 2nd ed., Thm 5.6.9): for ``e < 1`` Ostrowski's theorem puts
+    the ``j``-th singular value of those columns in
+    ``[nu_j sqrt(1 - e), nu_j sqrt(1 + e)]``, ``nu_j`` the ``j``-th largest
+    norm (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).  The
+    other columns, padding included, have Frobenius norm ``eta`` and move any
+    singular value by at most that (Weyl), so each bracket is
+    ``[nu sqrt(1 - e) - eta, nu sqrt(1 + e) + eta]``.  ``e`` carries
     ``size * eps`` more for the rounding of the Gram entries and of the norms
-    the pass returns; a member with ``e >= 1/2`` gets ``[-inf, inf]``.
+    the pass returns, and ``size * eps * e`` for that of the row sums; a
+    member with ``e >= 1`` gets ``[-inf, inf]``.
     """
     b, size, _ = gram.shape
     d = gram.diagonal(axis1=1, axis2=2).real
@@ -163,9 +167,10 @@ def _brackets(gram: np.ndarray, negligible: np.ndarray) -> tuple[np.ndarray, np.
     cosines *= inv[:, :, None]
     cosines *= inv[:, None, :]
     cosines.reshape(b, -1)[:, ::size + 1] = 0.0
-    e = (live.sum(axis=1) - 1) * cosines.max(axis=(1, 2)) + size * np.finfo(np.float64).eps
-    known = (e < 0.5)[:, None]
-    e = np.minimum(e, 0.5)[:, None]
+    e = cosines.sum(axis=2).max(axis=1)
+    e += size * np.finfo(np.float64).eps * (1.0 + e)
+    known = (e < 1.0)[:, None]
+    e = np.minimum(e, 1.0)[:, None]
     eta = np.sqrt(np.where(live, 0.0, d).sum(axis=1))[:, None]
     nu = np.sqrt(d)
     return (np.where(known, nu * np.sqrt(1.0 - e) - eta, -np.inf),
@@ -176,10 +181,29 @@ def _ranks_certain(gram: np.ndarray, negligible: np.ndarray, cutoff_factor: np.n
     """Whether the column norms of every member of a batch of ``W`` with Gram
     matrices ``gram`` decide its rank under the cutoff
     ``cutoff_factor * sigma_max``: no :func:`_brackets` bracket of a value
-    meets that of the cutoff, which the largest norm's bracket gives."""
+    meets that of the cutoff, which the largest norm's bracket gives.  A
+    member whose largest bracket ends at 0 is zero, so its rank is 0, as
+    :func:`rank_cutoff`'s infinite cutoff of an all-zero spectrum gives."""
     low, high = _brackets(gram, negligible)
     cut_low, cut_high = (cutoff_factor[:, None] * x.max(axis=1, keepdims=True) for x in (low, high))
-    return bool(((low > cut_high) | (high < cut_low)).all())
+    return bool(((low > cut_high) | (high < cut_low) | (cut_high == 0.0)).all())
+
+
+def _active(gram: np.ndarray, pairs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """For the pairs ``(p, q)`` of a :func:`_batch_rounds` entry ``pairs`` and
+    a batch's flattened Gram matrices ``gram``: their ``a``, ``b``, ``c``,
+    ``|c|`` and whether a round rotates them, which it does when both columns
+    are above their negligible level and ``|c| > _PAIR_TOL sqrt(a b)``."""
+    pp, _, pq, qq, neg = pairs
+    app, aqq, apq = gram[pp].real, gram[qq].real, gram[pq]
+    mag = np.abs(apq)
+    return app, aqq, apq, mag, (app > neg) & (aqq > neg) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
+
+
+def _converged(gram: np.ndarray, pairs: tuple[np.ndarray, ...]) -> bool:
+    """Whether no pair of ``pairs``, an entry of every pair of a batch in the
+    layout of :func:`_batch_rounds`, rotates on the Gram matrices ``gram``."""
+    return not _active(gram, pairs)[-1].any()
 
 
 def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
@@ -225,27 +249,27 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
     rounds = _batch_rounds(size, negligible)
     work = stack[:, :size]
 
-    # one cycle of len(rounds) rounds in a row that rotates nothing has
-    # visited every pair of an unchanged W, so the iteration has converged;
+    # a round that rotates nothing leaves W as it is, so the rest of its
+    # cycle would read this Gram: if no pair of it rotates, none ever will;
     # a values-only pass also stops at a sweep's start once every rank is certain
-    idle, certain = 0, False
+    every = tuple(np.concatenate(x) for x in zip(*rounds))
+    converged, certain = not rounds, False
     cutoff_factor = np.array([default_threshold(a.shape, 1.0) for a in tall])
     for step in range(_MAX_SWEEPS * len(rounds)):
-        pp, qp, pq, qq, neg = rounds[step % len(rounds)]
+        pairs = rounds[step % len(rounds)]
+        pp, qp, pq, qq, _ = pairs
         gram = (work.conj().transpose(0, 2, 1) @ work).reshape(-1)
         if not vectors and step and not step % len(rounds):
             certain = _ranks_certain(gram.reshape(-1, size, size), negligible, cutoff_factor)
             if certain:
                 break
-        app, aqq, apq = gram[pp].real, gram[qq].real, gram[pq]
-        mag = np.abs(apq)
-        active = (app > neg) & (aqq > neg) & (mag > _PAIR_TOL * np.sqrt(app * aqq))
+        app, aqq, apq, mag, active = _active(gram, pairs)
         if not active.any():
-            idle += 1
-            if idle == len(rounds):
+            converged = _converged(gram, every)
+            if converged:
                 break
             continue
-        idle, full = 0, active.all()
+        full = active.all()
         if not full:
             pp, qp, pq, qq, app, aqq, apq, mag = (
                 x[active] for x in (pp, qp, pq, qq, app, aqq, apq, mag)
@@ -271,7 +295,7 @@ def _jacobi(mats: Sequence[np.ndarray], vectors: bool) -> list:
         else:
             stack = stack @ rot
         work = stack[:, :size]
-    if idle < len(rounds) and not certain:
+    if not (converged or certain):
         m, n = np.shape(mats[0])  # the caller's shape: a wide member was transposed
         what = f"a {m}x{n} matrix" if len(tall) == 1 else f"{len(tall)} matrices"
         raise NotConverged(f"Jacobi SVD of {what} did not converge in {_MAX_SWEEPS} sweeps")
@@ -329,9 +353,10 @@ def spectra(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The singular values of each matrix of ``mats``, descending, as far as
     its rank needs them: one batch that forms no ``V``.
 
-    The members are padded into one pass, which stops once every member's
-    rank under its default cutoff (:func:`rank_cutoff` with no floor) is
-    certain, or else converges.  So each value is good only to its
+    The members are padded into one pass, which stops at the first sweep
+    boundary at which every member's rank under its default cutoff
+    (:func:`rank_cutoff` with no floor) is certain, a zero member's at once,
+    or else at its first converged round.  So each value is good only to its
     :func:`_brackets` bracket, which may be far wider than rounding, while
     ``embedded_rank(s, rank_cutoff(shape, s))`` or a count of ``s`` above
     that cutoff gives the rank of the converged values.  A sweep limit

@@ -298,38 +298,46 @@ class _CountedRounds(list):
         *flat, neg = super().__getitem__(i)
         return (*flat, np.full_like(neg, np.inf) if self.reads > self.block else neg)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 @pytest.mark.parametrize("vectors", [False, True])
-def test_a_pass_stops_one_idle_cycle_after_its_last_rotation(monkeypatch, vectors):
+def test_a_pass_stops_at_its_first_converged_round(monkeypatch, vectors):
     rng = np.random.default_rng(268)
     mats = [rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)) for _ in range(2)]
     if not vectors:
-        # a zero member's values all meet its cutoff of 0, so its rank is
-        # never certain and the values-only pass ends by the idle rule too
-        mats.append(np.zeros((6, 5)))
-    batch_rounds = svd_module._batch_rounds
+        # a value at the cutoff is never certain, so the values-only pass
+        # ends by converging too; this member's last rotation still moves
+        # the last bit of a norm, which is all a values-only pass returns
+        mats.append(_near_cutoff_member(4, 1e-6))
+    batch_rounds, converged = svd_module._batch_rounds, svd_module._converged
 
-    def run(block):
-        schedules = []
+    def run(block, stop):
+        """The rounds one pass over ``mats`` reads, its cycle, its pickled
+        output and the reads at which it tests convergence, with the test
+        answered by ``stop(reads, converged)``."""
+        schedules, tests = [], []
 
         def counted(size, negligible):
             schedules.append(_CountedRounds(batch_rounds(size, negligible), block))
             return schedules[-1]
 
-        monkeypatch.setattr(svd_module, "_batch_rounds", counted)
-        out = svd_module._jacobi(mats, vectors)
-        [schedule] = schedules
-        return schedule.reads, len(schedule), pickle.dumps(out)
+        def tested(gram, pairs):
+            tests.append(schedules[0].reads)
+            return stop(tests[-1], converged(gram, pairs))
 
-    reads, cycle, whole = run(math.inf)
-    assert reads % cycle  # the pass stops inside a sweep, not at its end
-    # the last cycle of rounds it reads rotates nothing ...
-    assert run(reads - cycle) == (reads, cycle, whole)
-    # ... and the round before it rotates
-    assert run(reads - cycle - 1)[2] != whole
+        monkeypatch.setattr(svd_module, "_batch_rounds", counted)
+        monkeypatch.setattr(svd_module, "_converged", tested)
+        out = svd_module._jacobi(mats, vectors)
+        return schedules[0].reads, len(schedules[0]), pickle.dumps(out), tests
+
+    reads, cycle, whole, tests = run(math.inf, lambda _, done: done)
+    # convergence is tested only at a round that rotates nothing, and the
+    # pass stops at the first such round whose Gram has no pair to rotate
+    assert tests[-1] == reads and reads % cycle
+    # made to read one more full cycle of rounds, it gives the same bytes ...
+    assert run(math.inf, lambda r, done: done and r == reads + cycle)[:3] == (
+        reads + cycle, cycle, whole)
+    # ... and stopped one round sooner, before its last rotation, others
+    assert run(reads - 2, lambda r, _: r == reads - 1)[2] != whole
 
 
 def test_a_padded_column_never_rotates():
@@ -614,26 +622,29 @@ def _gate_batch(monkeypatch, problem: GenSylvesterProblem) -> list[np.ndarray]:
 def test_dense_rank_batches_certify_in_five_sweeps_or_fewer(monkeypatch):
     # the columns of R2* (R1* = Q2 R2, A = Q1 R1) start nearly orthogonal,
     # and the pass stops once every rank is certain; run to convergence it
-    # took 8, 7, 7, 7, 7 and 7 sweeps, and on the raw padded stacks 9 or 10
+    # took 8, 7, 7, 7, 7 and 7 sweeps, and on the raw padded stacks 9 or 10;
+    # bounding |E| by (k - 1) max|cos|, known below 1/2, it took 4, 4, 5, 4,
+    # 4 and 4
     sweeps = []
     for seed in range(6):
         batch = _gate_batch(monkeypatch, _dense_problem(seed, int(seed % 3 == 1)))
         assert [a.shape for a in batch] == [(12, 30), (12, 18), (30, 12), (18, 12),
                                             (20, 22), (22, 20)]
         sweeps.append(jacobi_sweeps(batch, False))
-    assert sweeps == [4, 4, 5, 4, 4, 4]
+    assert sweeps == [3, 3, 3, 3, 3, 3]
 
 
 def test_dense_factor_passes_rotate_preconditioned_triangles(monkeypatch):
     # derive_aux's factor passes, one per tall shape of each level of its
     # records, rotate R2* (R1* = Q2 R2, A = Q1 R1); on the raw stacks they
-    # took 29, 30, 29, 30, 27 and 30 sweeps in all
+    # took 29, 30, 29, 30, 27 and 30 sweeps in all, and stopping one idle
+    # cycle after their last rotation 21, 16, 23, 20, 15 and 23
     sweeps = []
     for seed in range(6):
         problem = _dense_problem(seed, int(seed % 3 == 1))
         groups = _batches(monkeypatch, lambda: derive_aux(problem), True)
         sweeps.append(sum(jacobi_sweeps(group, True) for group in groups))
-    assert sweeps == [21, 16, 23, 20, 15, 23]
+    assert sweeps == [18, 13, 19, 16, 12, 19]
 
 
 def test_values_only_ranks_match_the_factor_pass(monkeypatch, jacobi_log):
@@ -717,7 +728,7 @@ def test_a_value_at_the_cutoff_runs_the_rank_pass_to_convergence(monkeypatch, re
     assert ranks([complex_unembed(e, 6, 6)]) == [5 if rel > 0 else 4]
     certified = jacobi_sweeps([e], False)
     monkeypatch.setattr(svd_module, "_ranks_certain", lambda *args: False)
-    assert certified == jacobi_sweeps([e], False) == 6
+    assert certified == jacobi_sweeps([e], False) == 5
 
 
 def test_brackets_hold_the_singular_values_and_both_terms_are_sharp():
@@ -726,7 +737,7 @@ def test_brackets_hold_the_singular_values_and_both_terms_are_sharp():
         return -np.sort(-low[0]), -np.sort(-high[0]), np.linalg.svd(w, compute_uv=False)
 
     # six unit columns at pairwise cosine c: Gram I + c (J - I), whose top
-    # eigenvalue 1 + 5c meets the bound (k - 1) max|cos| on the 2-norm of E
+    # eigenvalue 1 + 5c meets the largest row sum 5c of |E|, its bound
     c = 1e-3
     low, high, sigma = brackets(
         np.linalg.cholesky((1 - c) * np.eye(6, dtype=complex) + c).conj().T, 0.0)
@@ -737,6 +748,48 @@ def test_brackets_hold_the_singular_values_and_both_terms_are_sharp():
     low, high, sigma = brackets(np.array([[1.0, 0.1], [0.0, 0.0]], dtype=complex), 0.02)
     assert (low <= sigma).all() and (sigma <= high).all()
     assert sigma[1] - low[1] <= 1e-15
+
+
+@pytest.mark.parametrize("spread", [0.5, 0.9, 0.999, 1.2])
+def test_brackets_hold_up_to_a_row_sum_of_one(spread):
+    # six unit columns at pairwise cosine c = spread / 5, whose values are
+    # sqrt(1 + 5c) and sqrt(1 - c) five times: the row sum 5c certifies
+    # them below 1, and a bracket that held past it would be too narrow
+    c = spread / 5
+    w = np.linalg.cholesky((1 - c) * np.eye(6, dtype=complex) + c).conj().T
+    low, high = svd_module._brackets((w.conj().T @ w)[None], np.array([0.0]))
+    sigma = np.linalg.svd(w, compute_uv=False)
+    assert (-np.sort(-low[0]) <= sigma).all() and (sigma <= -np.sort(-high[0])).all()
+    assert np.isfinite(high).all() == (spread < 1)
+
+
+def test_a_lone_skewed_pair_certifies_on_its_row_sum():
+    # eight columns of norms 1 down to 1/8, orthogonal but for the first two
+    # at cosine 0.3: the largest row sum of |E| is 0.3, but (k - 1) max|cos|
+    # = 2.1 is past 1/2, so a pass reading this Gram at a sweep's start now
+    # stops there, where the largest-cosine bound ran on
+    c, k = 0.3, 8
+    e = np.eye(k)
+    e[0, 1] = e[1, 0] = c
+    w = np.linalg.cholesky(e).conj().T * (1.0 / np.arange(1, k + 1))
+    gram = (w.conj().T @ w).astype(complex)[None]
+    low, high = svd_module._brackets(gram, np.array([0.0]))
+    sigma = np.linalg.svd(w, compute_uv=False)
+    assert np.isfinite(low).all() and (k - 1) * c >= 0.5
+    assert (-np.sort(-low[0]) <= sigma).all() and (sigma <= -np.sort(-high[0])).all()
+    assert svd_module._ranks_certain(gram, np.array([0.0]), np.array([k * np.finfo(float).eps]))
+
+
+def test_a_zero_member_is_certain_at_rank_0():
+    # the zero member's cutoff is infinite, so its rank is 0 and certain:
+    # the batch takes the sweeps of its other member alone
+    a = np.asarray(complex_embed(planted_rank_matrix(SplitMix64(81), 6, 5, 4)))
+    zero = np.zeros_like(a)
+    assert jacobi_sweeps([zero, a], False) == jacobi_sweeps([a], False) < 5
+    [s0, s], [alone] = spectra([zero, a]), spectra([a])
+    assert not s0.any() and embedded_rank(s0, rank_cutoff(a.shape, s0)) == 0
+    assert embedded_rank(s, rank_cutoff(a.shape, s)) == embedded_rank(
+        alone, rank_cutoff(a.shape, alone)) == 4
 
 
 def test_round_robin_schedule_visits_every_pair_once_per_sweep():
