@@ -15,7 +15,8 @@ Exit codes: 0 success (and, for solve/check, the instance is consistent);
 is consistent but the solution it exhibits fails its own check,
 ``solution_residual`` or ``methods_agree``; 1 numeric failure, or a
 ``lyapunov-like`` instance outside its formula's domain ``b =
-ctranspose(a)``; 64 usage error; 66 unreadable or unparsable input file.
+ctranspose(a)``; 64 usage error; 66 unreadable or unparsable input file, or
+an output file or directory that cannot be written.
 """
 
 from __future__ import annotations

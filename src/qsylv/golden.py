@@ -13,7 +13,7 @@ per check; ``print_selftest`` prints that table, as the command-line
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .mpinv import gram_left, mp_cramer, mp_oracle, proj_q_cramer
 from .qmatrix import QMatrix
@@ -46,8 +46,10 @@ class WorkedExample:
     problem: GenSylvesterProblem
     expected_x1: QMatrix
     expected_x2: Optional[QMatrix]
-    # (label, expected matrix or float) pairs checked by selftest
-    intermediates: tuple[tuple[str, object], ...]
+    # (label, quantity, expected) rows checked by selftest: ``quantity()``
+    # computes the value that must match ``expected``, a matrix within
+    # GOLDEN_TOL, a float within 1e-10 relative, or anything else exactly
+    intermediates: tuple[tuple[str, Callable[[], object], object], ...]
     # Whether the consistency checks should report success, and the exact
     # residual of the expected solution (0.0 for a consistent instance).
     expected_consistent: bool = True
@@ -86,12 +88,13 @@ def example_pair() -> WorkedExample:
         expected_x1=expected_x1,
         expected_x2=expected_x2,
         intermediates=(
-            ("pinv_a1", a1_pinv),
-            ("m", m_mat),
-            ("pinv_m", m_pinv),
-            ("pinv_b1", b1_pinv),
-            ("pinv_b2", b2_pinv),
-            ("ranks", (1, 1, 1, 1, 1, 0, 0)),
+            ("pinv_a1", lambda: mp_cramer(a1).pinv, a1_pinv),
+            ("pinv_a1_oracle", lambda: mp_oracle(a1).pinv, a1_pinv),
+            ("m", lambda: derive_aux(problem).m.a, m_mat),
+            ("pinv_m", lambda: derive_aux(problem).m.pinv, m_pinv),
+            ("pinv_b1", lambda: derive_aux(problem).b1.pinv, b1_pinv),
+            ("pinv_b2", lambda: derive_aux(problem).b2.pinv, b2_pinv),
+            ("ranks", lambda: derive_aux(problem).ranks, (1, 1, 1, 1, 1, 0, 0)),
         ),
     )
 
@@ -132,9 +135,11 @@ def example_star() -> WorkedExample:
         expected_x1=expected_x,
         expected_x2=None,
         intermediates=(
-            ("pinv_a", a_pinv),
-            ("proj_q_a", q_a),
-            ("gram_det", 2.0),
+            ("pinv_a_left", lambda: mp_cramer(a, side="left").pinv, a_pinv),
+            ("pinv_a_right", lambda: mp_cramer(a, side="right").pinv, a_pinv),
+            ("pinv_a_oracle", lambda: mp_oracle(a).pinv, a_pinv),
+            ("proj_q_a", lambda: proj_q_cramer(a), q_a),
+            ("gram_det", lambda: hdet(gram_left(a), verify=True), 2.0),
         ),
         expected_consistent=False,
         expected_residual=1.5,
@@ -149,6 +154,15 @@ def max_abs_diff(a: QMatrix, b: QMatrix) -> float:
 def _close(a: QMatrix, b: QMatrix) -> tuple[bool, str]:
     diff = max_abs_diff(a, b)
     return diff <= GOLDEN_TOL, f"max entry deviation {diff:.3e}"
+
+
+def _matches(label: str, actual: object, expected: object) -> tuple[bool, str]:
+    """Whether an intermediate quantity matches its expected value, and a detail."""
+    if isinstance(expected, QMatrix):
+        return _close(actual, expected)
+    if isinstance(expected, float):
+        return abs(actual - expected) <= 1e-10 * (1.0 + abs(expected)), f"value {actual!r}"
+    return actual == expected, f"{label} {actual}"
 
 
 def _check_solution(
@@ -184,7 +198,8 @@ def selftest() -> list[tuple[str, bool, str]]:
         for method in ("direct", "cramer"):
             sol, _ = solve(example.problem, method=method, force=force)
             _check_solution(rows, f"{name}/{method}", example, sol)
-        rows.extend(_intermediate_rows(example))
+        for label, quantity, expected in example.intermediates:
+            rows.append((f"{name}/{label}", *_matches(label, quantity(), expected)))
     return rows
 
 
@@ -199,39 +214,3 @@ def print_selftest() -> int:
     print(f"{len(rows) - failures}/{len(rows)} golden checks passed")
     return failures
 
-
-def _intermediate_rows(example: WorkedExample) -> list[tuple[str, bool, str]]:
-    rows: list[tuple[str, bool, str]] = []
-    name = example.name
-    expected = dict(example.intermediates)
-    if name == "pair":
-        aux = derive_aux(example.problem)
-        a1 = example.problem.a1
-        for label, actual in (
-            ("pinv_a1", mp_cramer(a1).pinv),
-            ("pinv_a1_oracle", mp_oracle(a1).pinv),
-            ("m", aux.m.a),
-            ("pinv_m", aux.m.pinv),
-            ("pinv_b1", aux.b1.pinv),
-            ("pinv_b2", aux.b2.pinv),
-        ):
-            key = label.replace("_oracle", "")
-            ok, detail = _close(actual, expected[key])
-            rows.append((f"{name}/{label}", ok, detail))
-        ranks_ok = aux.ranks == expected["ranks"]
-        rows.append((f"{name}/ranks", ranks_ok, f"ranks {aux.ranks}"))
-    else:
-        a = example.problem.a1
-        for label, actual in (
-            ("pinv_a_left", mp_cramer(a, side="left").pinv),
-            ("pinv_a_right", mp_cramer(a, side="right").pinv),
-            ("pinv_a_oracle", mp_oracle(a).pinv),
-        ):
-            ok, detail = _close(actual, expected["pinv_a"])
-            rows.append((f"{name}/{label}", ok, detail))
-        ok, detail = _close(proj_q_cramer(a), expected["proj_q_a"])
-        rows.append((f"{name}/proj_q_a", ok, detail))
-        det_value = hdet(gram_left(a), verify=True)
-        det_ok = abs(det_value - expected["gram_det"]) <= 1e-10 * (1.0 + abs(expected["gram_det"]))
-        rows.append((f"{name}/gram_det", det_ok, f"value {det_value!r}"))
-    return rows

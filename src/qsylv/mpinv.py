@@ -4,9 +4,9 @@
   entry of the inverse is a bordered minor sum of a Gram matrix divided by the
   sum of its rank-sized principal minors.  The bordered sums of all entries
   come from one coefficient matrix of the Gram matrix (see :mod:`qsylv.rcdet`),
-  so the inverse is ``cdet_coeffs(A*A) @ A* / denom`` or
-  ``A* @ rdet_coeffs(AA*) / denom``, and ``denom`` is a trace read of the
-  same coefficient matrix times the Gram matrix.
+  so the inverse is ``cdet_coeffs(A*A) @ A* / denom``, or on the right side
+  the conjugate transpose of that formula on ``A*``, and ``denom`` is a trace
+  read of the same coefficient matrix times the Gram matrix.
 - :func:`mp_oracle` works through the complex embedding and an SVD-based
   complex pseudoinverse; :func:`mp_oracles` inverts several matrices with
   their SVDs decomposed together.
@@ -72,41 +72,30 @@ class MpResult(NamedTuple):
         return QMatrix.identity(self.a.rows) - self.proj_q()
 
 
-def hermitize(g: QMatrix) -> QMatrix:
-    """Average ``g`` with its conjugate transpose.
-
-    Gram matrices assembled in floating point can miss exact Hermitian
-    symmetry in the last bit; averaging restores it without changing the
-    value beyond rounding.
-    """
-    return (g + g.H) / 2.0
-
-
 def gram_left(a: QMatrix) -> QMatrix:
-    """The ``cols x cols`` Gram matrix ``ctranspose(a) @ a``, symmetrized."""
-    return hermitize(mmul(ctranspose(a), a))
-
-
-def gram_right(a: QMatrix) -> QMatrix:
-    """The ``rows x rows`` Gram matrix ``a @ ctranspose(a)``, symmetrized."""
-    return hermitize(mmul(a, ctranspose(a)))
+    """The ``cols x cols`` Gram matrix ``ctranspose(a) @ a``, averaged with its
+    conjugate transpose: a product in floating point can miss exact Hermitian
+    symmetry in the last bit, and the average restores it."""
+    g = mmul(ctranspose(a), a)
+    return (g + g.H) / 2.0
 
 
 def mp_cramer(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -> MpResult:
     """Determinantal Moore-Penrose inverse, from one coefficient pass.
 
     ``a`` is prescaled to ``a_s = 2**k a`` (:func:`~qsylv.qmatrix.pow2_exponent`)
-    so that its Gram matrix neither overflows nor underflows.  On the
-    ``"left"`` side ``gram = a_s* a_s`` and ``coeffs = cdet_coeffs(gram, r)``,
-    so ``pinv(a) = 2**k coeffs @ a_s* / denom``; on the ``"right"`` side
-    ``gram = a_s a_s*`` and ``coeffs = rdet_coeffs(gram, r)``, so
-    ``pinv(a) = 2**k a_s* @ coeffs / denom``.  ``denom``, the sum of the
+    so that its Gram matrix neither overflows nor underflows, and oriented as
+    ``b = a_s`` on the ``"left"`` side or ``b = a_s*`` on the ``"right"``.
+    One pass forms ``gram = b* b`` and ``coeffs = cdet_coeffs(gram, r)``, so
+    ``pinv(b) = coeffs @ b* / denom``, where ``denom``, the sum of the
     ``r x r`` principal minors of ``gram``, is read off the same coefficients
-    as ``Re tr(coeffs @ gram) / r`` (left) or ``Re tr(gram @ coeffs) / r``
-    (right).  The default side is the one with the smaller Gram matrix,
-    ``"left"`` on a tie; ``method`` names the side.  ``r`` is a rank already
-    decided for ``a``, such as an SVD's ``rank_used``; by default it is
-    decided here.
+    as ``Re tr(coeffs @ gram) / r``.  The left side returns ``2**k pinv(b)``
+    and the right side ``2**k pinv(b)*``, that is ``2**k b @ coeffs* / denom``
+    (``pinv(a) = pinv(a*)*``): the right side's Gram matrix is ``a_s a_s*``,
+    and its bordered sums are the paper's row determinants.  The default side
+    is the one with the smaller Gram matrix, ``"left"`` on a tie; ``method``
+    names the side.  ``r`` is a rank already decided for ``a``, such as an
+    SVD's ``rank_used``; by default it is decided here.
 
     Raises :class:`ZeroDivisor` when the principal-minor sum is zero.  The
     determinant engine is imported here, so the pseudoinverse route never
@@ -115,7 +104,7 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -
     pass is a power of two), and a record of rank 0 has the zero
     pseudoinverse, as :func:`mp_oracles` gives a zero matrix.
     """
-    from .rcdet import cdet_coeffs, rdet_coeffs
+    from .rcdet import cdet_coeffs
     if side is None:
         side = "left" if a.cols <= a.rows else "right"
     elif side not in ("left", "right"):
@@ -128,18 +117,14 @@ def mp_cramer(a: QMatrix, side: Optional[str] = None, r: Optional[int] = None) -
         return MpResult(QMatrix.zeros(a.cols, a.rows), method, 0, a)
     k = pow2_exponent(a)
     scaled = scale_pow2(a, k)
-    scaled_h = ctranspose(scaled)
-    if side == "left":
-        gram = gram_left(scaled)
-        coeffs = cdet_coeffs(gram, r)
-        product, pinv = coeffs @ gram, coeffs @ scaled_h
-    else:
-        gram = gram_right(scaled)
-        coeffs = rdet_coeffs(gram, r)
-        product, pinv = gram @ coeffs, scaled_h @ coeffs
-    denom = product.trace().w / r
+    b = scaled if side == "left" else ctranspose(scaled)
+    gram = gram_left(b)
+    coeffs = cdet_coeffs(gram, r)
+    denom = (coeffs @ gram).trace().w / r
     if denom == 0.0:
         raise ZeroDivisor(f"the rank-{r} principal-minor sum of a Gram matrix is zero")
+    # b @ coeffs*, not ctranspose(coeffs @ b*): the latter flips the sign of zeros
+    pinv = coeffs @ ctranspose(b) if side == "left" else b @ ctranspose(coeffs)
     return MpResult(scale_pow2(pinv / denom, k), method, r, a)
 
 

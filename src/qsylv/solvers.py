@@ -302,7 +302,7 @@ def derive_aux(problem: GenSylvesterProblem) -> AuxData:
     between: every hit is of the problem derived last, in 20 s runs of the
     benchmark's ``sweep`` and ``dense`` workloads (4344 and 842 hits), in the
     CLI commands and :func:`solve_general` calls of
-    ``scripts/output_digest.py`` (4320) and in ``qsylv selftest`` (9).  So
+    ``scripts/output_digest.py`` (4320) and in ``qsylv selftest`` (13).  So
     the cache keeps that one problem.
 
     Each level of :func:`_records` is one :func:`~qsylv.mpinv.mp_oracles`

@@ -97,6 +97,19 @@ def test_malformed_json_exits_66(capsys, tmp_path):
     assert code == 66
 
 
+@pytest.mark.parametrize("where", ["out", "out-dir"])
+def test_unwritable_output_exits_66(where, capsys, tmp_path):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    if where == "out":
+        target = ["--out", str(tmp_path / "missing_dir" / "x.json")]
+    else:
+        target = ["--out-dir", str(blocker / "sub")]
+    code, out, err = run_cli(["gen", "--kind", "sylvester", "--seed", "1", *target], capsys)
+    assert code == 66
+    assert out == "" and err.startswith("qsylv: error: cannot write")
+
+
 def test_dimension_clash_exits_64(capsys, tmp_path):
     a = tmp_path / "a.json"
     c = tmp_path / "c.json"

@@ -14,6 +14,7 @@ from qsylv import (
     GenSylvesterProblem,
     MpResult,
     QMatrix,
+    ZeroDivisor,
     derive_aux,
     is_hermitian,
     mp_cramer,
@@ -21,14 +22,8 @@ from qsylv import (
     mp_oracles,
     rank,
 )
-from qsylv.mpinv import (
-    gram_left,
-    gram_right,
-    hermitize,
-    proj_p_cramer,
-    proj_q_cramer,
-)
-from qsylv.qmatrix import complex_embed, complex_unembed, scale_pow2
+from qsylv.mpinv import gram_left, proj_p_cramer, proj_q_cramer
+from qsylv.qmatrix import complex_embed, complex_unembed, ctranspose, scale_pow2
 from qsylv.sampling import SplitMix64, planted_rank_matrix, random_matrix
 from qsylv.svd import pinv_from_svd, rank_cutoff
 
@@ -363,11 +358,19 @@ def test_projectors_annihilate_as_expected(name):
 def test_grams_are_hermitian():
     a = random_matrix(SplitMix64(50), 3, 2)
     gl = gram_left(a)
-    gr = gram_right(a)
+    gr = gram_left(ctranspose(a))
     assert gl.shape == (2, 2) and gr.shape == (3, 3)
     assert is_hermitian(gl, 0.0)
     assert is_hermitian(gr, 0.0)
-    assert hermitize(gl) == gl
+    assert (gl + gl.H) / 2.0 == gl
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_zero_principal_minor_sum_raises_zero_divisor(side):
+    # diag(1, 0) has rank 1; forced to rank 2, its only 2x2 principal minor is 0
+    a = qm([[q(1), q()], [q(), q()]])
+    with pytest.raises(ZeroDivisor, match="rank-2 principal-minor sum"):
+        mp_cramer(a, side, 2)
 
 
 def test_identity_and_scalar_cases():

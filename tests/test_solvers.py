@@ -46,7 +46,7 @@ from qsylv.sampling import (
     random_hermitian,
     random_matrix,
 )
-from qsylv.solvers import cramer_axb
+from qsylv.solvers import cramer_ax, cramer_axb
 
 from conftest import assert_matrix_close, max_entry_diff, q, qm
 
@@ -370,6 +370,23 @@ def test_cramer_axb_matches_pinv_sandwich():
 
     x_mp = mp_oracle(a).pinv @ c @ mp_oracle(b).pinv
     assert max_entry_diff(cramer_axb(a, c, b), x_mp) <= 1e-9
+
+
+@pytest.mark.parametrize("full_rank", [True, False], ids=["full-rank", "rank-deficient"])
+@pytest.mark.parametrize("given_rank", [False, True], ids=["ra-decided", "ra-given"])
+def test_cramer_ax_is_the_left_factor_times_c(full_rank, given_rank):
+    from qsylv import mp_cramer, mp_oracle
+
+    rng = SplitMix64(74)
+    a = random_matrix(rng, 4, 3) if full_rank else planted_rank_matrix(rng, 4, 3, 2)
+    c = random_matrix(rng, 4, 2)
+    oracle = mp_oracle(a)
+    assert oracle.rank_used == (3 if full_rank else 2)
+    ra = oracle.rank_used if given_rank else None
+    got = cramer_ax(a, c, ra)
+    assert got._pair.tobytes() == (mp_cramer(a, "left", ra).pinv @ c)._pair.tobytes()
+    want = oracle.pinv @ c
+    assert (got - want).fro_norm() <= 1e-10 * want.fro_norm()
 
 
 def test_planted_solution_is_recovered_at_full_rank():
