@@ -16,17 +16,18 @@ is consistent but the solution it exhibits fails its own check,
 ``solution_residual`` or ``methods_agree``; 1 numeric failure, or a
 ``lyapunov-like`` instance outside its formula's domain ``b =
 ctranspose(a)``; 64 usage error; 66 unreadable or unparsable input file, or
-an output file or directory that cannot be written.
+output that cannot be written (a file, a directory, or standard output on a
+full disk or a closed pipe).  Only :func:`main` maps an error to its code.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
 from typing import Optional
 
 from . import jsonio
@@ -45,21 +46,14 @@ _KIND_NAMES = tuple(kind.cli_name for kind in EquationKind)
 _SLOT_NAMES = ("a1", "b1", "a2", "b2")
 
 # The exit code of each error type; an error takes the entry of the nearest
-# class in its method resolution order.
-_EXIT_CODES = {ParseError: 66, DimensionMismatch: 64, InvalidSize: 64, Inconsistent: 2,
-               QsylvError: 1}
+# class in its method resolution order.  Input errors arrive as ParseError, so
+# an OSError is output that could not be written.
+_EXIT_CODES = {ParseError: 66, OSError: 66, DimensionMismatch: 64, InvalidSize: 64,
+               Inconsistent: 2, QsylvError: 1}
 
 # The checks a solve makes of the solution it exhibits: a consistent instance
 # whose solution fails one of them exits 3.
 _SOLUTION_CHECKS = ("solution_residual", "methods_agree")
-
-
-class _Exit(Exception):
-    """Internal: unwind to main() with a message and exit code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,9 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_matrix(path: str) -> QMatrix:
-    data = jsonio.read_json(path)
+    """The matrix in file ``path``; each error of the file is a ParseError naming it once."""
     try:
-        return QMatrix.from_json(data)
+        return QMatrix.from_json(jsonio.read_json(path))
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -81,11 +75,8 @@ def _load_matrix(path: str) -> QMatrix:
 def _emit(doc, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(jsonio.dumps(doc) + "\n")
-        return
-    try:
+    else:
         jsonio.write_json(out, doc)
-    except OSError as exc:
-        raise _Exit(66, f"cannot write {out}: {exc}")
 
 
 def _build_problem(args) -> GenSylvesterProblem:
@@ -106,16 +97,10 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
                             help=f"matrix file for coefficient {name}")
     parser.add_argument("--c", metavar="FILE", required=True,
                         help="matrix file for the right-hand side")
-    parser.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
+    # check_consistency, which check and solve run first, validates the tolerance
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="consistency tolerance, relative to |c|")
     _add_det_dim_arg(parser)
-
-
-def _tol(text: str) -> float:
-    tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
-    return tol
 
 
 def _at_least_one(text: str, what: str) -> int:
@@ -128,16 +113,9 @@ def _at_least_one(text: str, what: str) -> int:
     return n
 
 
-def _det_dim(text: str) -> int:
-    return _at_least_one(text, "determinant dimension cap")
-
-
-def _max_dim(text: str) -> int:
-    return _at_least_one(text, "largest matrix dimension")
-
-
 def _add_det_dim_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-det-dim", type=_det_dim,
+    parser.add_argument("--max-det-dim",
+                        type=partial(_at_least_one, what="determinant dimension cap"),
                         help="largest determinant expansion dimension")
 
 
@@ -222,8 +200,8 @@ def _cmd_gen(args) -> int:
             problem, planted = make_inconsistent_instance(rng, kind, args.max_dim), None
         else:
             problem, planted = make_consistent_instance(rng, kind, max_dim=args.max_dim)
-    except InvalidSize as exc:
-        raise _Exit(1, str(exc))
+    except InvalidSize as exc:  # no instance to draw: not a usage error
+        raise QsylvError(str(exc)) from exc
     matrices = {name: getattr(problem, name).to_json() for name in kind.required_slots}
     doc = {
         "kind": kind.cli_name,
@@ -235,16 +213,13 @@ def _cmd_gen(args) -> int:
             "x2": planted.x2.to_json() if planted.x2 is not None else None,
         },
     }
-    if args.out_dir is not None:
-        try:
-            os.makedirs(args.out_dir, exist_ok=True)
-            for name, payload in matrices.items():
-                jsonio.write_json(os.path.join(args.out_dir, f"{name}.json"), payload)
-            jsonio.write_json(os.path.join(args.out_dir, "instance.json"), doc)
-        except OSError as exc:
-            raise _Exit(66, f"cannot write into {args.out_dir}: {exc}")
+    if args.out_dir is None:
+        _emit(doc, args.out)
         return 0
-    _emit(doc, args.out)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, payload in matrices.items():
+        jsonio.write_json(os.path.join(args.out_dir, f"{name}.json"), payload)
+    jsonio.write_json(os.path.join(args.out_dir, "instance.json"), doc)
     return 0
 
 
@@ -294,13 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a deterministic random instance")
     p_gen.add_argument("--kind", choices=_KIND_NAMES, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--max-dim", type=_max_dim, default=3,
-                       help="largest matrix dimension to draw")
+    p_gen.add_argument("--max-dim", type=partial(_at_least_one, what="largest matrix dimension"),
+                       default=3, help="largest matrix dimension to draw")
     p_gen.add_argument("--inconsistent", action="store_true",
                        help="perturb the right-hand side out of the solvable set")
-    p_gen.add_argument("--out", metavar="FILE")
-    p_gen.add_argument("--out-dir", metavar="DIR",
-                       help="write one matrix file per coefficient plus instance.json")
+    p_gen_out = p_gen.add_mutually_exclusive_group()
+    p_gen_out.add_argument("--out", metavar="FILE")
+    p_gen_out.add_argument("--out-dir", metavar="DIR",
+                           help="write one matrix file per coefficient plus instance.json")
     p_gen.set_defaults(func=_cmd_gen)
 
     return parser
@@ -310,11 +286,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (_Exit, QsylvError) as exc:
-        sys.stderr.write(f"qsylv: error: {exc}\n")
-        if isinstance(exc, _Exit):
-            return exc.code
+        code = args.func(args)
+        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
+        return code
+    except (QsylvError, OSError) as exc:
+        what = "cannot write: " if isinstance(exc, OSError) else ""
+        sys.stderr.write(f"qsylv: error: {what}{exc}\n")
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 

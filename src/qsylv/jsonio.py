@@ -57,11 +57,13 @@ def loads(text: str) -> Any:
 
 
 def read_json(path: str) -> Any:
+    """Parse the file ``path``; an unreadable or non-UTF-8 file raises
+    :class:`ParseError` as malformed JSON does, with no path: callers name it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError's text repeats the path
+        raise ParseError(f"cannot read: {getattr(exc, 'strerror', exc)}") from exc
     return loads(text)
 
 

@@ -433,7 +433,10 @@ def cdet(a: QMatrix, j: int) -> Quaternion:
 
 def _unit_hermitian(h: QMatrix, what: str) -> tuple[int, QMatrix]:
     """``(k, 2**k h)`` scaled to unit size (:func:`~qsylv.qmatrix.pow2_exponent`);
-    :class:`NotHermitian` unless that is Hermitian within :data:`HDET_TOL`."""
+    :class:`NotSquare` or :class:`NotHermitian` unless ``h`` is square and
+    that is Hermitian within :data:`HDET_TOL`."""
+    if h.rows != h.cols:
+        raise NotSquare(f"{what} requires a square matrix, got {h.shape}")
     k = pow2_exponent(h)
     scaled = scale_pow2(h, k)
     if not is_hermitian(scaled, HDET_TOL):

@@ -110,6 +110,36 @@ def test_unwritable_output_exits_66(where, capsys, tmp_path):
     assert out == "" and err.startswith("qsylv: error: cannot write")
 
 
+def test_gen_out_and_out_dir_together_are_a_usage_error(capsys, tmp_path):
+    out, out_dir = tmp_path / "a.json", tmp_path / "d"
+    code, _, err = run_cli(["gen", "--kind", "sylvester", "--seed", "1", "--out", str(out),
+                            "--out-dir", str(out_dir)], capsys)
+    assert code == 64
+    assert "not allowed with argument" in err
+    assert not out.exists() and not out_dir.exists()
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="missing"),
+    pytest.param(b"\xff\xfe", id="not-utf-8"),
+    pytest.param(b'{"rows": 1,\n}', id="malformed-json"),
+    pytest.param(b'{"rows": 1, "cols": 1}', id="no-data"),
+    pytest.param(b'{"rows": 1, "cols": 1, "data": [[[NaN, 0, 0, 0]]]}', id="non-finite"),
+])
+@pytest.mark.parametrize("slot", ["a1", "c"])
+def test_every_input_error_names_its_file_once(slot, content, capsys, pair_files, tmp_path):
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content)
+    argv = ["check", "--kind", "gen-sylvester"]
+    for name in ("a1", "b1", "a2", "b2", "c"):
+        argv += [f"--{name}", str(bad) if name == slot else pair_files[name]]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (66, "")
+    assert err.startswith(f"qsylv: error: {bad}: ") and err.count("\n") == 1
+    assert err.count(str(bad)) == 1 and err.count("bad.json") == 1
+
+
 def test_dimension_clash_exits_64(capsys, tmp_path):
     a = tmp_path / "a.json"
     c = tmp_path / "c.json"
@@ -129,6 +159,7 @@ def _documented_exit_codes() -> set[int]:
 
 _ERRORS = [value for value in vars(errors_module).values()
            if isinstance(value, type) and issubclass(value, errors_module.QsylvError)]
+_ERRORS.append(OSError)  # output that cannot be written
 
 
 @pytest.mark.parametrize("error", _ERRORS, ids=lambda cls: cls.__name__)
@@ -139,12 +170,13 @@ def test_every_error_exits_with_a_documented_code(error, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "_cmd_selftest", raising)
     code, out, err = run_cli(["selftest"], capsys)
     expected = {errors_module.ParseError: 66, errors_module.DimensionMismatch: 64,
-                errors_module.InvalidSize: 64, errors_module.Inconsistent: 2}
+                errors_module.InvalidSize: 64, errors_module.Inconsistent: 2, OSError: 66}
     assert code == expected.get(error, 1)
     documented = _documented_exit_codes()
     assert documented == {0, 1, 2, 3, 64, 66}
     assert code in documented
-    assert (out, err) == ("", "qsylv: error: boom\n")
+    what = "cannot write: " if error is OSError else ""
+    assert (out, err) == ("", f"qsylv: error: {what}boom\n")
 
 
 def test_numeric_error_exits_1(capsys, tmp_path):
@@ -497,6 +529,16 @@ def test_det_non_hermitian_hdet_exits_1(capsys, tmp_path):
     write_json(path, m.to_json())
     code, _, err = run_cli(["det", "--in", path, "--kind", "hdet"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("kind, what", [("rdet", "determinant"), ("cdet", "determinant"),
+                                        ("hdet", "hdet")])
+def test_det_of_a_non_square_matrix_exits_1_in_its_own_name(kind, what, capsys, tmp_path):
+    path = str(tmp_path / "rect.json")
+    write_json(path, QMatrix.zeros(3, 2).to_json())
+    code, out, err = run_cli(["det", "--in", path, "--kind", kind], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"qsylv: error: {what} requires a square matrix, got (3, 2)\n"
 
 
 @pytest.mark.parametrize("kind", ["rdet", "cdet", "hdet"])
@@ -856,6 +898,37 @@ def test_process_missing_file_exits_66(capsys, tmp_path):
     argv = ["check", "--kind", "lyapunov-star", "--a1", str(tmp_path / "no.json"),
             "--c", str(tmp_path / "no.json")]
     _assert_process_matches_main(argv, 66, capsys)
+
+
+def _assert_unwritable_stdout_exits_66(argv: list[str], stdout) -> None:
+    proc = subprocess.run([sys.executable, "-m", "qsylv.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=_src_env())
+    assert proc.returncode == 66, proc.stderr
+    assert proc.stderr.startswith("qsylv: error: cannot write") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [["det", "--kind", "rdet"], ["check"]], ids=["det", "check"])
+def test_stdout_on_a_full_disk_exits_66(command, capsys, tmp_path):
+    if command[0] == "det":
+        path = str(tmp_path / "identity.json")
+        write_json(path, QMatrix.identity(2).to_json())
+        argv = command + ["--in", path]
+    else:
+        argv = _gen_argv(capsys, tmp_path, command)
+    with open("/dev/full", "w") as full:
+        _assert_unwritable_stdout_exits_66(argv, full)
+
+
+def test_stdout_on_a_closed_pipe_exits_66():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        _assert_unwritable_stdout_exits_66(["gen", "--kind", "sylvester", "--max-dim", "80"],
+                                           write_end)
+    finally:
+        os.close(write_end)
 
 
 def test_main_leaves_the_collector_unfrozen(capsys, pair_files, tmp_path):

@@ -171,6 +171,15 @@ def test_determinants_require_square_input():
         cdet(QMatrix.zeros(3, 2), 1)
 
 
+@pytest.mark.parametrize("fn, what", [(hdet, "hdet"),
+                                      (lambda h: principal_minor_sum(h, 1),
+                                       "principal_minor_sum")],
+                         ids=["hdet", "principal_minor_sum"])
+def test_hermitian_determinants_refuse_non_square_input_in_their_own_name(fn, what):
+    with pytest.raises(NotSquare, match=rf"^{what} requires a square matrix, got \(3, 2\)$"):
+        fn(QMatrix.zeros(3, 2))
+
+
 def test_anchor_out_of_range():
     a = QMatrix.identity(2)
     with pytest.raises(InvalidSize):
