@@ -296,14 +296,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    """Process entry of the ``qsylv`` console script and ``python -m qsylv.cli``.
-
-    Runs :func:`main` on the command line and exits with its code.  Before
-    exiting it freezes the collector (``gc.freeze``), so interpreter shutdown
-    does not walk every NumPy and qsylv object in full collection passes.
-    ``main`` itself never freezes: in-process callers keep a normal collector.
-    """
+    """Process entry of the ``qsylv`` console script and ``python -m qsylv.cli``:
+    exits with the code of :func:`main`, the collector frozen (``gc.freeze``)
+    so that shutdown makes no full passes over every object."""
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported it; what stdout still buffers goes to the null
+        # device, or the shutdown flush fails on it again and exits 120, not 66
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()
     sys.exit(code)
 

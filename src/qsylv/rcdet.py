@@ -347,6 +347,11 @@ def _local_coeffs(a4: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_square(h: QMatrix, what: str) -> None:
+    if h.rows != h.cols:
+        raise NotSquare(f"{what} requires a square matrix, got {h.shape}")
+
+
 def _coefficients(h: QMatrix, r: int) -> np.ndarray:
     """The ``n x n x 4`` components of ``cdet_coeffs(h, r)``, over the size-``r``
     subsets in lexicographic order: the one evaluation pass.  Each term's
@@ -360,8 +365,7 @@ def _coefficients(h: QMatrix, r: int) -> np.ndarray:
     raises :class:`OutOfRange`; a structurally zero one stays 0.
     """
     n = h.rows
-    if h.rows != h.cols:
-        raise NotSquare(f"coefficient matrices require a square matrix, got {h.shape}")
+    _require_square(h, "coefficient matrix")
     if not 0 <= r <= n:
         raise InvalidSize(f"subset size {r} out of range 0..{n}")
     if r == 0:
@@ -412,8 +416,7 @@ def _col_dets(a: QMatrix) -> np.ndarray:
 
 def _det(a: QMatrix, anchor: int, anchored: Callable[[QMatrix], np.ndarray]) -> Quaternion:
     """Entry ``anchor`` of ``anchored(a)``, read on ``a`` scaled to unit size."""
-    if a.rows != a.cols:
-        raise NotSquare(f"determinant requires a square matrix, got {a.shape}")
+    _require_square(a, "determinant")
     if not 1 <= anchor <= a.rows:
         raise InvalidSize(f"anchor {anchor} out of range 1..{a.rows}")
     k = pow2_exponent(a)
@@ -435,8 +438,7 @@ def _unit_hermitian(h: QMatrix, what: str) -> tuple[int, QMatrix]:
     """``(k, 2**k h)`` scaled to unit size (:func:`~qsylv.qmatrix.pow2_exponent`);
     :class:`NotSquare` or :class:`NotHermitian` unless ``h`` is square and
     that is Hermitian within :data:`HDET_TOL`."""
-    if h.rows != h.cols:
-        raise NotSquare(f"{what} requires a square matrix, got {h.shape}")
+    _require_square(h, what)
     k = pow2_exponent(h)
     scaled = scale_pow2(h, k)
     if not is_hermitian(scaled, HDET_TOL):
